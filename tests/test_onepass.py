@@ -66,6 +66,7 @@ MIXED = (
     " 1504 , 7 ,F15, 45 , 700000 , 0.2 ,padded ok\n"
     "5001,4,F16,30,100,0.1%,percent share\n"
     "5001,4,F17,89,100,0.1,unmapped 89\n"
+    "5001,\x1c4\x1f,F18,\x1d30,100\x1e,0.1,padded with separator characters str.strip() removes\n"
 )
 MIXED_ISSUES = [
     (5, "blank row"),
@@ -87,12 +88,12 @@ MIXED_ISSUES = [
 
 
 def test_validate_listing_is_pinned(tmp_path, capsys):
-    assert validate_firm_csv(MIXED.encode("utf-8")) == (18, MIXED_ISSUES)
+    assert validate_firm_csv(MIXED.encode("utf-8")) == (19, MIXED_ISSUES)
     path = tmp_path / "mixed.csv"
     path.write_text(MIXED, encoding="utf-8")
     assert main(["validate", str(path)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "18 data row(s), 15 issue(s)"
+    assert lines[0] == "19 data row(s), 15 issue(s)"
     assert lines[1:] == [f"  line {line}: {message}" for line, message in MIXED_ISSUES]
 
 
