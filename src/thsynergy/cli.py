@@ -17,23 +17,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from .cube import build_cube
-from .decomp import region_report
-from .infotheory import entropy_profile
-from .ingest import (
-    ClassificationConfig,
-    classify_all,
-    load_config,
-    parse_firm_records,
-    parse_share,
-    validate_firm_csv,
-)
+from .cube import Tally
+from .decomp import cube_report
+from .ingest import ClassificationConfig, load_config, parse_share, validate_firm_csv
 from .stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
 from .synthlab import SynthParams, sweep_foreign_share
 
@@ -67,13 +61,29 @@ def config_digest(settings: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _write_sidecar(output_path: str, manifest: RunManifest, extra: dict | None = None) -> None:
+def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: dict | None = None) -> None:
+    """Write the output and its .manifest.json sidecar. Raises OSError.
+
+    Each is written to a temporary file next to its target and then moved
+    into place with os.replace, the output last, so a failed run never
+    leaves a partial output nor an output without its sidecar.
+    """
     payload = manifest.to_dict(timestamp=datetime.now(timezone.utc).isoformat())
     if extra:
         payload.update(extra)
-    with open(output_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    writes = ((output_path + ".manifest.json", json.dumps(payload, indent=2) + "\n"), (output_path, text))
+    temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
+    try:
+        for temp, (_, content) in zip(temps, writes):
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+        for temp, (path, _) in zip(temps, writes):
+            os.replace(temp, path)
+    except OSError:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.unlink(temp)
+        raise
 
 
 def _load_effective_config(args) -> ClassificationConfig:
@@ -100,53 +110,48 @@ def _config_settings(config: ClassificationConfig, log_base: str | None = None) 
 
 # --- subcommands ------------------------------------------------------------
 
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _print_issues(rows: int, issues: list[tuple[int, str]], file) -> None:
+    print(f"{rows} data row(s), {len(issues)} issue(s)", file=file)
+    for line, message in issues:
+        print(f"  line {line}: {message}", file=file)
+
+
 def cmd_validate(args) -> int:
     try:
         config = _load_effective_config(args)
         with open(args.input, "rb") as fh:
             rows, issues = validate_firm_csv(fh, config=config)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"{rows} data row(s), {len(issues)} issue(s)")
-    for line, message in issues:
-        print(f"  line {line}: {message}")
+        return _error(exc, 2)
+    _print_issues(rows, issues, sys.stdout)
     return 1 if issues else 0
 
 
 def cmd_compute(args) -> int:
+    tally = Tally()
     try:
         config = _load_effective_config(args)
+        with open(args.input, "rb") as fh:
+            rows, issues = validate_firm_csv(fh, config=config, add=tally.add)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    base = _LOG_BASES[args.log_base]
+        return _error(exc, 2)
+    if issues:
+        _print_issues(rows, issues, sys.stderr)
+        return 1
+    if not rows:
+        return _error(f"{args.input}: no data rows", 1)
 
-    try:
-        with open(args.input, "rb") as fh:
-            rows, issues = validate_firm_csv(fh, config=config)
-        if issues:
-            print(f"{rows} data row(s), {len(issues)} issue(s)", file=sys.stderr)
-            for line, message in issues:
-                print(f"  line {line}: {message}", file=sys.stderr)
-            return 1
-        with open(args.input, "rb") as fh:
-            records = parse_firm_records(fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    firms = classify_all(records, config)
-    report = region_report(firms, base=base)
-    cube = build_cube(firms)
-    profile = entropy_profile(cube, base=base)
-
+    cube = tally.cube()
+    report = cube_report(cube, tally, base=_LOG_BASES[args.log_base])
     categories, table = ownership_tech_table(cube)
     try:
         chi = chi_square_homogeneity(table)
@@ -169,27 +174,19 @@ def cmd_compute(args) -> int:
         "schema_version": 1,
         "log_base": args.log_base,
         "report": report.to_dict(),
-        "entropy": {
-            "h_g": profile.h_g,
-            "h_o": profile.h_o,
-            "h_t": profile.h_t,
-            "h_go": profile.h_go,
-            "h_gt": profile.h_gt,
-            "h_ot": profile.h_ot,
-            "h_got": profile.h_got,
-        },
+        "entropy": asdict(report.synergy.profile()),
         "chi_square_domestic_vs_foreign": chi_block,
         "manifest": manifest.to_dict(),
     }
-    text = json.dumps(document, indent=2) + "\n"
+    try:
+        text = json.dumps(document, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # only a turnover sum can overflow to inf
+        return _error(f"{args.input}: turnover sum is not finite", 1)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            _write_sidecar(args.output, manifest)
+            _write_outputs(args.output, text, manifest)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+            return _error(exc, 3)
     else:
         sys.stdout.write(text)
     return 0
@@ -199,8 +196,7 @@ def cmd_sweep(args) -> int:
     try:
         shares = [float(part) for part in args.shares.split(",") if part.strip() != ""]
     except ValueError:
-        print(f"error: cannot parse --shares {args.shares!r}", file=sys.stderr)
-        return 2
+        return _error(f"cannot parse --shares {args.shares!r}", 2)
     try:
         params = SynthParams(
             n_firms=args.firms,
@@ -215,33 +211,25 @@ def cmd_sweep(args) -> int:
         )
         curve = sweep_foreign_share(params, shares)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     manifest = RunManifest(
         command="sweep",
         inputs=(),
+        # every generator knob except the seed (recorded on its own) and the swept share
         config_hash=config_digest({
-            "n_firms": params.n_firms,
-            "n_municipalities": params.n_municipalities,
-            "n_size_classes": params.n_size_classes,
-            "n_tech_groups": params.n_tech_groups,
-            "coupling": params.coupling,
-            "turnover_law": params.turnover_law,
-            "lognormal_mu": params.lognormal_mu,
-            "lognormal_sigma": params.lognormal_sigma,
+            **{k: v for k, v in asdict(params).items() if k not in ("seed", "foreign_share_target")},
             "shares": shares,
         }),
         version=__version__,
         seed=params.seed,
     )
     violations = curve.synergy_share_violations()
+    text = io.StringIO()
+    curve.to_csv(text)
     try:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            curve.to_csv(fh)
-        _write_sidecar(args.output, manifest, extra={"synergy_share_violations": violations})
+        _write_outputs(args.output, text.getvalue(), manifest, extra={"synergy_share_violations": violations})
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     print(f"{len(curve.points)} point(s) written to {args.output}")
     print(f"synergy share monotonicity violations: {violations}")
     return 0
@@ -253,13 +241,11 @@ def cmd_chisq(args) -> int:
         for row_text in args.table.split(";"):
             rows.append([float(v) for v in row_text.split(",")])
     except ValueError:
-        print(f"error: cannot parse table {args.table!r}", file=sys.stderr)
-        return 2
+        return _error(f"cannot parse table {args.table!r}", 2)
     try:
         result = chi_square_homogeneity(rows)
     except DegenerateTable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     print(f"statistic={result.statistic:.6g} dof={result.dof} p_value={result.p_value:.6g}")
     return 0
 

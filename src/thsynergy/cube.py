@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .ingest import ClassifiedFirm, Ownership
 
@@ -36,10 +36,7 @@ class ContingencyCube:
     total: int
 
     def combined(self) -> dict[Cell, int]:
-        out = dict(self.domestic)
-        for cell, count in self.foreign.items():
-            out[cell] = out.get(cell, 0) + count
-        return out
+        return merge_counts(self.domestic, self.foreign)
 
 
 @dataclass(frozen=True)
@@ -56,13 +53,59 @@ class MarginalCounts:
     foreign: dict[Cell, int]
 
     def combined(self) -> dict[Cell, int]:
-        out = dict(self.domestic)
-        for key, count in self.foreign.items():
-            out[key] = out.get(key, 0) + count
-        return out
+        return merge_counts(self.domestic, self.foreign)
 
     def total(self) -> int:
         return sum(self.domestic.values()) + sum(self.foreign.values())
+
+
+def merge_counts(domestic: Mapping, foreign: Mapping) -> dict:
+    """Add two count maps key by key; the ownership-blind view of a split map."""
+    out = dict(domestic)
+    for key, count in foreign.items():
+        out[key] = out.get(key, 0) + count
+    return out
+
+
+class Tally:
+    """Split cell counts and turnover sums, built one firm at a time.
+
+    add() takes a firm's (g, o, t) cell, its ownership flag and its turnover.
+    Each turnover sum runs in add order with +, starting from an int 0, so a
+    group without firms sums to 0. The cube shares the tally's count maps:
+    take it after the last add.
+    """
+
+    def __init__(self):
+        self.domestic: dict[Cell, int] = {}
+        self.foreign: dict[Cell, int] = {}
+        self.turnover_total = self.turnover_domestic = self.turnover_foreign = 0
+
+    def add(self, cell: Cell, foreign: bool, turnover: float) -> None:
+        self.turnover_total += turnover
+        if foreign:
+            self.turnover_foreign += turnover
+            counts = self.foreign
+        else:
+            self.turnover_domestic += turnover
+            counts = self.domestic
+        counts[cell] = counts.get(cell, 0) + 1
+
+    def add_firms(self, firms: Iterable[ClassifiedFirm]) -> "Tally":
+        add = self.add
+        for firm in firms:
+            add((firm.municipality, firm.size_class, firm.tech_group),
+                firm.ownership is Ownership.FOREIGN, firm.turnover)
+        return self
+
+    def cube(self) -> ContingencyCube:
+        """The cube of all firms added; axes hold the observed values, sorted."""
+        total = sum(self.domestic.values()) + sum(self.foreign.values())
+        if not total:
+            raise EmptyDataset("no firms")
+        cells = self.domestic.keys() | self.foreign.keys()
+        axes = {dim: tuple(sorted({cell[i] for cell in cells})) for i, dim in enumerate(DIMS)}
+        return ContingencyCube(axes=axes, domestic=self.domestic, foreign=self.foreign, total=total)
 
 
 def build_cube(firms: Sequence[ClassifiedFirm]) -> ContingencyCube:
@@ -71,20 +114,7 @@ def build_cube(firms: Sequence[ClassifiedFirm]) -> ContingencyCube:
     Raises EmptyDataset on an empty input. Axis categories are exactly the
     values observed in the data, sorted.
     """
-    if not firms:
-        raise EmptyDataset("no firms")
-    domestic: dict[Cell, int] = {}
-    foreign: dict[Cell, int] = {}
-    gs, os_, ts = set(), set(), set()
-    for firm in firms:
-        cell = (firm.municipality, firm.size_class, firm.tech_group)
-        gs.add(cell[0])
-        os_.add(cell[1])
-        ts.add(cell[2])
-        target = foreign if firm.ownership is Ownership.FOREIGN else domestic
-        target[cell] = target.get(cell, 0) + 1
-    axes = {"G": tuple(sorted(gs)), "O": tuple(sorted(os_)), "T": tuple(sorted(ts))}
-    return ContingencyCube(axes=axes, domestic=domestic, foreign=foreign, total=len(firms))
+    return Tally().add_firms(firms).cube()
 
 
 def normalize_dims(dims: Iterable[str]) -> tuple[str, ...]:

@@ -19,11 +19,11 @@ the remaining counts are left untouched.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .cube import ContingencyCube, EmptyDataset, build_cube, marginalize
-from .infotheory import SUBSETS, _plugin_entropy, ZeroTotal
+from .cube import ContingencyCube, EmptyDataset, Tally, marginalize, merge_counts
+from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, ternary_information, ZeroTotal
 from .ingest import ClassifiedFirm, Ownership
 
 
@@ -57,10 +57,7 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
     """
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
-    combined: dict = dict(domestic)
-    for key, count in foreign.items():
-        combined[key] = combined.get(key, 0) + count
-    h_total = _plugin_entropy(combined, total, base)
+    h_total = _plugin_entropy(merge_counts(domestic, foreign), total, base)
     h_domestic = _plugin_entropy(domestic, total, base)
     h_foreign = _plugin_entropy(foreign, total, base)
     return SplitEntropyTerm(
@@ -80,6 +77,8 @@ class SynergyDecomposition:
     foreign_only  contribution carried by foreign cell counts alone
     cross     mixing term between the two groups
     foreign   foreign_only + cross, the combined foreign contribution
+    terms     the seven split entropies behind the sums, in SUBSETS order;
+              their totals are the cube's entropy profile
     """
 
     total: float
@@ -87,31 +86,24 @@ class SynergyDecomposition:
     foreign_only: float
     cross: float
     foreign: float
+    terms: tuple[SplitEntropyTerm, ...] = field(default=(), repr=False, compare=False)
 
-
-def _alternating(values: Sequence[float]) -> float:
-    # same association order as infotheory.ternary_information
-    g, o, t, go, gt, ot, got = values
-    return g + o + t - go - gt - ot + got
+    def profile(self) -> EntropyProfile:
+        """The seven marginal entropies of the whole population."""
+        return EntropyProfile(*(t.total for t in self.terms))
 
 
 def decompose(cube: ContingencyCube, base: float = 2.0) -> SynergyDecomposition:
     """Split the cube's signed measure into ownership contributions."""
-    terms = []
-    for dims in SUBSETS:
-        marginal = marginalize(cube, dims)
-        terms.append(split_entropy(marginal.domestic, marginal.foreign, cube.total, base))
-    total = _alternating([t.total for t in terms])
-    domestic = _alternating([t.domestic for t in terms])
-    foreign_only = _alternating([t.foreign for t in terms])
-    cross = _alternating([t.cross for t in terms])
-    return SynergyDecomposition(
-        total=total,
-        domestic=domestic,
-        foreign_only=foreign_only,
-        cross=cross,
-        foreign=foreign_only + cross,
+    terms = tuple(
+        split_entropy(m.domestic, m.foreign, cube.total, base)
+        for m in (marginalize(cube, dims) for dims in SUBSETS)
     )
+    total, domestic, foreign_only, cross = (
+        ternary_information(EntropyProfile(*(getattr(t, part) for t in terms)))
+        for part in ("total", "domestic", "foreign", "cross")
+    )
+    return SynergyDecomposition(total, domestic, foreign_only, cross, foreign_only + cross, terms)
 
 
 def subgroup_synergy(cube: ContingencyCube, ownership: Ownership, base: float = 2.0) -> float:
@@ -121,16 +113,12 @@ def subgroup_synergy(cube: ContingencyCube, ownership: Ownership, base: float = 
     population denominator; this instead treats the chosen group as a
     population of its own, so its value is NOT a term of decompose().
     """
-    counts = cube.foreign if ownership is Ownership.FOREIGN else cube.domestic
-    subtotal = sum(counts.values())
+    side = "foreign" if ownership is Ownership.FOREIGN else "domestic"
+    subtotal = sum(getattr(cube, side).values())
     if subtotal == 0:
         raise EmptyDataset(f"no {ownership.value} firms in cube")
-    values = []
-    for dims in SUBSETS:
-        marginal = marginalize(cube, dims)
-        part = marginal.foreign if ownership is Ownership.FOREIGN else marginal.domestic
-        values.append(_plugin_entropy(part, subtotal, base))
-    return _alternating(values)
+    return ternary_information(EntropyProfile(*(
+        _plugin_entropy(getattr(marginalize(cube, dims), side), subtotal, base) for dims in SUBSETS)))
 
 
 # --- ratio arithmetic -------------------------------------------------------
@@ -211,25 +199,26 @@ def region_report(firms: Sequence[ClassifiedFirm], base: float = 2.0) -> RegionR
     Raises EmptyDataset on empty input. The turnover sums run in firm order;
     the foreign share of an all-foreign population is exactly 1.0.
     """
-    if not firms:
-        raise EmptyDataset("no firms")
-    cube = build_cube(firms)
+    tally = Tally().add_firms(firms)
+    return cube_report(tally.cube(), tally, base)
+
+
+def cube_report(cube: ContingencyCube, tally: Tally, base: float = 2.0) -> RegionReport:
+    """Region summary from a tally's cube and turnover sums: one decomposition."""
     dec = decompose(cube, base)
-    turnover_total = sum(f.turnover for f in firms)
-    turnover_foreign = sum(f.turnover for f in firms if f.ownership is Ownership.FOREIGN)
-    turnover_domestic = sum(f.turnover for f in firms if f.ownership is Ownership.DOMESTIC)
     # zero total turnover means zero foreign turnover too; report share 0
-    share = turnover_foreign / turnover_total if turnover_total > 0 else 0.0
+    share = tally.turnover_foreign / tally.turnover_total if tally.turnover_total > 0 else 0.0
     syn_share = synergy_share(dec.total, dec.foreign)
     return RegionReport(
         synergy=dec,
-        turnover_total=turnover_total,
-        turnover_domestic=turnover_domestic,
-        turnover_foreign=turnover_foreign,
+        turnover_total=tally.turnover_total,
+        turnover_domestic=tally.turnover_domestic,
+        turnover_foreign=tally.turnover_foreign,
         foreign_turnover_share=share,
-        foreign_to_domestic_turnover=(turnover_foreign / turnover_domestic if turnover_domestic > 0 else None),
+        foreign_to_domestic_turnover=(
+            tally.turnover_foreign / tally.turnover_domestic if tally.turnover_domestic > 0 else None),
         foreign_synergy_share=syn_share,
         efficiency=efficiency_ratio(share, syn_share),
-        firm_count=len(firms),
-        foreign_count=sum(1 for f in firms if f.ownership is Ownership.FOREIGN),
+        firm_count=cube.total,
+        foreign_count=sum(cube.foreign.values()),
     )

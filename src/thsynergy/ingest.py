@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO, Iterable, Mapping, TextIO
+from functools import cached_property
+from typing import BinaryIO, Callable, Iterable, Mapping, TextIO
 
 
 class MissingColumn(ValueError):
@@ -37,7 +39,8 @@ class UnmappedNace(ValueError):
 
     def __init__(self, nace2: int):
         self.nace2 = nace2
-        super().__init__(f"NACE code {nace2:02d} has no technology group mapping")
+        self.reason = f"NACE code {nace2:02d} has no technology group mapping"
+        super().__init__(self.reason)
 
 
 class Ownership(str, Enum):
@@ -142,9 +145,31 @@ class ClassificationConfig:
             raise ValueError("size_bin_edges must be strictly increasing")
         object.__setattr__(self, "size_bin_edges", edges)
 
-    @property
+    @cached_property
     def size_class_labels(self) -> tuple[str, ...]:
         return size_labels(self.size_bin_edges)
+
+    def categorize(self, municipality: str, nace2: int, employees: int, share: float) -> tuple[tuple, bool]:
+        """Classify one firm: ((municipality, size class, tech group), is_foreign)."""
+        group = self.nace_map.get(nace2)
+        if group is None:
+            raise UnmappedNace(nace2)
+        size_class = self.size_class_labels[bisect_right(self.size_bin_edges, employees) - 1]
+        return (municipality, size_class, group), share >= self.foreign_cutoff
+
+
+def _check_ranges(nace2: int, employees: int, turnover: float, share: float) -> None:
+    """The value checks every firm passes; ValueError names the first failure."""
+    if not 1 <= nace2 <= 99:
+        raise ValueError(f"nace2 {nace2} outside 01-99")
+    if employees < 0:
+        raise ValueError("employees must be non-negative")
+    if turnover < 0:
+        raise ValueError("turnover must be non-negative")
+    if not math.isfinite(turnover):
+        raise ValueError("turnover must be finite")
+    if not 0.0 <= share <= 1.0:
+        raise ValueError("foreign_share must be a fraction in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -159,14 +184,7 @@ class FirmRecord:
     foreign_share: float
 
     def __post_init__(self):
-        if not 1 <= self.nace2 <= 99:
-            raise ValueError(f"nace2 {self.nace2} outside 01-99")
-        if self.employees < 0:
-            raise ValueError("employees must be non-negative")
-        if self.turnover < 0:
-            raise ValueError("turnover must be non-negative")
-        if not 0.0 <= self.foreign_share <= 1.0:
-            raise ValueError("foreign_share must be a fraction in [0, 1]")
+        _check_ranges(self.nace2, self.employees, self.turnover, self.foreign_share)
 
 
 @dataclass(frozen=True)
@@ -194,83 +212,62 @@ _REQUIRED = CANONICAL_COLUMNS[1:]  # firm_id may be absent
 
 
 def _as_text_stream(source: bytes | bytearray | BinaryIO | TextIO) -> TextIO:
+    # utf-8-sig drops a leading byte order mark and reads plain UTF-8 unchanged
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.decode("utf-8-sig"))
     if isinstance(source, io.TextIOBase):
         return source
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
-def _scan_rows(source, schema: Mapping[str, str] | None):
-    """Yield (line_no, record, error) per data row, exactly one of the last
-    two non-None. Raises MissingColumn up front. Internal; parse_firm_records
-    and validate_firm_csv both drive it.
+def _open_rows(source, schema: Mapping[str, str] | None):
+    """Read the header and return (reader, positions, width): positions are
+    indexed like CANONICAL_COLUMNS, None for an absent firm_id, and width is
+    the field count a data row needs. Raises MissingColumn.
     """
-    mapping = dict(schema) if schema else {}
-    for name in CANONICAL_COLUMNS:
-        mapping.setdefault(name, name)
-
+    mapping = {name: name for name in CANONICAL_COLUMNS} | dict(schema or {})
     reader = csv.reader(_as_text_stream(source))
     try:
         header = next(reader)
     except StopIteration:
         raise MissingColumn(_REQUIRED) from None
-    positions: dict[str, int] = {}
-    for canonical in CANONICAL_COLUMNS:
-        try:
-            positions[canonical] = header.index(mapping[canonical])
-        except ValueError:
-            pass
-    missing = [mapping[c] for c in _REQUIRED if c not in positions]
+    positions = tuple(header.index(mapping[c]) if mapping[c] in header else None for c in CANONICAL_COLUMNS)
+    missing = [mapping[c] for c, pos in zip(CANONICAL_COLUMNS, positions) if pos is None and c in _REQUIRED]
     if missing:
         raise MissingColumn(missing)
-    has_id = "firm_id" in positions
-    width = max(positions.values()) + 1
+    return reader, positions, max(p for p in positions if p is not None) + 1
 
-    for row in reader:
-        line = reader.line_num
-        try:
-            if not row:
-                raise MalformedRow(line, "blank row")
-            if len(row) < width:
-                raise MalformedRow(line, f"expected at least {width} fields, got {len(row)}")
 
-            def cell(name: str) -> str:
-                return row[positions[name]].strip()
+def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple[str, int, int, float, float]:
+    """Check one data row; return (municipality, nace2, employees, turnover, share).
 
+    Raises MalformedRow naming the line and the first defect found.
+    """
+    if not row:
+        raise MalformedRow(line, "blank row")
+    if len(row) < width:
+        raise MalformedRow(line, f"expected at least {width} fields, got {len(row)}")
+    _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
+    try:  # fast path: int() and float() skip most surrounding whitespace themselves
+        nace2, employees = int(row[nace_at]), int(row[employees_at])
+        turnover, share = float(row[turnover_at]), float(row[share_at])
+    except ValueError:  # strip each field and name the first that does not convert
+        values = []
+        for at, name, convert, kind in ((nace_at, "nace2", int, "an integer"),
+                                        (employees_at, "employees", int, "an integer"),
+                                        (turnover_at, "turnover_nok", float, "a number"),
+                                        (share_at, "foreign_share", float, "a number")):
+            text = row[at].strip()
             try:
-                nace2 = int(cell("nace2"))
+                values.append(convert(text))
             except ValueError:
-                raise MalformedRow(line, f"nace2 {cell('nace2')!r} is not an integer") from None
-            try:
-                employees = int(cell("employees"))
-            except ValueError:
-                raise MalformedRow(line, f"employees {cell('employees')!r} is not an integer") from None
-            try:
-                turnover = float(cell("turnover_nok"))
-            except ValueError:
-                raise MalformedRow(line, f"turnover_nok {cell('turnover_nok')!r} is not a number") from None
-            try:
-                share = float(cell("foreign_share"))
-            except ValueError:
-                raise MalformedRow(line, f"foreign_share {cell('foreign_share')!r} is not a number") from None
-
-            firm_id = cell("firm_id") if has_id else f"row-{line}"
-            try:
-                record = FirmRecord(
-                    firm_id=firm_id,
-                    municipality_code=cell("municipality_code"),
-                    nace2=nace2,
-                    employees=employees,
-                    turnover=turnover,
-                    foreign_share=share,
-                )
-            except ValueError as exc:
-                raise MalformedRow(line, str(exc)) from None
-        except MalformedRow as exc:
-            yield line, None, exc
-            continue
-        yield line, record, None
+                raise MalformedRow(line, f"{name} {text!r} is not {kind}") from None
+        nace2, employees, turnover, share = values
+    try:
+        _check_ranges(nace2, employees, turnover, share)
+    except ValueError as exc:
+        raise MalformedRow(line, str(exc)) from None
+    return row[muni_at].strip(), nace2, employees, turnover, share
 
 
 def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[FirmRecord]:
@@ -285,11 +282,14 @@ def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[
     Any defect aborts the whole parse; rows are never silently dropped, so
     the returned list length always equals the data row count.
     """
+    reader, positions, width = _open_rows(source, schema)
+    id_at = positions[0]
     out = []
-    for _, record, error in _scan_rows(source, schema):
-        if error is not None:
-            raise error
-        out.append(record)
+    for row in reader:
+        line = reader.line_num
+        fields = _parse_row(row, line, positions, width)
+        firm_id = row[id_at].strip() if id_at is not None else f"row-{line}"
+        out.append(FirmRecord(firm_id, *fields))
     return out
 
 
@@ -299,23 +299,9 @@ def classify(record: FirmRecord, config: ClassificationConfig | None = None) -> 
     Raises UnmappedNace when the two-digit code has no technology group in
     the configured map.
     """
-    config = config or ClassificationConfig()
-    group = config.nace_map.get(record.nace2)
-    if group is None:
-        raise UnmappedNace(record.nace2)
-    bin_idx = bisect_right(config.size_bin_edges, record.employees) - 1
-    ownership = (
-        Ownership.FOREIGN
-        if record.foreign_share >= config.foreign_cutoff
-        else Ownership.DOMESTIC
-    )
-    return ClassifiedFirm(
-        municipality=record.municipality_code,
-        size_class=config.size_class_labels[bin_idx],
-        tech_group=group,
-        ownership=ownership,
-        turnover=record.turnover,
-    )
+    cell, foreign = (config or ClassificationConfig()).categorize(
+        record.municipality_code, record.nace2, record.employees, record.foreign_share)
+    return ClassifiedFirm(*cell, Ownership.FOREIGN if foreign else Ownership.DOMESTIC, record.turnover)
 
 
 def classify_all(records: Iterable[FirmRecord], config: ClassificationConfig | None = None) -> list[ClassifiedFirm]:
@@ -324,27 +310,34 @@ def classify_all(records: Iterable[FirmRecord], config: ClassificationConfig | N
 
 
 def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
-                      config: ClassificationConfig | None = None) -> tuple[int, list[tuple[int, str]]]:
-    """Scan a CSV collecting every defect instead of stopping at the first.
+                      config: ClassificationConfig | None = None,
+                      add: Callable[[tuple, bool, float], None] | None = None,
+                      ) -> tuple[int, list[tuple[int, str]]]:
+    """Check and classify every row in one pass, collecting every defect.
 
-    Returns (data_row_count, issues) where each issue is (line_no, message).
-    Used by the command-line validate step; parse_firm_records stays strict.
+    Returns (data_row_count, issues), each issue (line_no, message). Each
+    accepted row goes in file order to add(cell, foreign, turnover), cell
+    being its (municipality, size class, tech group). parse_firm_records
+    stays strict.
     """
-    config = config or ClassificationConfig()
+    categorize = (config or ClassificationConfig()).categorize
     issues: list[tuple[int, str]] = []
     rows = 0
     try:
-        for line, record, error in _scan_rows(source, schema):
-            rows += 1
-            if error is not None:
-                issues.append((error.line_no, error.reason))
-                continue
-            try:
-                classify(record, config)
-            except UnmappedNace as exc:
-                issues.append((line, str(exc)))
+        reader, positions, width = _open_rows(source, schema)
     except MissingColumn as exc:
-        issues.append((1, str(exc)))
+        return rows, [(1, str(exc))]
+    for row in reader:
+        rows += 1
+        line = reader.line_num
+        try:
+            municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
+            cell, foreign = categorize(municipality, nace2, employees, share)
+        except (MalformedRow, UnmappedNace) as exc:
+            issues.append((line, exc.reason))
+            continue
+        if add is not None:
+            add(cell, foreign, turnover)
     return rows, issues
 
 

@@ -162,6 +162,66 @@ def test_compute_missing_file_is_io_error(tmp_path):
     assert main(["compute", str(tmp_path / "absent.csv")]) == 3
 
 
+# --- compute robustness -----------------------------------------------------
+
+def test_compute_header_only_is_validation_failure(tmp_path, capsys):
+    path = write_csv(tmp_path, [])
+    out = tmp_path / "report.json"
+    assert main(["compute", path, "--output", str(out)]) == 1
+    assert "no data rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "NaN"])
+def test_non_finite_turnover_is_rejected_on_its_line(tmp_path, capsys, value):
+    rows = list(CLEAN_ROWS)
+    rows.insert(1, f"FX,1504,30,5,{value},0.0")  # line 3 in the file
+    path = write_csv(tmp_path, rows)
+    assert main(["validate", path]) == 1
+    assert "  line 3: turnover must be finite" in capsys.readouterr().out.splitlines()
+    assert main(["compute", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "  line 3: turnover must be finite" in captured.err.splitlines()
+
+
+def test_compute_overflowing_turnover_sum_writes_no_json(tmp_path, capsys):
+    path = write_csv(tmp_path, ["F1,1504,30,5,1e308,0.0", "F2,5001,62,3,1e308,0.5"])
+    out = tmp_path / "report.json"
+    assert main(["compute", path, "--output", str(out)]) == 1
+    assert "turnover sum is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_utf8_bom_before_a_required_first_column(tmp_path, capsys):
+    header = "municipality_code,firm_id,nace2,employees,turnover_nok,foreign_share"
+    rows = ["1504,F1,30,120,5000000,0.0", "5001,F2,62,3,900000,0.5"]
+    text = "\n".join([header, *rows]) + "\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["validate", str(bom)]) == 0
+    assert "2 data row(s), 0 issue(s)" in capsys.readouterr().out
+    assert main(["compute", str(bom)]) == 0
+    with_bom = json.loads(capsys.readouterr().out)
+    assert main(["compute", str(plain)]) == 0
+    without_bom = json.loads(capsys.readouterr().out)
+    assert with_bom["report"] == without_bom["report"]
+    assert with_bom["entropy"] == without_bom["entropy"]
+
+
+def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):
+    path = write_csv(tmp_path, CLEAN_ROWS)
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    (tmp_path / "report.json.manifest.json").mkdir()  # the sidecar cannot be written there
+    assert main(["compute", path, "--output", str(out)]) == 3
+    assert "error" in capsys.readouterr().err
+    assert out.read_text() == "previous report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["firms.csv", "report.json", "report.json.manifest.json"]
+
+
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_writes_curve_and_sidecar(tmp_path, capsys):
