@@ -76,8 +76,11 @@ def entropy_profile(cube: ContingencyCube, base: float = 2.0) -> EntropyProfile:
     """Compute all seven marginal entropies of the full population."""
     if cube.total <= 0:
         raise ZeroTotal("cube has no observations")
-    return EntropyProfile(*(_plugin_entropy(marginalize(cube, dims).combined(), cube.total, base)
-                            for dims in SUBSETS))
+    values = []
+    for dims in SUBSETS:
+        marginal = marginalize(cube, dims)
+        values.append(_plugin_entropy(marginal.combined(), cube.total, base))
+    return EntropyProfile(*values)
 
 
 def ternary_information(profile: EntropyProfile) -> float:
