@@ -1,8 +1,9 @@
-"""Equivalence pins for the compute and validate paths.
+"""Equivalence pins for the compute, validate and sweep paths.
 
 The golden digests and the validate listing were recorded before compute
-was fused into a single scan; the property test checks that the command's
-document equals the one assembled from the public step-by-step adapters.
+was fused into a single scan, and the sweep digests before the sweep drew
+its population once; the property test checks that the command's document
+equals the one assembled from the public step-by-step adapters.
 """
 import hashlib
 import json
@@ -165,3 +166,26 @@ def test_compute_document_equals_adapter_route(tmp_path, capsys, rows, order, cu
     config = ClassificationConfig(foreign_cutoff=parse_share(cutoff))
     expected = _adapter_document(path, config, log_base, document["manifest"])
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+# --- sweep ----------------------------------------------------------------------
+
+SWEEP_SHARES = ",".join(repr(i / 10) for i in range(11))
+SWEEP_GOLDEN = [
+    # default generator: uniform turnover law, 500 firms, seed 0
+    ((), "314de50a7076e1cb30e17056b1e147bebdc87b2bf531649bb5c87f8b61fd9d4c", 2),
+    # the parameters of demos/04_foreign_share_sweep.py
+    (("--firms", "400", "--municipalities", "10", "--size-classes", "6", "--tech-groups", "8",
+      "--coupling", "0.8", "--turnover-law", "lognormal", "--mu", "17.0", "--sigma", "0.9",
+      "--seed", "2013"),
+     "e93e3f84065c0a852997515ca1e2c181bc8d9024bac538283356a68e28e0c4a1", 5),
+]
+
+
+@pytest.mark.parametrize("flags, digest, violations", SWEEP_GOLDEN)
+def test_sweep_curve_is_pinned(tmp_path, flags, digest, violations):
+    out = tmp_path / "curve.csv"
+    assert main(["sweep", *flags, "--shares", SWEEP_SHARES, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+    assert sidecar["synergy_share_violations"] == violations

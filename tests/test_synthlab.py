@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from thsynergy.cube import build_cube
-from thsynergy.decomp import decompose
+from thsynergy.decomp import decompose, region_report
 from thsynergy.ingest import Ownership
 from thsynergy.synthlab import SynthParams, SweepCurve, SweepPoint, foreign_count, generate, sweep_foreign_share
 
@@ -203,8 +203,14 @@ def test_coupling_controls_signal_against_measured_noise_band():
 
 
 def test_sweep_decomposition_consistency():
-    curve = sweep_foreign_share(sweep_params(), [0.0, 0.3, 1.0])
+    # each point's whole report (decomposition, turnover sums in firm order,
+    # counts, ratios) equals the one built from a population generated at
+    # that share
+    curve = sweep_foreign_share(sweep_params(), [0.0, 0.3, 0.55, 1.0])
     for point in curve.points:
         firms = generate(replace(sweep_params(), foreign_share_target=point.share))
-        dec = decompose(build_cube(firms))
-        assert point.report.synergy == dec
+        expected = region_report(firms)
+        assert point.report == expected
+        assert point.report.synergy == decompose(build_cube(firms))
+        assert (point.turnover_share, point.synergy_share) == \
+               (expected.foreign_turnover_share, expected.foreign_synergy_share)
