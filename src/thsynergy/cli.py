@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -43,17 +43,8 @@ class RunManifest:
     seed: int | None = None
 
     def to_dict(self, timestamp: str | None = None) -> dict:
-        out: dict = {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "config_hash": self.config_hash,
-            "version": self.version,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if timestamp is not None:
-            out["timestamp"] = timestamp
-        return out
+        out = {key: value for key, value in asdict(self).items() if value is not None}
+        return out if timestamp is None else out | {"timestamp": timestamp}
 
 
 def config_digest(settings: dict) -> str:
@@ -89,23 +80,8 @@ def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: di
 def _load_effective_config(args) -> ClassificationConfig:
     config = load_config(args.config) if args.config else ClassificationConfig()
     if args.foreign_cutoff is not None:
-        config = ClassificationConfig(
-            foreign_cutoff=parse_share(args.foreign_cutoff),
-            size_bin_edges=config.size_bin_edges,
-            nace_map=config.nace_map,
-        )
+        config = replace(config, foreign_cutoff=parse_share(args.foreign_cutoff))
     return config
-
-
-def _config_settings(config: ClassificationConfig, log_base: str | None = None) -> dict:
-    settings = {
-        "foreign_cutoff": config.foreign_cutoff,
-        "size_bin_edges": list(config.size_bin_edges),
-        "nace_map": {str(k): v for k, v in sorted(config.nace_map.items())},
-    }
-    if log_base is not None:
-        settings["log_base"] = log_base
-    return settings
 
 
 # --- subcommands ------------------------------------------------------------
@@ -167,7 +143,9 @@ def cmd_compute(args) -> int:
     manifest = RunManifest(
         command="compute",
         inputs=(args.input,),
-        config_hash=config_digest(_config_settings(config, args.log_base)),
+        # every classification knob, the NACE map keyed by text as JSON keys it, and the log base
+        config_hash=config_digest({**asdict(config), "nace_map": {str(k): v for k, v in config.nace_map.items()},
+                                   "log_base": args.log_base}),
         version=__version__,
     )
     document = {

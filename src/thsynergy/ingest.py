@@ -17,21 +17,21 @@ from functools import cached_property
 from typing import BinaryIO, Callable, Iterable, Mapping, TextIO
 
 
-class MissingColumn(ValueError):
-    """A required column is absent from the CSV header."""
-
-    def __init__(self, names: Iterable[str]):
-        self.names = tuple(names)
-        super().__init__(f"missing required column(s): {', '.join(self.names)}")
-
-
 class MalformedRow(ValueError):
-    """A data row failed strict validation. Carries the 1-based line number."""
+    """A row failed strict validation. Carries the 1-based line number."""
 
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no
         self.reason = reason
         super().__init__(f"line {line_no}: {reason}")
+
+
+class MissingColumn(MalformedRow):
+    """A required column is absent from the CSV header, line 1."""
+
+    def __init__(self, names: Iterable[str]):
+        self.names = tuple(names)
+        super().__init__(1, f"missing required column(s): {', '.join(self.names)}")
 
 
 class UnmappedNace(ValueError):
@@ -65,20 +65,6 @@ _NACE_GROUP_RANGES = (
     (84, 88, 9),
     (90, 99, 10),
 )
-
-TECH_GROUP_LABELS: dict[int, str] = {
-    1: "agriculture, forestry and fishing",
-    2: "manufacturing, mining and quarrying and other industry",
-    3: "construction",
-    4: "wholesale and retail trade, transport, accommodation and food",
-    5: "information and communication",
-    6: "financial and insurance activities",
-    7: "real estate activities",
-    8: "professional, scientific, technical and support activities",
-    9: "public administration, education, health and social work",
-    10: "other services",
-}
-
 
 def default_nace_map() -> dict[int, int]:
     out: dict[int, int] = {}
@@ -213,20 +199,20 @@ _REQUIRED = CANONICAL_COLUMNS[1:]  # firm_id may be absent
 
 def _as_text_stream(source: bytes | bytearray | BinaryIO | TextIO) -> TextIO:
     # utf-8-sig drops a leading byte order mark and reads plain UTF-8 unchanged
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8-sig"))
     if isinstance(source, io.TextIOBase):
         return source
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
     return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
-def _open_rows(source, schema: Mapping[str, str] | None):
-    """Read the header and return (reader, positions, width): positions are
+def _read_header(reader, schema: Mapping[str, str] | None) -> tuple[tuple, int]:
+    """Read the header row and return (positions, width): positions are
     indexed like CANONICAL_COLUMNS, None for an absent firm_id, and width is
-    the field count a data row needs. Raises MissingColumn.
+    the field count a data row needs. Raises MissingColumn, or MalformedRow
+    on line 1 when the header names a mapped column more than once.
     """
     mapping = {name: name for name in CANONICAL_COLUMNS} | dict(schema or {})
-    reader = csv.reader(_as_text_stream(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -235,7 +221,22 @@ def _open_rows(source, schema: Mapping[str, str] | None):
     missing = [mapping[c] for c, pos in zip(CANONICAL_COLUMNS, positions) if pos is None and c in _REQUIRED]
     if missing:
         raise MissingColumn(missing)
-    return reader, positions, max(p for p in positions if p is not None) + 1
+    duplicate = [mapping[c] for c in CANONICAL_COLUMNS if header.count(mapping[c]) > 1]
+    if duplicate:
+        raise MalformedRow(1, f"duplicate column(s): {', '.join(duplicate)}")
+    return positions, max(p for p in positions if p is not None) + 1
+
+
+def _undecodable(buffer: BinaryIO) -> tuple[int, str]:
+    """The issue for the first byte that is not UTF-8. The decoder counts its
+    offset from its current chunk, so the input is read again from the start."""
+    buffer.seek(0)
+    data = buffer.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return 1, "input is not UTF-8"
 
 
 def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple[str, int, int, float, float]:
@@ -267,7 +268,10 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple
         _check_ranges(nace2, employees, turnover, share)
     except ValueError as exc:
         raise MalformedRow(line, str(exc)) from None
-    return row[muni_at].strip(), nace2, employees, turnover, share
+    municipality = row[muni_at].strip()
+    if not municipality:
+        raise MalformedRow(line, "municipality_code is empty")
+    return municipality, nace2, employees, turnover, share
 
 
 def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[FirmRecord]:
@@ -282,7 +286,8 @@ def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[
     Any defect aborts the whole parse; rows are never silently dropped, so
     the returned list length always equals the data row count.
     """
-    reader, positions, width = _open_rows(source, schema)
+    reader = csv.reader(_as_text_stream(source))
+    positions, width = _read_header(reader, schema)
     id_at = positions[0]
     out = []
     for row in reader:
@@ -317,27 +322,34 @@ def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
 
     Returns (data_row_count, issues), each issue (line_no, message). Each
     accepted row goes in file order to add(cell, foreign, turnover), cell
-    being its (municipality, size class, tech group). parse_firm_records
-    stays strict.
+    being its (municipality, size class, tech group). A header defect, a
+    record the csv module cannot read and bytes that are not UTF-8 end the
+    scan with an issue on their line. parse_firm_records stays strict.
     """
     categorize = (config or ClassificationConfig()).categorize
     issues: list[tuple[int, str]] = []
     rows = 0
+    stream = _as_text_stream(source)
+    reader = csv.reader(stream)
     try:
-        reader, positions, width = _open_rows(source, schema)
-    except MissingColumn as exc:
-        return rows, [(1, str(exc))]
-    for row in reader:
-        rows += 1
-        line = reader.line_num
-        try:
-            municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
-            cell, foreign = categorize(municipality, nace2, employees, share)
-        except (MalformedRow, UnmappedNace) as exc:
-            issues.append((line, exc.reason))
-            continue
-        if add is not None:
-            add(cell, foreign, turnover)
+        positions, width = _read_header(reader, schema)
+        for row in reader:
+            rows += 1
+            line = reader.line_num
+            try:
+                municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
+                cell, foreign = categorize(municipality, nace2, employees, share)
+            except (MalformedRow, UnmappedNace) as exc:
+                issues.append((line, exc.reason))
+                continue
+            if add is not None:
+                add(cell, foreign, turnover)
+    except MalformedRow as exc:  # a header defect, MissingColumn included
+        issues.append((exc.line_no, exc.reason))
+    except csv.Error as exc:
+        issues.append((reader.line_num, str(exc)))
+    except UnicodeDecodeError:
+        issues.append(_undecodable(stream.buffer))
     return rows, issues
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
 
-from .decomp import RegionReport, region_report
+from .cube import Tally
+from .decomp import RegionReport, cube_report
 from .ingest import ClassifiedFirm, Ownership
 
 
@@ -56,8 +57,12 @@ def foreign_count(n_firms: int, share: float) -> int:
     return min(n_firms, int(math.floor(n_firms * share + 0.5)))
 
 
-def generate(params: SynthParams) -> list[ClassifiedFirm]:
-    """Draw a deterministic synthetic population for the given parameters."""
+def _draw(params: SynthParams) -> tuple[list[tuple], list[float], list[int]]:
+    """Each firm's (g, o, t) cell, turnover and labeling rank, as lists in firm order.
+
+    None of them depends on the foreign share: at a given share, a firm is
+    foreign when its rank is below foreign_count(n_firms, share).
+    """
     children = np.random.SeedSequence(params.seed).spawn(2)
     rng_pop = np.random.default_rng(children[0])
     rng_label = np.random.default_rng(children[1])
@@ -75,20 +80,16 @@ def generate(params: SynthParams) -> list[ClassifiedFirm]:
     o_idx = np.where(coupled, g_idx % params.n_size_classes, o_free)
     t_idx = np.where(coupled, g_idx % params.n_tech_groups, t_free)
 
-    labeling_order = rng_label.permutation(n)
-    is_foreign = np.zeros(n, dtype=bool)
-    is_foreign[labeling_order[: foreign_count(n, params.foreign_share_target)]] = True
+    rank = np.argsort(rng_label.permutation(n))  # the inverse permutation
+    cells = [(f"m{g}", f"s{o}", t + 1) for g, o, t in zip(g_idx.tolist(), o_idx.tolist(), t_idx.tolist())]
+    return cells, turnover.tolist(), rank.tolist()
 
-    firms = []
-    for i in range(n):
-        firms.append(ClassifiedFirm(
-            municipality=f"m{int(g_idx[i])}",
-            size_class=f"s{int(o_idx[i])}",
-            tech_group=int(t_idx[i]) + 1,
-            ownership=Ownership.FOREIGN if is_foreign[i] else Ownership.DOMESTIC,
-            turnover=float(turnover[i]),
-        ))
-    return firms
+
+def generate(params: SynthParams) -> list[ClassifiedFirm]:
+    """Draw a deterministic synthetic population for the given parameters."""
+    k = foreign_count(params.n_firms, params.foreign_share_target)
+    return [ClassifiedFirm(*cell, Ownership.FOREIGN if rank < k else Ownership.DOMESTIC, turnover)
+            for cell, turnover, rank in zip(*_draw(params))]
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,9 @@ class SweepCurve:
 def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCurve:
     """Evaluate the share -> (turnover share, synergy share) curve.
 
-    shares must be strictly increasing within [0, 1]. Each point regenerates
-    the population with the same seed, so only the ownership labels move.
+    shares must be strictly increasing within [0, 1]. The population is
+    drawn once; each point only moves the foreign boundary along the
+    labeling order and tallies the firms in order, as compute does.
     """
     if not shares:
         raise ValueError("shares must not be empty")
@@ -146,9 +148,14 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
         raise ValueError("shares must lie in [0, 1]")
     if any(b <= a for a, b in zip(shares, shares[1:])):
         raise ValueError("shares must be strictly increasing")
+    cells, turnovers, ranks = _draw(params)
     points = []
     for share in shares:
-        report = region_report(generate(replace(params, foreign_share_target=share)))
+        k = foreign_count(params.n_firms, share)
+        tally = Tally()
+        for cell, turnover, rank in zip(cells, turnovers, ranks):
+            tally.add(cell, rank < k, turnover)
+        report = cube_report(tally.cube(), tally)
         points.append(SweepPoint(
             share=float(share),
             turnover_share=report.foreign_turnover_share,

@@ -211,6 +211,53 @@ def test_utf8_bom_before_a_required_first_column(tmp_path, capsys):
     assert with_bom["entropy"] == without_bom["entropy"]
 
 
+@pytest.mark.parametrize("value", ["", "   "])
+def test_empty_municipality_is_rejected_on_its_line(tmp_path, capsys, value):
+    rows = list(CLEAN_ROWS)
+    rows.insert(1, f"FX,{value},30,5,100,0.0")  # line 3 in the file
+    path = write_csv(tmp_path, rows)
+    assert main(["validate", path]) == 1
+    assert "  line 3: municipality_code is empty" in capsys.readouterr().out.splitlines()
+    assert main(["compute", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "  line 3: municipality_code is empty" in captured.err.splitlines()
+
+
+def test_duplicate_header_column_is_a_line_one_issue(tmp_path, capsys):
+    path = tmp_path / "firms.csv"
+    path.write_text(HEADER + ",nace2\n" + "\n".join(row + ",99" for row in CLEAN_ROWS) + "\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["0 data row(s), 1 issue(s)", "  line 1: duplicate column(s): nace2"]
+    assert main(["compute", str(path)]) == 1
+    assert "  line 1: duplicate column(s): nace2" in capsys.readouterr().err.splitlines()
+
+
+def test_field_over_the_csv_size_limit_is_an_issue(tmp_path, capsys):
+    rows = list(CLEAN_ROWS)
+    rows.insert(2, 'FX,1504,30,5,100,0.0,"' + "x" * 200_000 + '"')  # line 4 in the file
+    path = write_csv(tmp_path, rows)
+    assert main(["validate", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("  line 4: field larger than field limit")
+    assert main(["compute", path]) == 1
+    assert "  line 4: field larger than field limit" in capsys.readouterr().err
+
+
+def test_undecodable_byte_names_its_line(tmp_path, capsys):
+    # far past the decoder's first chunk, so a chunk offset would not locate it
+    rows = [f"F{i},1504,30,5,100,0.0" for i in range(2000)]
+    path = tmp_path / "firms.csv"
+    path.write_bytes(("\n".join([HEADER, *rows]) + "\n").encode("utf-8") + b"FX,15\xff04,30,5,100,0.0\n")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "  line 2002: byte 0xff is not UTF-8 (invalid start byte)"
+    assert main(["compute", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "  line 2002: byte 0xff is not UTF-8 (invalid start byte)"
+
+
 def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     out = tmp_path / "report.json"

@@ -1,0 +1,57 @@
+"""Byte-level fuzzing of the CLI: every input gives a report or an exit code.
+
+main() runs as `validate` and as `compute --output` on arbitrary bytes and
+on a valid header followed by junk rows. No exception may escape, the exit
+code must be one of the documented ones, and any report written must be
+strict JSON.
+"""
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from thsynergy.cli import main
+from thsynergy.ingest import CANONICAL_COLUMNS
+
+HEADER = ",".join(CANONICAL_COLUMNS).encode("utf-8") + b"\n"
+
+junk_field = st.one_of(
+    st.sampled_from([b"", b" ", b"30", b"4", b"0", b"-1", b"1e400", b"nan", b"0.2", b"20%", b"1504", b'"', b"\xff"]),
+    st.binary(max_size=8),
+)
+# rows in header order, mostly valid, so that some runs write a report
+near_rows = st.tuples(
+    st.sampled_from([b"F1", b""]),
+    st.sampled_from([b"1504", b"5001", b"", b" x "]),
+    st.sampled_from([b"30", b"62", b"40", b"4"]),
+    st.sampled_from([b"0", b"4", b"250", b"-1"]),
+    st.sampled_from([b"100", b"0", b"1e308", b"nan"]),
+    st.sampled_from([b"0.2", b"0", b"1", b"2"]),
+).map(b",".join)
+junk_rows = st.lists(st.one_of(near_rows, st.lists(junk_field, max_size=8).map(b",".join)),
+                     max_size=12).map(b"\n".join)
+inputs = st.one_of(st.binary(max_size=300), junk_rows.map(lambda body: HEADER + body))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=inputs)
+def test_cli_on_arbitrary_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(data)
+        report = Path(tmp) / "report.json"
+        for argv in (["validate", str(path)], ["compute", str(path), "--output", str(report)]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+        if report.exists():
+            json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+            json.loads(Path(str(report) + ".manifest.json").read_text(encoding="utf-8"),
+                       parse_constant=_reject_constant)
