@@ -179,6 +179,9 @@ SWEEP_GOLDEN = [
       "--coupling", "0.8", "--turnover-law", "lognormal", "--mu", "17.0", "--sigma", "0.9",
       "--seed", "2013"),
      "e93e3f84065c0a852997515ca1e2c181bc8d9024bac538283356a68e28e0c4a1", 5),
+    # two-digit municipality and size labels, whose string order is not numeric order
+    (("--size-classes", "12", "--municipalities", "40", "--turnover-law", "lognormal"),
+     "d07efdfe3094fdf5708087e67281147c2db7b3546686c38fbe6654f925ba234d", 2),
 ]
 
 

@@ -204,13 +204,18 @@ def test_coupling_controls_signal_against_measured_noise_band():
 
 def test_sweep_decomposition_consistency():
     # each point's whole report (decomposition, turnover sums in firm order,
-    # counts, ratios) equals the one built from a population generated at
-    # that share
-    curve = sweep_foreign_share(sweep_params(), [0.0, 0.3, 0.55, 1.0])
-    for point in curve.points:
-        firms = generate(replace(sweep_params(), foreign_share_target=point.share))
-        expected = region_report(firms)
-        assert point.report == expected
-        assert point.report.synergy == decompose(build_cube(firms))
-        assert (point.turnover_share, point.synergy_share) == \
-               (expected.foreign_turnover_share, expected.foreign_synergy_share)
+    # counts, ratios) and its seven split entropies equal those built from a
+    # population generated at that share; the second parameter set has
+    # two-digit labels (m10 sorts before m2) and lognormal turnover
+    wide = SynthParams(n_firms=300, n_municipalities=14, n_size_classes=11, n_tech_groups=12,
+                       coupling=0.4, turnover_law="lognormal", seed=7)
+    for params in (sweep_params(), wide):
+        curve = sweep_foreign_share(params, [0.0, 0.3, 0.55, 1.0])
+        for point in curve.points:
+            firms = generate(replace(params, foreign_share_target=point.share))
+            expected = region_report(firms)
+            assert point.report == expected
+            assert point.report.synergy == decompose(build_cube(firms))
+            assert point.report.synergy.terms == decompose(build_cube(firms)).terms
+            assert (point.turnover_share, point.synergy_share) == \
+                   (expected.foreign_turnover_share, expected.foreign_synergy_share)
