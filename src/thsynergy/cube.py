@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable, Mapping, Sequence
 
 from .ingest import ClassifiedFirm, Ownership
@@ -129,9 +130,13 @@ def normalize_dims(dims: Iterable[str]) -> tuple[str, ...]:
 
 
 def _project(counts: dict[Cell, int], indices: tuple[int, ...]) -> dict[Cell, int]:
+    if len(indices) == len(DIMS):
+        return dict(counts)
+    # itemgetter of one index returns the bare coordinate; keys are 1-tuples
+    kept = itemgetter(*indices) if len(indices) > 1 else lambda cell, i=indices[0]: (cell[i],)
     out: dict[Cell, int] = {}
     for cell, count in counts.items():
-        key = tuple(cell[i] for i in indices)
+        key = kept(cell)
         out[key] = out.get(key, 0) + count
     return out
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .cube import ContingencyCube, EmptyDataset, Tally, marginalize, merge_counts
-from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, ternary_information, ZeroTotal
+from .infotheory import SUBSETS, EntropyProfile, _in_key_order, _plugin_entropy, ternary_information, ZeroTotal
 from .ingest import ClassifiedFirm, Ownership
 
 
@@ -57,15 +57,13 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
     """
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
-    h_total = _plugin_entropy(merge_counts(domestic, foreign), total, base)
-    h_domestic = _plugin_entropy(domestic, total, base)
-    h_foreign = _plugin_entropy(foreign, total, base)
-    return SplitEntropyTerm(
-        domestic=h_domestic,
-        foreign=h_foreign,
-        cross=h_total - (h_domestic + h_foreign),
-        total=h_total,
-    )
+    return _split_term(*(_plugin_entropy(_in_key_order(counts), total, base)
+                        for counts in (domestic, foreign, merge_counts(domestic, foreign))))
+
+
+def _split_term(h_domestic: float, h_foreign: float, h_total: float) -> SplitEntropyTerm:
+    """The split of h_total whose cross part is the residual (see split_entropy)."""
+    return SplitEntropyTerm(h_domestic, h_foreign, h_total - (h_domestic + h_foreign), h_total)
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,12 @@ class SynergyDecomposition:
 
 def decompose(cube: ContingencyCube, base: float = 2.0) -> SynergyDecomposition:
     """Split the cube's signed measure into ownership contributions."""
-    terms = tuple(
-        split_entropy(m.domestic, m.foreign, cube.total, base)
-        for m in (marginalize(cube, dims) for dims in SUBSETS)
-    )
+    return _decompose_terms(tuple(split_entropy(m.domestic, m.foreign, cube.total, base)
+                                  for m in (marginalize(cube, dims) for dims in SUBSETS)))
+
+
+def _decompose_terms(terms: tuple[SplitEntropyTerm, ...]) -> SynergyDecomposition:
+    """The decomposition of seven split entropies given in SUBSETS order."""
     total, domestic, foreign_only, cross = (
         ternary_information(EntropyProfile(*(getattr(t, part) for t in terms)))
         for part in ("total", "domestic", "foreign", "cross")
@@ -118,7 +118,7 @@ def subgroup_synergy(cube: ContingencyCube, ownership: Ownership, base: float = 
     if subtotal == 0:
         raise EmptyDataset(f"no {ownership.value} firms in cube")
     return ternary_information(EntropyProfile(*(
-        _plugin_entropy(getattr(marginalize(cube, dims), side), subtotal, base) for dims in SUBSETS)))
+        _plugin_entropy(_in_key_order(getattr(marginalize(cube, dims), side)), subtotal, base) for dims in SUBSETS)))
 
 
 # --- ratio arithmetic -------------------------------------------------------
@@ -205,20 +205,25 @@ def region_report(firms: Sequence[ClassifiedFirm], base: float = 2.0) -> RegionR
 
 def cube_report(cube: ContingencyCube, tally: Tally, base: float = 2.0) -> RegionReport:
     """Region summary from a tally's cube and turnover sums: one decomposition."""
-    dec = decompose(cube, base)
+    return _build_report(decompose(cube, base), tally.turnover_total, tally.turnover_domestic,
+                        tally.turnover_foreign, cube.total, sum(cube.foreign.values()))
+
+
+def _build_report(dec: SynergyDecomposition, turnover_total: float, turnover_domestic: float,
+                 turnover_foreign: float, firm_count: int, foreign_count: int) -> RegionReport:
+    """Region summary from a decomposition, the three turnover sums and the firm counts."""
     # zero total turnover means zero foreign turnover too; report share 0
-    share = tally.turnover_foreign / tally.turnover_total if tally.turnover_total > 0 else 0.0
+    share = turnover_foreign / turnover_total if turnover_total > 0 else 0.0
     syn_share = synergy_share(dec.total, dec.foreign)
     return RegionReport(
         synergy=dec,
-        turnover_total=tally.turnover_total,
-        turnover_domestic=tally.turnover_domestic,
-        turnover_foreign=tally.turnover_foreign,
+        turnover_total=turnover_total,
+        turnover_domestic=turnover_domestic,
+        turnover_foreign=turnover_foreign,
         foreign_turnover_share=share,
-        foreign_to_domestic_turnover=(
-            tally.turnover_foreign / tally.turnover_domestic if tally.turnover_domestic > 0 else None),
+        foreign_to_domestic_turnover=turnover_foreign / turnover_domestic if turnover_domestic > 0 else None,
         foreign_synergy_share=syn_share,
         efficiency=efficiency_ratio(share, syn_share),
-        firm_count=cube.total,
-        foreign_count=sum(cube.foreign.values()),
+        firm_count=firm_count,
+        foreign_count=foreign_count,
     )

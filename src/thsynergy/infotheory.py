@@ -10,14 +10,14 @@ which is the regime of interest for firm populations. Entropies are plain
 plug-in estimates with no bias correction; results depend on the empirical
 counts only.
 
-Summation is always over sorted cell keys, so results are bit-for-bit
+Summation is always in sorted cell-key order, so results are bit-for-bit
 reproducible regardless of dict insertion order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .cube import ContingencyCube, marginalize
 
@@ -26,17 +26,20 @@ class ZeroTotal(ValueError):
     """Entropy requested against a non-positive total."""
 
 
-def _plugin_entropy(counts: Mapping, total: int, base: float = 2.0) -> float:
-    # 0 * log 0 is taken as 0: zero-count cells contribute nothing.
+def _plugin_entropy(counts: Iterable[int], total: int, base: float = 2.0) -> float:
+    """The entropy kernel over counts in sorted cell-key order; 0 * log 0 is taken as 0."""
     acc = 0.0
-    for key in sorted(counts):
-        c = counts[key]
+    for c in counts:
         if c:
             p = c / total
             acc -= p * math.log2(p)
     if base != 2.0:
         acc /= math.log2(base)
     return acc
+
+
+def _in_key_order(counts: Mapping) -> Iterable[int]:
+    return map(counts.__getitem__, sorted(counts))
 
 
 def shannon_entropy(counts: Mapping, total: int, base: float = 2.0) -> float:
@@ -52,7 +55,7 @@ def shannon_entropy(counts: Mapping, total: int, base: float = 2.0) -> float:
         raise ZeroTotal(f"total must be positive, got {total}")
     if any(c < 0 for c in counts.values()):
         raise ValueError("counts must be non-negative")
-    return _plugin_entropy(counts, total, base)
+    return _plugin_entropy(_in_key_order(counts), total, base)
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def entropy_profile(cube: ContingencyCube, base: float = 2.0) -> EntropyProfile:
     values = []
     for dims in SUBSETS:
         marginal = marginalize(cube, dims)
-        values.append(_plugin_entropy(marginal.combined(), cube.total, base))
+        values.append(_plugin_entropy(_in_key_order(marginal.combined()), cube.total, base))
     return EntropyProfile(*values)
 
 

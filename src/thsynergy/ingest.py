@@ -227,16 +227,17 @@ def _read_header(reader, schema: Mapping[str, str] | None) -> tuple[tuple, int]:
     return positions, max(p for p in positions if p is not None) + 1
 
 
-def _undecodable(buffer: BinaryIO) -> tuple[int, str]:
-    """The issue for the first byte that is not UTF-8. The decoder counts its
-    offset from its current chunk, so the input is read again from the start."""
+def _undecodable(buffer: BinaryIO) -> tuple[int, str, bytes]:
+    """The issue for the first byte that is not UTF-8 and the input before its line. The
+    decoder counts its offset from its current chunk, so the input is read again from the start."""
     buffer.seek(0)
     data = buffer.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-    return 1, "input is not UTF-8"
+        before = data[:data.rfind(b"\n", 0, exc.start) + 1]
+        return before.count(b"\n") + 1, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})", before
+    return 1, "input is not UTF-8", b""
 
 
 def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple[str, int, int, float, float]:
@@ -349,7 +350,10 @@ def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
     except csv.Error as exc:
         issues.append((reader.line_num, str(exc)))
     except UnicodeDecodeError:
-        issues.append(_undecodable(stream.buffer))
+        line, message, before = _undecodable(stream.buffer)
+        if line > 1:  # the failing chunk's rows were never scanned: scan all before the line afresh
+            rows, issues = validate_firm_csv(before, schema, config)
+        issues.append((line, message))
     return rows, issues
 
 

@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
-import numpy as np
-
-from .cube import Tally
-from .decomp import RegionReport, cube_report
+from .cube import DIMS
+from .decomp import RegionReport, _build_report, _decompose_terms, _split_term
+from .infotheory import SUBSETS, _plugin_entropy
 from .ingest import ClassifiedFirm, Ownership
+
+# the cube label of a drawn municipality, size class and tech group index
+_LABELS = (lambda g: f"m{g}", lambda o: f"s{o}", lambda t: t + 1)
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,14 @@ def foreign_count(n_firms: int, share: float) -> int:
     return min(n_firms, int(math.floor(n_firms * share + 0.5)))
 
 
-def _draw(params: SynthParams) -> tuple[list[tuple], list[float], list[int]]:
-    """Each firm's (g, o, t) cell, turnover and labeling rank, as lists in firm order.
-
-    None of them depends on the foreign share: at a given share, a firm is
-    foreign when its rank is below foreign_count(n_firms, share).
+def _draw(params: SynthParams) -> tuple:
+    """Numpy arrays in firm order: the municipality, size class and tech group
+    indices (labelled by _LABELS), the turnover and the labeling rank. None
+    depends on the foreign share: at a given share, a firm is foreign when
+    its rank is below foreign_count(n_firms, share).
     """
+    import numpy as np  # numpy loads only for generate and sweep
+
     children = np.random.SeedSequence(params.seed).spawn(2)
     rng_pop = np.random.default_rng(children[0])
     rng_label = np.random.default_rng(children[1])
@@ -81,15 +85,16 @@ def _draw(params: SynthParams) -> tuple[list[tuple], list[float], list[int]]:
     t_idx = np.where(coupled, g_idx % params.n_tech_groups, t_free)
 
     rank = np.argsort(rng_label.permutation(n))  # the inverse permutation
-    cells = [(f"m{g}", f"s{o}", t + 1) for g, o, t in zip(g_idx.tolist(), o_idx.tolist(), t_idx.tolist())]
-    return cells, turnover.tolist(), rank.tolist()
+    return g_idx, o_idx, t_idx, turnover, rank
 
 
 def generate(params: SynthParams) -> list[ClassifiedFirm]:
     """Draw a deterministic synthetic population for the given parameters."""
+    *indices, turnovers, ranks = _draw(params)
+    cells = zip(*(map(label, idx.tolist()) for label, idx in zip(_LABELS, indices)))
     k = foreign_count(params.n_firms, params.foreign_share_target)
     return [ClassifiedFirm(*cell, Ownership.FOREIGN if rank < k else Ownership.DOMESTIC, turnover)
-            for cell, turnover, rank in zip(*_draw(params))]
+            for cell, turnover, rank in zip(cells, turnovers.tolist(), ranks.tolist())]
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,8 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     """Evaluate the share -> (turnover share, synergy share) curve.
 
     shares must be strictly increasing within [0, 1]. The population is
-    drawn once; each point only moves the foreign boundary along the
-    labeling order and tallies the firms in order, as compute does.
+    drawn once and each firm coded by its cell in every dimension subset; a
+    point counts, per cell, the firms ranked below the foreign boundary.
     """
     if not shares:
         raise ValueError("shares must not be empty")
@@ -148,18 +153,36 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
         raise ValueError("shares must lie in [0, 1]")
     if any(b <= a for a, b in zip(shares, shares[1:])):
         raise ValueError("shares must be strictly increasing")
-    cells, turnovers, ranks = _draw(params)
+    import numpy as np  # numpy loads only for generate and sweep
+    *indices, turnovers, ranks = _draw(params)
+    n = params.n_firms
+    # rank each axis by its labels, so increasing subset codes follow the entropy kernel's key order
+    axes = []
+    for label, idx in zip(_LABELS, indices):
+        present, inverse = np.unique(idx, return_inverse=True)
+        by_label = sorted(range(len(present)), key=lambda i: label(int(present[i])))
+        axes.append((np.argsort(by_label)[inverse], len(present)))
+    subsets = []  # per subset: each firm's cell, the cell counts and their entropy
+    for dims in SUBSETS:
+        coords, sizes = zip(*(axes[DIMS.index(d)] for d in dims))
+        cell = np.unique(np.ravel_multi_index(coords, sizes), return_inverse=True)[1]
+        counts = np.bincount(cell)
+        subsets.append((cell, counts, _plugin_entropy(counts.tolist(), n)))
+
+    def running_sum(values) -> float:
+        # bit-equal to adding in firm order from an int 0, which an empty group keeps
+        return float(values.cumsum()[-1]) if len(values) else 0
+
     points = []
     for share in shares:
-        k = foreign_count(params.n_firms, share)
-        tally = Tally()
-        for cell, turnover, rank in zip(cells, turnovers, ranks):
-            tally.add(cell, rank < k, turnover)
-        report = cube_report(tally.cube(), tally)
-        points.append(SweepPoint(
-            share=float(share),
-            turnover_share=report.foreign_turnover_share,
-            synergy_share=report.foreign_synergy_share,
-            report=report,
-        ))
+        k = foreign_count(n, share)
+        foreign = ranks < k
+        terms = []
+        for cell, counts, h_total in subsets:
+            foreign_counts = np.bincount(cell[foreign], minlength=len(counts))
+            terms.append(_split_term(_plugin_entropy((counts - foreign_counts).tolist(), n),
+                                     _plugin_entropy(foreign_counts.tolist(), n), h_total))
+        report = _build_report(_decompose_terms(tuple(terms)), running_sum(turnovers),
+                               running_sum(turnovers[~foreign]), running_sum(turnovers[foreign]), n, k)
+        points.append(SweepPoint(float(share), report.foreign_turnover_share, report.foreign_synergy_share, report))
     return SweepCurve(params=params, points=tuple(points))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +262,22 @@ def test_undecodable_byte_names_its_line(tmp_path, capsys):
     assert captured.err.splitlines()[-1] == "  line 2002: byte 0xff is not UTF-8 (invalid start byte)"
 
 
+@pytest.mark.parametrize("bad_line", [1002, 1202])
+def test_undecodable_byte_leaves_earlier_rows_counted_and_checked(tmp_path, capsys, bad_line):
+    # the defect ten lines up sits in the decoder's failing chunk, whose rows
+    # a scan that stops at the decode error never sees
+    rows = [f"F{i},1504,30,5,100,0.0" for i in range(bad_line - 2)]
+    rows[bad_line - 12] = "FD,1504,30,-5,100,0.0"
+    path = tmp_path / "firms.csv"
+    path.write_bytes(("\n".join([HEADER, *rows]) + "\n").encode("utf-8") + b"FX,15\xff04,30,5,100,0.0\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{bad_line - 2} data row(s), 2 issue(s)",
+        f"  line {bad_line - 10}: employees must be non-negative",
+        f"  line {bad_line}: byte 0xff is not UTF-8 (invalid start byte)",
+    ]
+
+
 def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     out = tmp_path / "report.json"
@@ -267,6 +287,24 @@ def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert out.read_text() == "previous report\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["firms.csv", "report.json", "report.json.manifest.json"]
+
+
+# --- start-up -----------------------------------------------------------------
+
+DEMO_CSV = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
+
+
+@pytest.mark.parametrize("code", [
+    f"from thsynergy.cli import main; main(['validate', {str(DEMO_CSV)!r}]); "
+    f"main(['compute', {str(DEMO_CSV)!r}, '--output', 'report.json'])",
+    "import thsynergy",
+], ids=["validate-and-compute", "import"])
+def test_only_sweep_and_generate_load_numpy(tmp_path, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; assert 'numpy' not in sys.modules"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # --- sweep ------------------------------------------------------------------
