@@ -61,7 +61,7 @@ def foreign_count(n_firms: int, share: float) -> int:
 
 def _draw(params: SynthParams) -> tuple:
     """Numpy arrays in firm order: the municipality, size class and tech group
-    indices (labelled by _LABELS), the turnover and the labeling rank. None
+    indices (labeled by _LABELS), the turnover and the labeling rank. None
     depends on the foreign share: at a given share, a firm is foreign when
     its rank is below foreign_count(n_firms, share).
     """
