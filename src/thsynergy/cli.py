@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -190,6 +191,8 @@ def cmd_sweep(args) -> int:
         curve = sweep_foreign_share(params, shares)
     except ValueError as exc:
         return _error(exc, 2)
+    if not math.isfinite(curve.points[0].report.turnover_total):  # the same total at every share
+        return _error("turnover sum is not finite", 1)
     manifest = RunManifest(
         command="sweep",
         inputs=(),

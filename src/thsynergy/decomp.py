@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .cube import ContingencyCube, EmptyDataset, Tally, marginalize, merge_counts
-from .infotheory import SUBSETS, EntropyProfile, _in_key_order, _plugin_entropy, ternary_information, ZeroTotal
+from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, ternary_information, ZeroTotal
 from .ingest import ClassifiedFirm, Ownership
 
 
@@ -57,7 +57,7 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
     """
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
-    return _split_term(*(_plugin_entropy(_in_key_order(counts), total, base)
+    return _split_term(*(_plugin_entropy(counts.values(), total, base)
                         for counts in (domestic, foreign, merge_counts(domestic, foreign))))
 
 
@@ -118,7 +118,7 @@ def subgroup_synergy(cube: ContingencyCube, ownership: Ownership, base: float = 
     if subtotal == 0:
         raise EmptyDataset(f"no {ownership.value} firms in cube")
     return ternary_information(EntropyProfile(*(
-        _plugin_entropy(_in_key_order(getattr(marginalize(cube, dims), side)), subtotal, base) for dims in SUBSETS)))
+        _plugin_entropy(getattr(marginalize(cube, dims), side).values(), subtotal, base) for dims in SUBSETS)))
 
 
 # --- ratio arithmetic -------------------------------------------------------

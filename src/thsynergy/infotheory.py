@@ -10,8 +10,9 @@ which is the regime of interest for firm populations. Entropies are plain
 plug-in estimates with no bias correction; results depend on the empirical
 counts only.
 
-Summation is always in sorted cell-key order, so results are bit-for-bit
-reproducible regardless of dict insertion order.
+Every entropy sums its -p log p terms with math.fsum, which returns the
+correctly rounded sum, so results are bit-for-bit reproducible whatever the
+order of the counts.
 """
 from __future__ import annotations
 
@@ -27,26 +28,17 @@ class ZeroTotal(ValueError):
 
 
 def _plugin_entropy(counts: Iterable[int], total: int, base: float = 2.0) -> float:
-    """The entropy kernel over counts in sorted cell-key order; 0 * log 0 is taken as 0."""
-    acc = 0.0
-    for c in counts:
-        if c:
-            p = c / total
-            acc -= p * math.log2(p)
-    if base != 2.0:
-        acc /= math.log2(base)
-    return acc
-
-
-def _in_key_order(counts: Mapping) -> Iterable[int]:
-    return map(counts.__getitem__, sorted(counts))
+    """The entropy kernel over counts in any order; 0 * log 0 is taken as 0."""
+    # 0.0 - keeps a one-cell population at 0.0 rather than -0.0
+    h = 0.0 - math.fsum([(p := c / total) * math.log2(p) for c in counts if c])
+    return h if base == 2.0 else h / math.log2(base)
 
 
 def shannon_entropy(counts: Mapping, total: int, base: float = 2.0) -> float:
     """Entropy of a count map against an externally supplied total.
 
     Arguments:
-        counts: map from hashable, mutually sortable keys to counts >= 0.
+        counts: map from hashable keys to counts >= 0.
         total: the denominator, usually the full population size. May exceed
             the sum of counts when scoring a subgroup against the whole.
         base: logarithm base, 2 (bits, default), e or 10.
@@ -55,7 +47,7 @@ def shannon_entropy(counts: Mapping, total: int, base: float = 2.0) -> float:
         raise ZeroTotal(f"total must be positive, got {total}")
     if any(c < 0 for c in counts.values()):
         raise ValueError("counts must be non-negative")
-    return _plugin_entropy(_in_key_order(counts), total, base)
+    return _plugin_entropy(counts.values(), total, base)
 
 
 @dataclass(frozen=True)
@@ -82,7 +74,7 @@ def entropy_profile(cube: ContingencyCube, base: float = 2.0) -> EntropyProfile:
     values = []
     for dims in SUBSETS:
         marginal = marginalize(cube, dims)
-        values.append(_plugin_entropy(_in_key_order(marginal.combined()), cube.total, base))
+        values.append(_plugin_entropy(marginal.combined().values(), cube.total, base))
     return EntropyProfile(*values)
 
 

@@ -90,9 +90,10 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
     """Uncorrected Pearson test that two count rows share one distribution.
 
     Arguments:
-        table: two rows of k >= 2 non-negative counts. Every column must
-            have a positive total and so must each row, otherwise the
-            expected counts degenerate and DegenerateTable is raised.
+        table: two rows of k >= 2 finite non-negative counts. Every column
+            must have a positive total and so must each row, otherwise the
+            expected counts degenerate and DegenerateTable is raised, as it
+            is when the statistic overflows.
 
     Returns statistic, dof = k - 1 and the survival p-value. A statistic of
     exactly zero gives p = 1.0 exactly.
@@ -105,6 +106,8 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
     k = len(top)
     if k < 2:
         raise DegenerateTable("need at least 2 columns")
+    if not all(math.isfinite(v) for v in top + bottom):
+        raise DegenerateTable("counts must be finite")
     if any(v < 0 for v in top + bottom):
         raise DegenerateTable("counts must be non-negative")
     row_totals = (sum(top), sum(bottom))
@@ -118,8 +121,12 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
             raise DegenerateTable(f"column {j} total is zero")
         for row_total, obs in ((row_totals[0], top[j]), (row_totals[1], bottom[j])):
             expected = row_total * col / grand
+            if expected == 0:  # positive margins whose product underflows
+                raise DegenerateTable(f"expected count in column {j} underflows to zero")
             diff = obs - expected
             statistic += diff * diff / expected
+    if not math.isfinite(statistic):  # margins or squares that overflow
+        raise DegenerateTable("statistic is not finite")
     dof = k - 1
     return ChiSquareResult(statistic=statistic, dof=dof, p_value=chi_square_survival(statistic, dof))
 

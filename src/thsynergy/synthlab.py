@@ -52,6 +52,10 @@ class SynthParams:
             raise ValueError("foreign_share_target must be in [0, 1]")
         if self.turnover_law not in ("uniform", "lognormal"):
             raise ValueError(f"unknown turnover_law {self.turnover_law!r}")
+        if not (math.isfinite(self.lognormal_mu) and math.isfinite(self.lognormal_sigma)):
+            raise ValueError("lognormal_mu and lognormal_sigma must be finite")
+        if self.lognormal_sigma < 0:
+            raise ValueError("lognormal_sigma must be non-negative")
 
 
 def foreign_count(n_firms: int, share: float) -> int:
@@ -156,18 +160,18 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     import numpy as np  # numpy loads only for generate and sweep
     *indices, turnovers, ranks = _draw(params)
     n = params.n_firms
-    # rank each axis by its labels, so increasing subset codes follow the entropy kernel's key order
-    axes = []
-    for label, idx in zip(_LABELS, indices):
-        present, inverse = np.unique(idx, return_inverse=True)
-        by_label = sorted(range(len(present)), key=lambda i: label(int(present[i])))
-        axes.append((np.argsort(by_label)[inverse], len(present)))
+    # code each axis by the categories present, so subset codes stay bounded by them
+    axes = [np.unique(idx, return_inverse=True) for idx in indices]
+
+    def entropy(counts) -> float:
+        return _plugin_entropy(counts[counts > 0].tolist(), n)
+
     subsets = []  # per subset: each firm's cell, the cell counts and their entropy
     for dims in SUBSETS:
-        coords, sizes = zip(*(axes[DIMS.index(d)] for d in dims))
-        cell = np.unique(np.ravel_multi_index(coords, sizes), return_inverse=True)[1]
+        present, coords = zip(*(axes[DIMS.index(d)] for d in dims))
+        cell = np.unique(np.ravel_multi_index(coords, [len(p) for p in present]), return_inverse=True)[1]
         counts = np.bincount(cell)
-        subsets.append((cell, counts, _plugin_entropy(counts.tolist(), n)))
+        subsets.append((cell, counts, entropy(counts)))
 
     def running_sum(values) -> float:
         # bit-equal to adding in firm order from an int 0, which an empty group keeps
@@ -180,8 +184,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
         terms = []
         for cell, counts, h_total in subsets:
             foreign_counts = np.bincount(cell[foreign], minlength=len(counts))
-            terms.append(_split_term(_plugin_entropy((counts - foreign_counts).tolist(), n),
-                                     _plugin_entropy(foreign_counts.tolist(), n), h_total))
+            terms.append(_split_term(entropy(counts - foreign_counts), entropy(foreign_counts), h_total))
         report = _build_report(_decompose_terms(tuple(terms)), running_sum(turnovers),
                                running_sum(turnovers[~foreign]), running_sum(turnovers[foreign]), n, k)
         points.append(SweepPoint(float(share), report.foreign_turnover_share, report.foreign_synergy_share, report))

@@ -2,8 +2,8 @@
 
 Everything here works on dense numpy arrays built from the full joint
 distribution and recomputes results from first principles. No code is
-shared with the package under test: the library sums sparse maps over
-sorted keys, these oracles reduce dense tensors, and the split oracle
+shared with the package under test: the library sums sparse maps with
+math.fsum, these oracles reduce dense tensors, and the split oracle
 evaluates the literal per-cell cross-term formula instead of a residual.
 """
 from __future__ import annotations

@@ -197,6 +197,15 @@ def test_compute_overflowing_turnover_sum_writes_no_json(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("log_base", ["2", "e", "10"])
+def test_compute_one_cell_population_has_no_negative_zero(tmp_path, capsys, log_base):
+    path = write_csv(tmp_path, ["F1,1504,30,5,100,0.0", "F2,1504,30,5,200,0.5"])
+    assert main(["compute", path, "--log-base", log_base]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    assert set(json.loads(out)["entropy"].values()) == {0.0}
+
+
 def test_utf8_bom_before_a_required_first_column(tmp_path, capsys):
     header = "municipality_code,firm_id,nace2,employees,turnover_nok,foreign_share"
     rows = ["1504,F1,30,120,5000000,0.0", "5001,F2,62,3,900000,0.5"]
@@ -354,6 +363,21 @@ def test_sweep_bad_params_usage_error(tmp_path):
                  "--output", str(tmp_path / "c.csv")]) == 2
 
 
+@pytest.mark.parametrize("flags", [("--mu", "nan"), ("--mu=-inf",), ("--sigma", "inf"), ("--sigma", "-1")])
+def test_sweep_non_finite_or_negative_turnover_parameters_usage_error(tmp_path, flags):
+    out = tmp_path / "c.csv"
+    assert main(["sweep", "--turnover-law", "lognormal", *flags, "--shares", "0,1", "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_overflowing_turnover_sum_writes_no_csv(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["sweep", "--turnover-law", "lognormal", "--mu", "800", "--shares", "0,0.5,1",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: turnover sum is not finite\n"
+    assert not out.exists()
+
+
 # --- chisq ------------------------------------------------------------------
 
 def test_chisq_worked_example(capsys):
@@ -378,6 +402,19 @@ def test_chisq_degenerate_is_validation_failure(capsys):
 
 def test_chisq_unparseable_is_usage_error(capsys):
     assert main(["chisq", "a,b;c,d"]) == 2
+
+
+@pytest.mark.parametrize("table, message", [
+    ("nan,1;2,3", "counts must be finite"),
+    ("inf,1;2,3", "counts must be finite"),
+    ("1e308,1e308;1e308,1e308", "statistic is not finite"),  # the margins overflow
+    ("0,1;1e-320,0", "expected count in column 0 underflows to zero"),
+])
+def test_chisq_non_finite_is_validation_failure(capsys, table, message):
+    assert main(["chisq", table]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # --- parser behavior --------------------------------------------------------

@@ -1,9 +1,10 @@
 """Byte-level fuzzing of the CLI: every input gives a report or an exit code.
 
 main() runs as `validate` and as `compute --output` on arbitrary bytes and
-on a valid header followed by junk rows. No exception may escape, the exit
-code must be one of the documented ones, and any report written must be
-strict JSON.
+on a valid header followed by junk rows, and as `chisq` on arbitrary table
+text. No exception may escape, the exit code must be one of the documented
+ones, any report written must be strict JSON and no statistic printed may
+be `nan` or `inf`.
 """
 import contextlib
 import io
@@ -55,3 +56,25 @@ def test_cli_on_arbitrary_bytes(data):
             json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
             json.loads(Path(str(report) + ".manifest.json").read_text(encoding="utf-8"),
                        parse_constant=_reject_constant)
+
+
+counts_text = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "1", "1e308", "1e-320", "-0.0", "nan", "inf", ""]),
+)
+# mostly two rows of equal length, the shape that reaches the statistic
+tables = st.one_of(
+    st.text(max_size=40),
+    st.integers(2, 4).flatmap(lambda k: st.lists(
+        st.lists(counts_text, min_size=k, max_size=k).map(",".join), min_size=2, max_size=2).map(";".join)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables)
+def test_chisq_on_arbitrary_table_text(table):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["chisq", "--", table])
+    assert code in (0, 1, 2)
+    assert "nan" not in out.getvalue() and "inf" not in out.getvalue()

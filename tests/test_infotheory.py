@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import cube_from_tensors
+from thsynergy.decomp import decompose
 from thsynergy.infotheory import (
     EntropyProfile,
     ZeroTotal,
@@ -38,6 +39,11 @@ def test_entropy_uniform_pair():
 
 def test_entropy_point_mass():
     assert shannon_entropy({"a": 4}, 4) == 0.0
+
+
+@pytest.mark.parametrize("base", [2.0, math.e, 10.0])
+def test_entropy_point_mass_is_positive_zero(base):
+    assert math.copysign(1.0, shannon_entropy({"a": 4, "b": 0}, 4, base=base)) == 1.0
 
 
 def test_entropy_zero_counts_contribute_nothing():
@@ -153,8 +159,10 @@ def test_relabeling_leaves_measure_unchanged():
         cube = cube_from_tensors(nat, forn)
         # reverse one axis: same joint distribution, different sort order
         flipped = cube_from_tensors(nat[::-1], forn[::-1])
-        assert cube_ternary_information(flipped) == pytest.approx(
-            cube_ternary_information(cube), abs=1e-12)
+        assert cube_ternary_information(flipped) == cube_ternary_information(cube)
+        # == on a decomposition compares its sums only, so compare the split terms too
+        got, expected = decompose(flipped), decompose(cube)
+        assert got == expected and got.terms == expected.terms
 
 
 def test_profile_log_base_conversion():
