@@ -126,6 +126,8 @@ def cmd_compute(args) -> int:
         return 1
     if not rows:
         return _error(f"{args.input}: no data rows", 1)
+    if not all(map(math.isfinite, (tally.turnover_total, tally.turnover_domestic, tally.turnover_foreign))):
+        return _error(f"{args.input}: turnover sum is not finite", 1)
 
     cube = tally.cube()
     report = cube_report(cube, tally, base=_LOG_BASES[args.log_base])
@@ -159,8 +161,8 @@ def cmd_compute(args) -> int:
     }
     try:
         text = json.dumps(document, indent=2, allow_nan=False) + "\n"
-    except ValueError:  # only a turnover sum can overflow to inf
-        return _error(f"{args.input}: turnover sum is not finite", 1)
+    except ValueError:
+        return _error(f"{args.input}: report holds a number that is not finite", 1)
     if args.output:
         try:
             _write_outputs(args.output, text, manifest)
@@ -191,8 +193,11 @@ def cmd_sweep(args) -> int:
         curve = sweep_foreign_share(params, shares)
     except ValueError as exc:
         return _error(exc, 2)
-    if not math.isfinite(curve.points[0].report.turnover_total):  # the same total at every share
+    turnover_total = curve.points[0].report.turnover_total  # the same total at every share
+    if not math.isfinite(turnover_total):
         return _error("turnover sum is not finite", 1)
+    if turnover_total <= 0:  # every drawn turnover underflowed: no foreign turnover share exists
+        return _error("turnover sum is not positive", 1)
     manifest = RunManifest(
         command="sweep",
         inputs=(),
@@ -280,6 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) == 2 and argv[0] == "chisq" and argv[1] not in ("-h", "--help", "--"):
+        argv.insert(1, "--")  # a table such as '-1,2;3,4' is never an option
     args = build_parser().parse_args(argv)
     return args.func(args)
 

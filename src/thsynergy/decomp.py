@@ -19,6 +19,7 @@ the remaining counts are left untouched.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -123,12 +124,18 @@ def subgroup_synergy(cube: ContingencyCube, ownership: Ownership, base: float = 
 
 # --- ratio arithmetic -------------------------------------------------------
 
-def synergy_share(total: float, foreign: float) -> float | None:
-    """Foreign fraction of the signed measure; None when total is zero."""
-    if total == 0:
+def _ratio(numerator: float, denominator: float) -> float | None:
+    """numerator / denominator; None when the denominator is zero or the quotient overflows."""
+    if denominator == 0:
         return None
     # + 0.0 canonicalizes -0.0 so serialized ratios never carry a sign on zero
-    return foreign / total + 0.0
+    quotient = numerator / denominator + 0.0
+    return quotient if math.isfinite(quotient) else None
+
+
+def synergy_share(total: float, foreign: float) -> float | None:
+    """Foreign fraction of the signed measure; None when total is zero or the quotient overflows."""
+    return _ratio(foreign, total)
 
 
 def efficiency_ratio(turnover_share: float, syn_share: float | None) -> float | None:
@@ -137,9 +144,7 @@ def efficiency_ratio(turnover_share: float, syn_share: float | None) -> float | 
     Undefined when the synergy share itself is undefined or zero. None is
     used deliberately instead of NaN so serialization stays explicit.
     """
-    if syn_share is None or syn_share == 0:
-        return None
-    return turnover_share / syn_share + 0.0
+    return None if syn_share is None else _ratio(turnover_share, syn_share)
 
 
 # --- region-level report ----------------------------------------------------
@@ -153,7 +158,8 @@ class RegionReport:
     over all turnover; foreign_to_domestic_turnover is the same numerator
     over domestic turnover only. Both are reported because aggregate
     statements about "foreign versus domestic turnover" are ambiguous
-    between the two.
+    between the two. A ratio is None when its denominator is zero or its
+    quotient is too large for a float.
     """
 
     synergy: SynergyDecomposition
@@ -221,7 +227,7 @@ def _build_report(dec: SynergyDecomposition, turnover_total: float, turnover_dom
         turnover_domestic=turnover_domestic,
         turnover_foreign=turnover_foreign,
         foreign_turnover_share=share,
-        foreign_to_domestic_turnover=turnover_foreign / turnover_domestic if turnover_domestic > 0 else None,
+        foreign_to_domestic_turnover=_ratio(turnover_foreign, turnover_domestic),
         foreign_synergy_share=syn_share,
         efficiency=efficiency_ratio(share, syn_share),
         firm_count=firm_count,

@@ -315,6 +315,9 @@ def classify_all(records: Iterable[FirmRecord], config: ClassificationConfig | N
     return [classify(r, config) for r in records]
 
 
+_MEMO_LIMIT = 4096  # distinct texts per memo; rows with texts past it take the slow path
+
+
 def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
                       config: ClassificationConfig | None = None,
                       add: Callable[[tuple, bool, float], None] | None = None,
@@ -326,25 +329,49 @@ def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
     being its (municipality, size class, tech group). A header defect, a
     record the csv module cannot read and bytes that are not UTF-8 end the
     scan with an issue on their line. parse_firm_records stays strict.
+
+    Each field's classification is memoized per distinct text: the raw
+    municipality, nace2 and employees texts of an accepted row map to its
+    cell coordinates, since each of their checks reads that field alone. A
+    row whose three texts are all known and whose turnover and share convert
+    and lie in range is accepted from the memos. Every other row goes
+    through _parse_row and categorize, which name its defect or accept it
+    and teach the memos its texts, up to _MEMO_LIMIT texts each.
     """
-    categorize = (config or ClassificationConfig()).categorize
+    config = config or ClassificationConfig()
+    categorize, cutoff, inf = config.categorize, config.foreign_cutoff, math.inf
+    municipalities: dict[str, str] = {}
+    sizes: dict[str, str] = {}
+    groups: dict[str, int] = {}
     issues: list[tuple[int, str]] = []
     rows = 0
     stream = _as_text_stream(source)
     reader = csv.reader(stream)
     try:
         positions, width = _read_header(reader, schema)
+        _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
+        memos = ((municipalities, muni_at), (sizes, employees_at), (groups, nace_at))
         for row in reader:
             rows += 1
-            line = reader.line_num
             try:
-                municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
-                cell, foreign = categorize(municipality, nace2, employees, share)
-            except (MalformedRow, UnmappedNace) as exc:
-                issues.append((line, exc.reason))
-                continue
+                cell = (municipalities[row[muni_at]], sizes[row[employees_at]], groups[row[nace_at]])
+                turnover, share = float(row[turnover_at]), float(row[share_at])
+                known = len(row) >= width and 0.0 <= turnover < inf and 0.0 <= share <= 1.0
+            except (LookupError, ValueError):  # a new text, a short row or a failed conversion
+                known = False
+            if not known:
+                line = reader.line_num
+                try:
+                    municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
+                    cell = categorize(municipality, nace2, employees, share)[0]
+                except (MalformedRow, UnmappedNace) as exc:
+                    issues.append((line, exc.reason))
+                    continue
+                for (memo, at), value in zip(memos, cell):
+                    if len(memo) < _MEMO_LIMIT:
+                        memo[row[at]] = value
             if add is not None:
-                add(cell, foreign, turnover)
+                add(cell, share >= cutoff, turnover)
     except MalformedRow as exc:  # a header defect, MissingColumn included
         issues.append((exc.line_no, exc.reason))
     except csv.Error as exc:

@@ -120,12 +120,13 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
         if col <= 0:
             raise DegenerateTable(f"column {j} total is zero")
         for row_total, obs in ((row_totals[0], top[j]), (row_totals[1], bottom[j])):
-            expected = row_total * col / grand
+            # dividing before multiplying keeps large finite margins from overflowing
+            expected = row_total * (col / grand)
             if expected == 0:  # positive margins whose product underflows
                 raise DegenerateTable(f"expected count in column {j} underflows to zero")
             diff = obs - expected
-            statistic += diff * diff / expected
-    if not math.isfinite(statistic):  # margins or squares that overflow
+            statistic += diff * (diff / expected)
+    if not math.isfinite(statistic):  # margins or a statistic that overflow
         raise DegenerateTable("statistic is not finite")
     dof = k - 1
     return ChiSquareResult(statistic=statistic, dof=dof, p_value=chi_square_survival(statistic, dof))

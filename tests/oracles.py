@@ -117,6 +117,19 @@ def chi_square_dense(table) -> tuple[float, int]:
     return stat, obs.shape[1] - 1
 
 
+def chi_square_mpmath(table) -> float:
+    """Pearson statistic at 50 digits, whose exponent range no float margin can overflow."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        obs = [[mpmath.mpf(v) for v in row] for row in table]
+        rows = [mpmath.fsum(row) for row in obs]
+        cols = [mpmath.fsum(col) for col in zip(*obs)]
+        grand = mpmath.fsum(rows)
+        return float(mpmath.fsum((o - r * c / grand) ** 2 / (r * c / grand)
+                                 for r, row in zip(rows, obs) for o, c in zip(row, cols)))
+
+
 def survival_mpmath(statistic: float, dof: int) -> float:
     """High-precision chi-square survival probability via mpmath."""
     import mpmath

@@ -378,6 +378,15 @@ def test_sweep_overflowing_turnover_sum_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_zero_turnover_sum_writes_no_csv(tmp_path, capsys):
+    # every lognormal draw underflows to 0.0, so no foreign turnover share exists
+    out = tmp_path / "c.csv"
+    assert main(["sweep", "--turnover-law", "lognormal", "--mu", "-800", "--shares", "0,0.5,1",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: turnover sum is not positive\n"
+    assert not out.exists()
+
+
 # --- chisq ------------------------------------------------------------------
 
 def test_chisq_worked_example(capsys):
@@ -402,6 +411,21 @@ def test_chisq_degenerate_is_validation_failure(capsys):
 
 def test_chisq_unparseable_is_usage_error(capsys):
     assert main(["chisq", "a,b;c,d"]) == 2
+
+
+def test_chisq_table_starting_with_minus_reaches_the_checks(capsys):
+    assert main(["chisq", "-1,2;3,4"]) == 1
+    assert capsys.readouterr().err == "error: counts must be non-negative\n"
+    assert main(["chisq", "--", "-1,2;3,4"]) == 1
+    with pytest.raises(SystemExit) as err:
+        main(["chisq", "-h"])
+    assert err.value.code == 0
+
+
+def test_chisq_large_finite_statistic(capsys):
+    # row total * column total overflows; the statistic, about 2e300, does not
+    assert main(["chisq", "1e300,1;1,1e300"]) == 0
+    assert capsys.readouterr().out == "statistic=2e+300 dof=1 p_value=0\n"
 
 
 @pytest.mark.parametrize("table, message", [

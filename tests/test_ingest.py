@@ -1,8 +1,15 @@
+import csv
 import io
+import json
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from test_onepass import _adapter_document
+from thsynergy.cli import main
 from thsynergy.ingest import (
+    CANONICAL_COLUMNS,
+    DEFAULT_SIZE_BIN_EDGES,
     ClassificationConfig,
     FirmRecord,
     MalformedRow,
@@ -17,6 +24,8 @@ from thsynergy.ingest import (
     parse_share,
     size_labels,
     validate_firm_csv,
+    _parse_row,
+    _read_header,
 )
 
 HEADER = "firm_id,municipality_code,nace2,employees,turnover_nok,foreign_share"
@@ -288,6 +297,87 @@ def test_validate_respects_cutoff_config():
     config = ClassificationConfig(foreign_cutoff=0.9)
     rows, issues = validate_firm_csv(csv_bytes("F1,1504,30,1,1000,0.95"), config=config)
     assert (rows, issues) == (1, [])
+
+
+# --- memoized scan versus the row-by-row checks -----------------------------
+
+# texts that int() and float() treat in special ways, and texts the checks reject
+FIELD_TEXTS = {
+    "municipality_code": ["0301", " 0301", "0301\t", "1504", "46", "x", "", " ", "\t"],
+    "nace2": ["30", "030", "+30", " 30 ", "3_0", "\t62", "62", "1", "99", "0", "100", "-5",
+              "40", "89", "3x", "30.0", "1e1", "\u0663\u0660", ""],
+    "employees": ["0", "00", "+4", "1_0", " 7 ", "\t250", "-0", "-1", "4.5", "1e1", "",
+                  "\u0664", "249", "1000000"],
+    "turnover_nok": ["0", "-0.0", "1e-1", "1_000", " 5 ", "+7", "nan", "inf", "-inf", "-5",
+                     "1e308", "12e", "", "2.9e-307", "53"],
+    "foreign_share": ["0", "0.2", "1", "-0.0", "1e-1", "0_5", "nan", "inf", "20%", " 0.5 ",
+                      "1.0000000001", "+0.2", "0.19999999999999998", "0.3", ""],
+}
+
+
+def _row_by_row(data: bytes, config: ClassificationConfig):
+    """The scan's (rows, issues) and add() calls from _parse_row and categorize on every row."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    positions, width = _read_header(reader, None)
+    rows, issues, calls = 0, [], []
+    for row in reader:
+        rows += 1
+        try:
+            municipality, nace2, employees, turnover, share = _parse_row(row, reader.line_num, positions, width)
+            cell, foreign = config.categorize(municipality, nace2, employees, share)
+        except (MalformedRow, UnmappedNace) as exc:
+            issues.append((reader.line_num, exc.reason))
+            continue
+        calls.append((cell, foreign, turnover))
+    return rows, issues, calls
+
+
+@st.composite
+def field_rows(draw):
+    # a few texts per memoized field, so that rows repeat them and the memos are used
+    vocabulary = {name: draw(st.lists(st.sampled_from(texts), min_size=1, max_size=3, unique=True))
+                  if name in ("municipality_code", "nace2", "employees") else texts
+                  for name, texts in FIELD_TEXTS.items()}
+    return draw(st.lists(st.tuples(
+        st.fixed_dictionaries({name: st.sampled_from(texts) for name, texts in vocabulary.items()}),
+        st.sampled_from([None, None, None, 0, 1, 5]),  # keep all fields, or only the first few
+    ), max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+# "+30" is first seen on a row with a bad share, then on an accepted row, then again
+@example(rows=[({"municipality_code": "0301", "nace2": "+30", "employees": "1_0", "turnover_nok": "5",
+                 "foreign_share": share}, None) for share in ("nan", "0.2", "0.3")],
+         order=list(CANONICAL_COLUMNS), cutoff=0.2, edges=DEFAULT_SIZE_BIN_EDGES)
+# a row one field short, whose missing field is the firm_id the memos never read
+@example(rows=[({"municipality_code": "0301", "nace2": "30", "employees": "1", "turnover_nok": "5",
+                 "foreign_share": "0.2"}, keep) for keep in (None, 5)],
+         order=[*CANONICAL_COLUMNS[1:], "firm_id"], cutoff=0.2, edges=DEFAULT_SIZE_BIN_EDGES)
+@given(rows=field_rows(), order=st.permutations(CANONICAL_COLUMNS), cutoff=st.sampled_from([0.2, 0.5, 1.0]),
+       edges=st.sampled_from([DEFAULT_SIZE_BIN_EDGES, (0, 10, 100)]))
+def test_memoized_scan_equals_row_by_row_checks(rows, order, cutoff, edges):
+    lines = [",".join(order)]
+    for i, (texts, keep) in enumerate(rows):
+        lines.append(",".join([f"F{i}" if name == "firm_id" else texts[name] for name in order][:keep]))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    config = ClassificationConfig(foreign_cutoff=cutoff, size_bin_edges=edges)
+    calls = []
+    rows_seen, issues = validate_firm_csv(data, config=config, add=lambda *call: calls.append(call))
+    expected_rows, expected_issues, expected_calls = _row_by_row(data, config)
+    assert (rows_seen, issues) == (expected_rows, expected_issues)
+    assert repr(calls) == repr(expected_calls)  # repr tells -0.0 from 0.0
+
+
+def test_compute_past_the_memo_limit_equals_adapter_route(tmp_path, capsys):
+    # 5,000 distinct employee texts, more than a memo holds; the last 1,000 rows repeat the first
+    lines = [HEADER] + [f"F{i},{('0301', '1504', '46')[i % 3]},{(30, 62, 68, 1, 99)[i % 5]},{i % 5000},"
+                        f"{i * 7919 % 10**6},{(i % 10) / 10}" for i in range(6000)]
+    path = tmp_path / "firms.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["compute", str(path)]) == 0
+    out = capsys.readouterr().out
+    expected = _adapter_document(path, ClassificationConfig(), "2", json.loads(out)["manifest"])
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 # --- config file ------------------------------------------------------------

@@ -14,7 +14,7 @@ import shutil
 from dataclasses import asdict
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 import pytest
 
 from thsynergy.cli import _LOG_BASES, main
@@ -142,6 +142,11 @@ def _adapter_document(path: Path, config: ClassificationConfig, log_base: str, m
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# finite turnover sums whose foreign-to-domestic quotient overflows: the ratio is null
+@example(rows=[("0301", 1, 0, 0, 0.0), ("0301", 1, 0, 53, 1.0), ("0301", 1, 0, 2.9e-307, 0.0)],
+         order=list(CANONICAL_COLUMNS), cutoff="0.2", log_base="2")
+@example(rows=[("0301", 1, 0, 4.0, 0.2), ("0301", 1, 0, 2.2250738585072014e-308, 0.0)],
+         order=list(CANONICAL_COLUMNS), cutoff="0.2", log_base="10")
 @given(
     rows=rows_strategy,
     order=st.permutations(CANONICAL_COLUMNS),

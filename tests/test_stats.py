@@ -50,8 +50,20 @@ def test_matches_dense_oracle_on_random_tables():
         result = chi_square_homogeneity(table.tolist())
         stat, dof = oracles.chi_square_dense(table)
         assert result.statistic == pytest.approx(stat, abs=1e-10)
+        assert result.statistic == pytest.approx(oracles.chi_square_mpmath(table.tolist()), abs=1e-10)
         assert result.dof == dof
         assert result.p_value == pytest.approx(oracles.survival_mpmath(stat, dof), abs=1e-10)
+
+
+@pytest.mark.parametrize("table", [
+    [[1e300, 1], [1, 1e300]],                       # row total * column total overflows
+    [[1e300, 3e299, 5e299], [2e299, 1e300, 7e299]],
+    [[1.5e308, 1], [1e-300, 2e307]],                # a squared difference overflows
+])
+def test_large_finite_margins_match_mpmath_oracle(table):
+    result = chi_square_homogeneity(table)
+    assert result.statistic == pytest.approx(oracles.chi_square_mpmath(table), rel=1e-12)
+    assert result.p_value == pytest.approx(oracles.survival_mpmath(result.statistic, result.dof), abs=1e-12)
 
 
 @pytest.mark.parametrize("table", [
