@@ -24,6 +24,7 @@ from thsynergy.ingest import (
     parse_share,
     size_labels,
     validate_firm_csv,
+    _check_ranges,
     _parse_row,
     _read_header,
 )
@@ -378,6 +379,40 @@ def test_compute_past_the_memo_limit_equals_adapter_route(tmp_path, capsys):
     out = capsys.readouterr().out
     expected = _adapter_document(path, ClassificationConfig(), "2", json.loads(out)["manifest"])
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+# whitespace that int() and float() skip around a number, and a zero-width space that they do not
+PADDING = ["", " ", "\t", "\n", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000", "\u200b"]
+NUMERIC_FIELDS = (("nace2", int), ("employees", int), ("turnover_nok", float), ("foreign_share", float))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.fixed_dictionaries({name: st.tuples(
+    st.sampled_from(PADDING), st.sampled_from(FIELD_TEXTS[name] + ["7", "30", "0.5", "\u0664\u0662"]),
+    st.sampled_from(PADDING)).map("".join) for name, _ in NUMERIC_FIELDS}))
+def test_parse_row_returns_what_int_and_float_return(texts):
+    """Whenever int() or float() converts a raw field text, _parse_row returns exactly that value."""
+    row = ["F1", "0301", *(texts[name] for name, _ in NUMERIC_FIELDS)]
+    try:
+        got = _parse_row(row, 2, tuple(range(6)), 6)
+    except MalformedRow as exc:
+        got = exc.reason
+    raw = {}
+    for at, (name, convert) in enumerate(NUMERIC_FIELDS, start=1):
+        try:
+            raw[name] = convert(texts[name])
+        except ValueError:
+            continue
+        if not isinstance(got, str):
+            assert repr(got[at]) == repr(raw[name])
+    if len(raw) == len(NUMERIC_FIELDS):  # every field converts: the result is decided by the range checks
+        values = tuple(raw[name] for name, _ in NUMERIC_FIELDS)
+        try:
+            _check_ranges(*values)
+            expected = ("0301", *values)
+        except ValueError as exc:
+            expected = str(exc)
+        assert repr(got) == repr(expected)
 
 
 # --- config file ------------------------------------------------------------
