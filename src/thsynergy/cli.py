@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .cube import Tally
 from .decomp import cube_report
-from .ingest import ClassificationConfig, load_config, parse_share, validate_firm_csv
+from .ingest import ClassificationConfig, default_nace_map, load_config, parse_share, validate_firm_csv
 from .stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
 from .synthlab import SynthParams, sweep_foreign_share
 
@@ -133,21 +133,16 @@ def cmd_compute(args) -> int:
     report = cube_report(cube, tally, base=_LOG_BASES[args.log_base])
     categories, table = ownership_tech_table(cube)
     try:
-        chi = chi_square_homogeneity(table)
-        chi_block: dict = {
-            "categories": list(categories),
-            "statistic": chi.statistic,
-            "dof": chi.dof,
-            "p_value": chi.p_value,
-        }
+        chi_block: dict = {"categories": list(categories), **asdict(chi_square_homogeneity(table))}
     except DegenerateTable as exc:
         chi_block = {"undefined_reason": str(exc)}
 
     manifest = RunManifest(
         command="compute",
         inputs=(args.input,),
-        # every classification knob, the NACE map keyed by text as JSON keys it, and the log base
-        config_hash=config_digest({**asdict(config), "nace_map": {str(k): v for k, v in config.nace_map.items()},
+        # both classification settings and the log base; the fixed NACE map stays in the hash,
+        # keyed by text as JSON keys it, so that hashes match those of earlier versions
+        config_hash=config_digest({**asdict(config), "nace_map": {str(k): v for k, v in default_nace_map().items()},
                                    "log_base": args.log_base}),
         version=__version__,
     )

@@ -114,12 +114,11 @@ def subgroup_synergy(cube: ContingencyCube, ownership: Ownership, base: float = 
     population denominator; this instead treats the chosen group as a
     population of its own, so its value is NOT a term of decompose().
     """
-    side = "foreign" if ownership is Ownership.FOREIGN else "domestic"
-    subtotal = sum(getattr(cube, side).values())
+    counts = cube.foreign if ownership is Ownership.FOREIGN else cube.domestic
+    subtotal = sum(counts.values())
     if subtotal == 0:
         raise EmptyDataset(f"no {ownership.value} firms in cube")
-    return ternary_information(EntropyProfile(*(
-        _plugin_entropy(getattr(marginalize(cube, dims), side).values(), subtotal, base) for dims in SUBSETS)))
+    return decompose(ContingencyCube(cube.axes, counts, {}, subtotal), base).total
 
 
 # --- ratio arithmetic -------------------------------------------------------

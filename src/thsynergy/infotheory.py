@@ -12,15 +12,16 @@ counts only.
 
 Every entropy sums its -p log p terms with math.fsum, which returns the
 correctly rounded sum, so results are bit-for-bit reproducible whatever the
-order of the counts.
+order of the counts. A cube's entropies come from decomp.decompose.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .cube import ContingencyCube, marginalize
+if TYPE_CHECKING:
+    from .cube import ContingencyCube
 
 
 class ZeroTotal(ValueError):
@@ -68,14 +69,9 @@ SUBSETS = (("G",), ("O",), ("T",), ("G", "O"), ("G", "T"), ("O", "T"), ("G", "O"
 
 
 def entropy_profile(cube: ContingencyCube, base: float = 2.0) -> EntropyProfile:
-    """Compute all seven marginal entropies of the full population."""
-    if cube.total <= 0:
-        raise ZeroTotal("cube has no observations")
-    values = []
-    for dims in SUBSETS:
-        marginal = marginalize(cube, dims)
-        values.append(_plugin_entropy(marginal.combined().values(), cube.total, base))
-    return EntropyProfile(*values)
+    """All seven marginal entropies of the full population, as decompose() finds them."""
+    from .decomp import decompose  # decomp imports this module
+    return decompose(cube, base).profile()
 
 
 def ternary_information(profile: EntropyProfile) -> float:
@@ -88,5 +84,6 @@ def ternary_information(profile: EntropyProfile) -> float:
 
 
 def cube_ternary_information(cube: ContingencyCube, base: float = 2.0) -> float:
-    """Convenience: profile + alternating sum in one call."""
-    return ternary_information(entropy_profile(cube, base))
+    """The cube's signed measure: the total of its decompose()."""
+    from .decomp import decompose  # decomp imports this module
+    return decompose(cube, base).total

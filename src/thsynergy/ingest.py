@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import BinaryIO, Callable, Iterable, Mapping, TextIO
@@ -74,6 +74,7 @@ def default_nace_map() -> dict[int, int]:
     return out
 
 
+_NACE_MAP = default_nace_map()  # the grouping is fixed; no setting changes it
 DEFAULT_SIZE_BIN_EDGES = (0, 1, 5, 10, 20, 50, 100, 250)
 DEFAULT_FOREIGN_CUTOFF = 0.20
 
@@ -109,17 +110,16 @@ def parse_share(text: str) -> float:
 
 @dataclass(frozen=True)
 class ClassificationConfig:
-    """Knobs for the row -> categories mapping.
+    """The two settings of the row -> categories mapping.
 
     foreign_cutoff is inclusive: a share exactly at the cutoff counts as
     foreign. Bin edges must start at 0 and increase strictly; each edge opens
     a half-open interval ending just before the next edge, the last one
-    unbounded.
+    unbounded. The NACE -> technology group mapping is fixed (_NACE_MAP).
     """
 
     foreign_cutoff: float = DEFAULT_FOREIGN_CUTOFF
     size_bin_edges: tuple[int, ...] = DEFAULT_SIZE_BIN_EDGES
-    nace_map: dict[int, int] = field(default_factory=default_nace_map)
 
     def __post_init__(self):
         if not 0.0 < self.foreign_cutoff <= 1.0:
@@ -137,7 +137,7 @@ class ClassificationConfig:
 
     def categorize(self, municipality: str, nace2: int, employees: int, share: float) -> tuple[tuple, bool]:
         """Classify one firm: ((municipality, size class, tech group), is_foreign)."""
-        group = self.nace_map.get(nace2)
+        group = _NACE_MAP.get(nace2)
         if group is None:
             raise UnmappedNace(nace2)
         size_class = self.size_class_labels[bisect_right(self.size_bin_edges, employees) - 1]
@@ -206,7 +206,7 @@ def _as_text_stream(source: bytes | bytearray | BinaryIO | TextIO) -> TextIO:
     return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
-def _read_header(reader, schema: Mapping[str, str] | None) -> tuple[tuple, int]:
+def _read_header(reader, schema: Mapping[str, str] | None = None) -> tuple[tuple, int]:
     """Read the header row and return (positions, width): positions are
     indexed like CANONICAL_COLUMNS, None for an absent firm_id, and width is
     the field count a data row needs. Raises MissingColumn, or MalformedRow
@@ -250,21 +250,17 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple
     if len(row) < width:
         raise MalformedRow(line, f"expected at least {width} fields, got {len(row)}")
     _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
-    try:  # fast path: int() and float() skip most surrounding whitespace themselves
-        nace2, employees = int(row[nace_at]), int(row[employees_at])
-        turnover, share = float(row[turnover_at]), float(row[share_at])
-    except ValueError:  # strip each field and name the first that does not convert
-        values = []
-        for at, name, convert, kind in ((nace_at, "nace2", int, "an integer"),
-                                        (employees_at, "employees", int, "an integer"),
-                                        (turnover_at, "turnover_nok", float, "a number"),
-                                        (share_at, "foreign_share", float, "a number")):
-            text = row[at].strip()
-            try:
-                values.append(convert(text))
-            except ValueError:
-                raise MalformedRow(line, f"{name} {text!r} is not {kind}") from None
-        nace2, employees, turnover, share = values
+    values = []
+    for at, name, convert, kind in ((nace_at, "nace2", int, "an integer"),
+                                    (employees_at, "employees", int, "an integer"),
+                                    (turnover_at, "turnover_nok", float, "a number"),
+                                    (share_at, "foreign_share", float, "a number")):
+        text = row[at].strip()  # names the field without its padding when it does not convert
+        try:
+            values.append(convert(text))
+        except ValueError:
+            raise MalformedRow(line, f"{name} {text!r} is not {kind}") from None
+    nace2, employees, turnover, share = values
     try:
         _check_ranges(nace2, employees, turnover, share)
     except ValueError as exc:
@@ -318,8 +314,7 @@ def classify_all(records: Iterable[FirmRecord], config: ClassificationConfig | N
 _MEMO_LIMIT = 4096  # distinct texts per memo; rows with texts past it take the slow path
 
 
-def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
-                      config: ClassificationConfig | None = None,
+def validate_firm_csv(source, config: ClassificationConfig | None = None,
                       add: Callable[[tuple, bool, float], None] | None = None,
                       ) -> tuple[int, list[tuple[int, str]]]:
     """Check and classify every row in one pass, collecting every defect.
@@ -328,7 +323,8 @@ def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
     accepted row goes in file order to add(cell, foreign, turnover), cell
     being its (municipality, size class, tech group). A header defect, a
     record the csv module cannot read and bytes that are not UTF-8 end the
-    scan with an issue on their line. parse_firm_records stays strict.
+    scan with an issue on their line. The header must use the canonical
+    column names; parse_firm_records stays strict and takes a schema remap.
 
     Each field's classification is memoized per distinct text: the raw
     municipality, nace2 and employees texts of an accepted row map to its
@@ -348,7 +344,7 @@ def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
     stream = _as_text_stream(source)
     reader = csv.reader(stream)
     try:
-        positions, width = _read_header(reader, schema)
+        positions, width = _read_header(reader)
         _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
         memos = ((municipalities, muni_at), (sizes, employees_at), (groups, nace_at))
         for row in reader:
@@ -379,7 +375,7 @@ def validate_firm_csv(source, schema: Mapping[str, str] | None = None,
     except UnicodeDecodeError:
         line, message, before = _undecodable(stream.buffer)
         if line > 1:  # the failing chunk's rows were never scanned: scan all before the line afresh
-            rows, issues = validate_firm_csv(before, schema, config)
+            rows, issues = validate_firm_csv(before, config)
         issues.append((line, message))
     return rows, issues
 
