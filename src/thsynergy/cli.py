@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -126,11 +125,12 @@ def cmd_compute(args) -> int:
         return 1
     if not rows:
         return _error(f"{args.input}: no data rows", 1)
-    if not all(map(math.isfinite, (tally.turnover_total, tally.turnover_domestic, tally.turnover_foreign))):
-        return _error(f"{args.input}: turnover sum is not finite", 1)
 
     cube = tally.cube()
-    report = cube_report(cube, tally, base=_LOG_BASES[args.log_base])
+    try:
+        report = cube_report(cube, tally, base=_LOG_BASES[args.log_base])
+    except OverflowError as exc:
+        return _error(f"{args.input}: {exc}", 1)
     categories, table = ownership_tech_table(cube)
     try:
         chi_block: dict = {"categories": list(categories), **asdict(chi_square_homogeneity(table))}
@@ -188,9 +188,9 @@ def cmd_sweep(args) -> int:
         curve = sweep_foreign_share(params, shares)
     except ValueError as exc:
         return _error(exc, 2)
+    except OverflowError as exc:  # a turnover sum is not finite
+        return _error(exc, 1)
     turnover_total = curve.points[0].report.turnover_total  # the same total at every share
-    if not math.isfinite(turnover_total):
-        return _error("turnover sum is not finite", 1)
     if turnover_total <= 0:  # every drawn turnover underflowed: no foreign turnover share exists
         return _error("turnover sum is not positive", 1)
     manifest = RunManifest(

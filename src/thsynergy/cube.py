@@ -177,15 +177,20 @@ def cube_to_dict(cube: ContingencyCube) -> dict:
 
 
 def cube_from_dict(payload: dict) -> ContingencyCube:
+    """Inverse of cube_to_dict; ValueError on a bad count, a cell off its axes or a wrong total."""
     axes = {d: tuple(payload["axes"][d]) for d in DIMS}
+    on_axes = [set(axes[d]) for d in DIMS]
     domestic: dict[Cell, int] = {}
     foreign: dict[Cell, int] = {}
     for entry in payload["cells"]:
         cell = (entry["g"], entry["o"], entry["t"])
-        if entry["domestic"]:
-            domestic[cell] = int(entry["domestic"])
-        if entry["foreign"]:
-            foreign[cell] = int(entry["foreign"])
+        if any(coord not in labels for coord, labels in zip(cell, on_axes)):
+            raise ValueError(f"cell {cell} is not on the axes")
+        for counts, count in ((domestic, entry["domestic"]), (foreign, entry["foreign"])):
+            if type(count) is not int or count < 0:  # 1.9, true and -1 are no firm counts
+                raise ValueError(f"cell {cell} count {count!r} is not a non-negative integer")
+            if count:
+                counts[cell] = count
     total = int(payload["total"])
     check = sum(domestic.values()) + sum(foreign.values())
     if check != total:

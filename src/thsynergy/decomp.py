@@ -201,8 +201,9 @@ class RegionReport:
 def region_report(firms: Sequence[ClassifiedFirm], base: float = 2.0) -> RegionReport:
     """Build the full region summary from classified firms.
 
-    Raises EmptyDataset on empty input. The turnover sums run in firm order;
-    the foreign share of an all-foreign population is exactly 1.0.
+    Raises EmptyDataset on empty input and OverflowError when a turnover sum
+    is not finite. The turnover sums run in firm order; the foreign share of
+    an all-foreign population is exactly 1.0.
     """
     tally = Tally().add_firms(firms)
     return cube_report(tally.cube(), tally, base)
@@ -217,6 +218,8 @@ def cube_report(cube: ContingencyCube, tally: Tally, base: float = 2.0) -> Regio
 def _build_report(dec: SynergyDecomposition, turnover_total: float, turnover_domestic: float,
                  turnover_foreign: float, firm_count: int, foreign_count: int) -> RegionReport:
     """Region summary from a decomposition, the three turnover sums and the firm counts."""
+    if not all(map(math.isfinite, (turnover_total, turnover_domestic, turnover_foreign))):
+        raise OverflowError("turnover sum is not finite")  # the one check, for every route to a report
     # zero total turnover means zero foreign turnover too; report share 0
     share = turnover_foreign / turnover_total if turnover_total > 0 else 0.0
     syn_share = synergy_share(dec.total, dec.foreign)

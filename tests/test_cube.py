@@ -149,6 +149,24 @@ def test_cube_from_dict_checks_total():
         cube_from_dict(payload)
 
 
+@pytest.mark.parametrize("cell, total, message", [
+    ({"g": "a", "o": "0", "t": 1, "domestic": 1.9, "foreign": 0}, 1, "1.9 is not a non-negative integer"),
+    ({"g": "a", "o": "0", "t": 1, "domestic": 3, "foreign": -1}, 2, "-1 is not a non-negative integer"),
+    ({"g": "a", "o": "0", "t": 1, "domestic": True, "foreign": 0}, 1, "True is not a non-negative integer"),
+    ({"g": "a", "o": "0", "t": 2, "domestic": 1, "foreign": 0}, 1, "is not on the axes"),
+], ids=["fractional", "negative", "boolean", "off-axis"])
+def test_cube_from_dict_rejects_inconsistent_cells(cell, total, message):
+    payload = {"schema_version": 1, "axes": {"G": ["a"], "O": ["0"], "T": [1]}, "total": total, "cells": [cell]}
+    with pytest.raises(ValueError, match=message):
+        cube_from_dict(payload)
+
+
+def test_cube_dict_round_trips_unobserved_categories():
+    cube = cube_from_tensors(np.array([[[2, 0]], [[0, 0]]]), np.array([[[0, 0]], [[0, 1]]]))
+    assert cube.axes == {"G": ("g0", "g1"), "O": ("o0",), "T": (1, 2)}
+    assert cube_from_dict(cube_to_dict(cube)) == cube
+
+
 def test_cube_dict_drops_zero_cells():
     cube = ContingencyCube(
         axes={"G": ("a",), "O": ("0",), "T": (1,)},

@@ -305,6 +305,14 @@ def test_region_report_empty_raises():
         region_report([])
 
 
+def test_region_report_overflowing_turnover_sum_raises():
+    # the foreign sum overflows to inf, which would make the foreign turnover share inf / inf = NaN
+    firms = [firm("a", "0", 1, Ownership.FOREIGN, 1e308), firm("b", "0", 1, Ownership.FOREIGN, 1e308),
+             firm("a", "1-4", 2, Ownership.DOMESTIC, 1.0)]
+    with pytest.raises(OverflowError, match="turnover sum is not finite"):
+        region_report(firms)
+
+
 def test_region_report_undefined_synergy_share():
     # one firm: every entropy is zero, total measure is zero
     report = region_report([firm("a", "0", 1)])
