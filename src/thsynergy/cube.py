@@ -191,10 +191,10 @@ def cube_from_dict(payload: dict) -> ContingencyCube:
                 raise ValueError(f"cell {cell} count {count!r} is not a non-negative integer")
             if count:
                 counts[cell] = count
-    total = int(payload["total"])
+    total = payload["total"]
     check = sum(domestic.values()) + sum(foreign.values())
-    if check != total:
-        raise ValueError(f"cell counts sum to {check}, total says {total}")
+    if type(total) is not int or check != total:
+        raise ValueError(f"cell counts sum to {check}, total says {total!r}")
     return ContingencyCube(axes=axes, domestic=domestic, foreign=foreign, total=total)
 
 

@@ -154,7 +154,10 @@ def test_cube_from_dict_checks_total():
     ({"g": "a", "o": "0", "t": 1, "domestic": 3, "foreign": -1}, 2, "-1 is not a non-negative integer"),
     ({"g": "a", "o": "0", "t": 1, "domestic": True, "foreign": 0}, 1, "True is not a non-negative integer"),
     ({"g": "a", "o": "0", "t": 2, "domestic": 1, "foreign": 0}, 1, "is not on the axes"),
-], ids=["fractional", "negative", "boolean", "off-axis"])
+    ({"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}, 1.5, "total says 1.5"),
+    ({"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}, 1.0, "total says 1.0"),
+    ({"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}, True, "total says True"),
+], ids=["fractional", "negative", "boolean", "off-axis", "fractional-total", "float-total", "boolean-total"])
 def test_cube_from_dict_rejects_inconsistent_cells(cell, total, message):
     payload = {"schema_version": 1, "axes": {"G": ["a"], "O": ["0"], "T": [1]}, "total": total, "cells": [cell]}
     with pytest.raises(ValueError, match=message):
