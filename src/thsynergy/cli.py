@@ -190,8 +190,8 @@ def cmd_sweep(args) -> int:
         return _error(exc, 2)
     except OverflowError as exc:  # a turnover sum is not finite
         return _error(exc, 1)
-    turnover_total = curve.points[0].report.turnover_total  # the same total at every share
-    if turnover_total <= 0:  # every drawn turnover underflowed: no foreign turnover share exists
+    # turnovers are non-negative, so the total is positive at one share exactly when it is at every share
+    if curve.points[0].report.turnover_total <= 0:  # every drawn turnover underflowed: no turnover share exists
         return _error("turnover sum is not positive", 1)
     manifest = RunManifest(
         command="sweep",

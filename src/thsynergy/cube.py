@@ -8,6 +8,7 @@ cube construction independent of input row order.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Iterable, Mapping, Sequence
@@ -69,27 +70,23 @@ def merge_counts(domestic: Mapping, foreign: Mapping) -> dict:
 
 
 class Tally:
-    """Split cell counts and turnover sums, built one firm at a time.
+    """Split cell counts and turnovers, built one firm at a time.
 
     add() takes a firm's (g, o, t) cell, its ownership flag and its turnover.
-    Each turnover sum runs in add order with +, starting from an int 0, so a
-    group without firms sums to 0. The cube shares the tally's count maps:
-    take it after the last add.
+    turnovers holds the domestic and the foreign turnovers, indexed by the
+    flag; decomp._build_report sums them. The cube shares the tally's count
+    maps: take it after the last add.
     """
 
     def __init__(self):
         self.domestic: dict[Cell, int] = {}
         self.foreign: dict[Cell, int] = {}
-        self.turnover_total = self.turnover_domestic = self.turnover_foreign = 0
+        self.turnovers = (array("d"), array("d"))
+        self._groups = ((self.domestic, self.turnovers[0].append), (self.foreign, self.turnovers[1].append))
 
     def add(self, cell: Cell, foreign: bool, turnover: float) -> None:
-        self.turnover_total += turnover
-        if foreign:
-            self.turnover_foreign += turnover
-            counts = self.foreign
-        else:
-            self.turnover_domestic += turnover
-            counts = self.domestic
+        counts, append = self._groups[foreign]
+        append(turnover)
         counts[cell] = counts.get(cell, 0) + 1
 
     def add_firms(self, firms: Iterable[ClassifiedFirm]) -> "Tally":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .cube import ContingencyCube, EmptyDataset, Tally, marginalize, merge_counts
 from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, ternary_information, ZeroTotal
@@ -202,23 +202,27 @@ def region_report(firms: Sequence[ClassifiedFirm], base: float = 2.0) -> RegionR
     """Build the full region summary from classified firms.
 
     Raises EmptyDataset on empty input and OverflowError when a turnover sum
-    is not finite. The turnover sums run in firm order; the foreign share of
-    an all-foreign population is exactly 1.0.
+    is not finite. The foreign share of an all-foreign population is exactly
+    1.0.
     """
     tally = Tally().add_firms(firms)
     return cube_report(tally.cube(), tally, base)
 
 
 def cube_report(cube: ContingencyCube, tally: Tally, base: float = 2.0) -> RegionReport:
-    """Region summary from a tally's cube and turnover sums: one decomposition."""
-    return _build_report(decompose(cube, base), tally.turnover_total, tally.turnover_domestic,
-                        tally.turnover_foreign, cube.total, sum(cube.foreign.values()))
+    """Region summary from a tally's cube and turnovers: one decomposition."""
+    return _build_report(decompose(cube, base), *tally.turnovers)
 
 
-def _build_report(dec: SynergyDecomposition, turnover_total: float, turnover_domestic: float,
-                 turnover_foreign: float, firm_count: int, foreign_count: int) -> RegionReport:
-    """Region summary from a decomposition, the three turnover sums and the firm counts."""
-    if not all(map(math.isfinite, (turnover_total, turnover_domestic, turnover_foreign))):
+def _build_report(dec: SynergyDecomposition, domestic: Collection[float], foreign: Collection[float]) -> RegionReport:
+    """Region summary from a decomposition and each ownership group's turnovers, the one place they
+    are summed: each group once with math.fsum, whose sum does not depend on their order."""
+    try:
+        turnover_domestic, turnover_foreign = math.fsum(domestic), math.fsum(foreign)
+        turnover_total = turnover_domestic + turnover_foreign  # so the three sums add up exactly
+    except OverflowError:  # fsum's "intermediate overflow"
+        turnover_total = math.inf
+    if not math.isfinite(turnover_total):  # also an inf turnover, which the library route can pass
         raise OverflowError("turnover sum is not finite")  # the one check, for every route to a report
     # zero total turnover means zero foreign turnover too; report share 0
     share = turnover_foreign / turnover_total if turnover_total > 0 else 0.0
@@ -232,6 +236,6 @@ def _build_report(dec: SynergyDecomposition, turnover_total: float, turnover_dom
         foreign_to_domestic_turnover=_ratio(turnover_foreign, turnover_domestic),
         foreign_synergy_share=syn_share,
         efficiency=efficiency_ratio(share, syn_share),
-        firm_count=firm_count,
-        foreign_count=foreign_count,
+        firm_count=len(domestic) + len(foreign),
+        foreign_count=len(foreign),
     )

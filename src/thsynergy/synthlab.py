@@ -159,6 +159,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
         raise ValueError("shares must be strictly increasing")
     import numpy as np  # numpy loads only for generate and sweep
     *indices, turnovers, ranks = _draw(params)
+    by_rank = memoryview(turnovers[np.argsort(ranks)])  # at share k, by_rank[:k] is foreign
     n = params.n_firms
     # code each axis by the categories present, so subset codes stay bounded by them
     axes = [np.unique(idx, return_inverse=True) for idx in indices]
@@ -173,10 +174,6 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
         counts = np.bincount(cell)
         subsets.append((cell, counts, entropy(counts)))
 
-    def running_sum(values) -> float:
-        # bit-equal to adding in firm order from an int 0, which an empty group keeps
-        return float(values.cumsum()[-1]) if len(values) else 0
-
     points = []
     for share in shares:
         k = foreign_count(n, share)
@@ -185,7 +182,6 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
         for cell, counts, h_total in subsets:
             foreign_counts = np.bincount(cell[foreign], minlength=len(counts))
             terms.append(_split_term(entropy(counts - foreign_counts), entropy(foreign_counts), h_total))
-        report = _build_report(_decompose_terms(tuple(terms)), running_sum(turnovers),
-                               running_sum(turnovers[~foreign]), running_sum(turnovers[foreign]), n, k)
+        report = _build_report(_decompose_terms(tuple(terms)), by_rank[k:], by_rank[:k])
         points.append(SweepPoint(float(share), report.foreign_turnover_share, report.foreign_synergy_share, report))
     return SweepCurve(params=params, points=tuple(points))
