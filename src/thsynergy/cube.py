@@ -174,21 +174,37 @@ def cube_to_dict(cube: ContingencyCube) -> dict:
 
 
 def cube_from_dict(payload: dict) -> ContingencyCube:
-    """Inverse of cube_to_dict; ValueError on a bad count, a cell off its axes or a wrong total."""
-    axes = {d: tuple(payload["axes"][d]) for d in DIMS}
-    on_axes = [set(axes[d]) for d in DIMS]
-    domestic: dict[Cell, int] = {}
-    foreign: dict[Cell, int] = {}
-    for entry in payload["cells"]:
-        cell = (entry["g"], entry["o"], entry["t"])
-        if any(coord not in labels for coord, labels in zip(cell, on_axes)):
-            raise ValueError(f"cell {cell} is not on the axes")
-        for counts, count in ((domestic, entry["domestic"]), (foreign, entry["foreign"])):
-            if type(count) is not int or count < 0:  # 1.9, true and -1 are no firm counts
-                raise ValueError(f"cell {cell} count {count!r} is not a non-negative integer")
-            if count:
-                counts[cell] = count
-    total = payload["total"]
+    """Inverse of cube_to_dict. ValueError on any other payload: a missing key, a value of the wrong
+    type, an axis that is not a list of distinct labels, a cell off the axes or listed twice, a bad
+    count or a wrong total."""
+    try:
+        axes = {}
+        for d in DIMS:
+            labels = payload["axes"][d]
+            if type(labels) is not list or len(set(labels)) < len(labels):  # "ab" is no axis ('a', 'b')
+                raise ValueError(f"axis {d} {labels!r} is not a list of distinct labels")
+            axes[d] = tuple(labels)
+        on_axes = [set(axes[d]) for d in DIMS]
+        domestic: dict[Cell, int] = {}
+        foreign: dict[Cell, int] = {}
+        seen = set()
+        for entry in payload["cells"]:
+            cell = (entry["g"], entry["o"], entry["t"])
+            if any(coord not in labels for coord, labels in zip(cell, on_axes)):
+                raise ValueError(f"cell {cell} is not on the axes")
+            if cell in seen:
+                raise ValueError(f"cell {cell} is listed twice")
+            seen.add(cell)
+            for counts, count in ((domestic, entry["domestic"]), (foreign, entry["foreign"])):
+                if type(count) is not int or count < 0:  # 1.9, true and -1 are no firm counts
+                    raise ValueError(f"cell {cell} count {count!r} is not a non-negative integer")
+                if count:
+                    counts[cell] = count
+        total = payload["total"]
+    except KeyError as exc:
+        raise ValueError(f"cube JSON has no key {exc}") from None
+    except TypeError as exc:  # a list where a label belongs, a cell or payload that is no object
+        raise ValueError(f"cube JSON holds a value of the wrong type ({exc})") from None
     check = sum(domestic.values()) + sum(foreign.values())
     if type(total) is not int or check != total:
         raise ValueError(f"cell counts sum to {check}, total says {total!r}")

@@ -209,10 +209,15 @@ def _as_text_stream(source: bytes | bytearray | BinaryIO | TextIO) -> TextIO:
 def _read_header(reader, schema: Mapping[str, str] | None = None) -> tuple[tuple, int]:
     """Read the header row and return (positions, width): positions are
     indexed like CANONICAL_COLUMNS, None for an absent firm_id, and width is
-    the field count a data row needs. Raises MissingColumn, or MalformedRow
-    on line 1 when the header names a mapped column more than once.
+    the field count a data row needs. Raises ValueError when the schema maps
+    two columns to one header name, MissingColumn, or MalformedRow on line 1
+    when the header names a mapped column more than once.
     """
     mapping = {name: name for name in CANONICAL_COLUMNS} | dict(schema or {})
+    targets = [mapping[c] for c in CANONICAL_COLUMNS]
+    shared = [c for c in CANONICAL_COLUMNS if targets.count(mapping[c]) > 1]
+    if shared:  # their fields would all be read from one column
+        raise ValueError(f"schema maps {', '.join(shared)} to one header name")
     try:
         header = next(reader)
     except StopIteration:
@@ -387,12 +392,14 @@ def load_config(path: str) -> ClassificationConfig:
         foreign_cutoff   fraction ("0.2") or percent ("20%")
         size_bin_edges   comma-separated non-negative integers starting at 0
 
-    Lines starting with # and blank lines are ignored. Unknown keys are an
-    error rather than a silent no-op.
+    Lines starting with # and blank lines are ignored, as is a leading byte
+    order mark. Unknown and repeated keys are an error rather than a silent
+    no-op or override.
     """
     cutoff = DEFAULT_FOREIGN_CUTOFF
     edges = DEFAULT_SIZE_BIN_EDGES
-    with open(path, "r", encoding="utf-8") as fh:
+    seen = set()
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for raw in fh:
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
@@ -402,6 +409,9 @@ def load_config(path: str) -> ClassificationConfig:
             key, _, value = stripped.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in seen:
+                raise ValueError(f"config key {key!r} is set twice")
+            seen.add(key)
             if key == "foreign_cutoff":
                 cutoff = parse_share(value)
             elif key == "size_bin_edges":

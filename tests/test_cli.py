@@ -157,6 +157,34 @@ def test_compute_config_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["report"]["firms"]["foreign"] == 0
 
 
+def test_compute_config_file_with_byte_order_mark(tmp_path, capsys):
+    # the CSV reader skips a leading BOM, and so does the config reader
+    path = write_csv(tmp_path, CLEAN_ROWS)
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("foreign_cutoff = 60%\n", encoding="utf-8")
+    marked.write_text("foreign_cutoff = 60%\n", encoding="utf-8-sig")
+    assert main(["compute", path, "--config", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["compute", path, "--config", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_compute_all_domestic_turnover_sums_are_floats(tmp_path, capsys):
+    # an empty group sums to the float 0.0, written as 0.0, not as the integer 0
+    path = write_csv(tmp_path, CLEAN_ROWS)
+    assert main(["compute", path, "--foreign-cutoff", "60%"]) == 0
+    out = capsys.readouterr().out
+    assert '"foreign": 0.0\n' in out
+    assert json.loads(out)["report"]["turnover"]["domestic"] == 9200000.0
+
+
+def test_compute_negative_zero_turnover_sums_to_zero(tmp_path, capsys):
+    path = write_csv(tmp_path, ["F1,1504,30,120,-0.0,0.0", "F2,1504,62,3,0,0.5"])
+    assert main(["compute", path]) == 0
+    turnover = json.loads(capsys.readouterr().out)["report"]["turnover"]
+    assert [repr(turnover[key]) for key in ("total", "domestic", "foreign")] == ["0.0", "0.0", "0.0"]
+
+
 def test_compute_bad_cutoff_is_usage_error(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     assert main(["compute", path, "--foreign-cutoff", "nope"]) == 2

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -162,6 +163,37 @@ def test_cube_from_dict_rejects_inconsistent_cells(cell, total, message):
     payload = {"schema_version": 1, "axes": {"G": ["a"], "O": ["0"], "T": [1]}, "total": total, "cells": [cell]}
     with pytest.raises(ValueError, match=message):
         cube_from_dict(payload)
+
+
+def _payload(axes=None, cells=None, **changes):
+    """A one-cell cube payload with its axes or cells replaced, or top-level keys changed."""
+    payload = {"schema_version": 1, "axes": axes or {"G": ["a"], "O": ["0"], "T": [1]}, "total": 1,
+               "cells": cells or [{"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}]}
+    return payload | changes
+
+
+NO_TOTAL = _payload()
+del NO_TOTAL["total"]
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_payload(axes={"G": ["a"], "O": ["0"]}), "no key 'T'"),
+    (_payload(cells=[{"g": "a", "o": "0", "t": 1, "domestic": 1}]), "no key 'foreign'"),
+    (NO_TOTAL, "no key 'total'"),
+    (_payload(axes={"G": [["a"]], "O": ["0"], "T": [1]}), "wrong type"),
+    (_payload(cells=[{"g": ["a"], "o": "0", "t": 1, "domestic": 1, "foreign": 0}]), "wrong type"),
+    (_payload(cells=[["a", "0", 1, 1, 0]]), "wrong type"),
+    ([_payload()], "wrong type"),
+    (_payload(cells=[{"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}] * 2), "listed twice"),
+    (_payload(axes={"G": ["a"], "O": ["0"], "T": [1, 1]}), "not a list of distinct labels"),
+    (_payload(axes={"G": "ab", "O": ["0"], "T": [1]}), "not a list of distinct labels"),
+], ids=["no-T-axis", "no-foreign-count", "no-total", "list-label", "list-coordinate", "list-cell",
+        "list-payload", "cell-twice", "repeated-label", "text-axis"])
+def test_cube_from_dict_rejects_malformed_payload(payload, message):
+    with pytest.raises(ValueError, match=message):
+        cube_from_dict(payload)
+    with pytest.raises(ValueError, match=message):
+        load_cube(io.StringIO(json.dumps(payload)))
 
 
 def test_cube_dict_round_trips_unobserved_categories():

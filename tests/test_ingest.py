@@ -75,6 +75,12 @@ def test_parse_schema_remap():
     assert records[0].municipality_code == "1504"
 
 
+def test_parse_rejects_schema_mapping_two_columns_to_one_header():
+    data = csv_bytes("F1,1504,30,5000000,0.0", header="firm_id,municipality_code,x,turnover_nok,foreign_share")
+    with pytest.raises(ValueError, match="schema maps nace2, employees to one header name"):
+        parse_firm_records(data, {"nace2": "x", "employees": "x"})
+
+
 def test_parse_column_order_irrelevant():
     data = csv_bytes(
         "0.0,120,30,1504,F1,5000000",
@@ -429,6 +435,13 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("mystery = 1\n")
     with pytest.raises(ValueError):
+        load_config(str(path))
+
+
+def test_load_config_rejects_repeated_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("foreign_cutoff = 10%\nforeign_cutoff = 50%\n")
+    with pytest.raises(ValueError, match="config key 'foreign_cutoff' is set twice"):
         load_config(str(path))
 
 

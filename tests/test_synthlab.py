@@ -203,7 +203,7 @@ def test_coupling_controls_signal_against_measured_noise_band():
 
 
 def test_sweep_decomposition_consistency():
-    # each point's whole report (decomposition, turnover sums in firm order,
+    # each point's whole report (decomposition, order-free turnover sums,
     # counts, ratios) and its seven split entropies equal those built from a
     # population generated at that share; the second parameter set has
     # two-digit labels (m10 sorts before m2) and lognormal turnover
