@@ -160,6 +160,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     import numpy as np  # numpy loads only for generate and sweep
     *indices, turnovers, ranks = _draw(params)
     by_rank = memoryview(turnovers[np.argsort(ranks)])  # at share k, by_rank[:k] is foreign
+    del turnovers  # freed, so that the sweep's peak RSS holds one turnover array, not two
     n = params.n_firms
     # code each axis by the categories present, so subset codes stay bounded by them
     axes = [np.unique(idx, return_inverse=True) for idx in indices]
