@@ -208,7 +208,7 @@ FRACTIONAL = [("0301", 1, 0, 0.1, 0.0), ("0301", 1, 0, 0.2, 0.0), ("1504", 62, 9
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-# added in file order, the domestic sum would be 0.6000000000000001; in reverse order, 0.6
+# a running domestic sum gives 0.6000000000000001 in file order and 0.6 in reverse order
 @example(rows=(FRACTIONAL, FRACTIONAL[::-1]))
 @given(rows=rows_strategy.flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
 def test_compute_document_is_invariant_under_row_order(tmp_path, capsys, rows):
