@@ -4,86 +4,41 @@ Measures how much structure the municipality, size and technology
 dimensions of a firm register carry jointly beyond their pairwise views,
 splits that measure by domestic versus foreign ownership, and relates the
 foreign contribution to the foreign share of turnover.
+
+Every exported name loads its submodule on first use (PEP 562), so
+`import thsynergy` imports no submodule.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .cube import ContingencyCube, EmptyDataset, MarginalCounts, build_cube, cube_from_dict, cube_to_dict, dump_cube, load_cube, marginalize
-from .decomp import (
-    RegionReport,
-    SplitEntropyTerm,
-    SynergyDecomposition,
-    decompose,
-    efficiency_ratio,
-    region_report,
-    split_entropy,
-    subgroup_synergy,
-    synergy_share,
-)
-from .infotheory import EntropyProfile, ZeroTotal, cube_ternary_information, entropy_profile, shannon_entropy, ternary_information
-from .ingest import (
-    ClassificationConfig,
-    ClassifiedFirm,
-    FirmRecord,
-    MalformedRow,
-    MissingColumn,
-    Ownership,
-    UnmappedNace,
-    classify,
-    classify_all,
-    load_config,
-    parse_firm_records,
-    validate_firm_csv,
-)
-from .stats import ChiSquareResult, DegenerateTable, chi_square_homogeneity, chi_square_survival, ownership_tech_table
-from .synthlab import SweepCurve, SweepPoint, SynthParams, generate, sweep_foreign_share
+# each exported name -> the submodule that defines it
+_HOMES = {
+    **dict.fromkeys(("ContingencyCube", "EmptyDataset", "MarginalCounts", "build_cube", "cube_from_dict",
+                     "cube_to_dict", "dump_cube", "load_cube", "marginalize"), "cube"),
+    **dict.fromkeys(("RegionReport", "SplitEntropyTerm", "SynergyDecomposition", "decompose", "efficiency_ratio",
+                     "region_report", "split_entropy", "subgroup_synergy", "synergy_share"), "decomp"),
+    **dict.fromkeys(("EntropyProfile", "ZeroTotal", "cube_ternary_information", "entropy_profile",
+                     "shannon_entropy", "ternary_information"), "infotheory"),
+    **dict.fromkeys(("ClassificationConfig", "ClassifiedFirm", "FirmRecord", "MalformedRow", "MissingColumn",
+                     "Ownership", "UnmappedNace", "classify", "classify_all", "load_config", "parse_firm_records",
+                     "validate_firm_csv"), "ingest"),
+    **dict.fromkeys(("ChiSquareResult", "DegenerateTable", "chi_square_homogeneity", "chi_square_survival",
+                     "ownership_tech_table"), "stats"),
+    **dict.fromkeys(("SweepCurve", "SweepPoint", "SynthParams", "generate", "sweep_foreign_share"), "synthlab"),
+}
 
-__all__ = [
-    "__version__",
-    "ChiSquareResult",
-    "ClassificationConfig",
-    "ClassifiedFirm",
-    "ContingencyCube",
-    "DegenerateTable",
-    "EmptyDataset",
-    "EntropyProfile",
-    "FirmRecord",
-    "MalformedRow",
-    "MarginalCounts",
-    "MissingColumn",
-    "Ownership",
-    "RegionReport",
-    "SplitEntropyTerm",
-    "SweepCurve",
-    "SweepPoint",
-    "SynergyDecomposition",
-    "SynthParams",
-    "UnmappedNace",
-    "ZeroTotal",
-    "build_cube",
-    "chi_square_homogeneity",
-    "chi_square_survival",
-    "classify",
-    "classify_all",
-    "cube_from_dict",
-    "cube_ternary_information",
-    "cube_to_dict",
-    "decompose",
-    "dump_cube",
-    "efficiency_ratio",
-    "entropy_profile",
-    "generate",
-    "load_config",
-    "load_cube",
-    "marginalize",
-    "ownership_tech_table",
-    "parse_firm_records",
-    "region_report",
-    "shannon_entropy",
-    "split_entropy",
-    "subgroup_synergy",
-    "sweep_foreign_share",
-    "synergy_share",
-    "ternary_information",
-    "validate_firm_csv",
-]
+__all__ = ["__version__", *sorted(_HOMES)]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return __all__

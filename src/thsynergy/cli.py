@@ -16,20 +16,15 @@ and flags produce byte-identical output; the wall clock lives only in the
 from __future__ import annotations
 
 import argparse
-import hashlib
-import io
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from datetime import datetime, timezone
 
 from . import __version__
-from .cube import Tally
-from .decomp import cube_report
 from .ingest import ClassificationConfig, default_nace_map, load_config, parse_share, validate_firm_csv
-from .stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
-from .synthlab import SynthParams, sweep_foreign_share
+
+# Everything else is imported by the subcommand that runs it, so that `--version`,
+# `validate` and `chisq` load neither the cube, the decomposition nor hashlib or json.
 
 _LOG_BASES = {"2": 2.0, "e": 2.718281828459045, "10": 10.0}
 
@@ -48,6 +43,9 @@ class RunManifest:
 
 
 def config_digest(settings: dict) -> str:
+    import hashlib
+    import json
+
     canon = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
@@ -57,30 +55,37 @@ def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: di
 
     Each is written to a temporary file next to its target and then moved
     into place with os.replace, the output last, so a failed run never
-    leaves a partial output nor an output without its sidecar.
+    leaves a partial output nor an output without its sidecar. The OSError
+    names the target that could not be written, never its temporary file.
     """
+    import json
+    from datetime import datetime, timezone
+
     payload = manifest.to_dict(timestamp=datetime.now(timezone.utc).isoformat())
     if extra:
         payload.update(extra)
     writes = ((output_path + ".manifest.json", json.dumps(payload, indent=2) + "\n"), (output_path, text))
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
     try:
-        for temp, (_, content) in zip(temps, writes):
+        for temp, (path, content) in zip(temps, writes):
             with open(temp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(content)
         for temp, (path, _) in zip(temps, writes):
             os.replace(temp, path)
-    except OSError:
+    except OSError as exc:
         for temp in temps:
             if os.path.exists(temp):
                 os.unlink(temp)
-        raise
+        raise OSError(exc.errno, exc.strerror, path) from None  # path: the target of the failed step
 
 
 def _load_effective_config(args) -> ClassificationConfig:
     config = load_config(args.config) if args.config else ClassificationConfig()
     if args.foreign_cutoff is not None:
-        config = replace(config, foreign_cutoff=parse_share(args.foreign_cutoff))
+        try:
+            config = replace(config, foreign_cutoff=parse_share(args.foreign_cutoff))
+        except ValueError as exc:
+            raise ValueError(f"--foreign-cutoff: {exc}") from None
     return config
 
 
@@ -111,6 +116,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    import json
+
+    from .cube import Tally
+    from .decomp import cube_report
+    from .stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
+
     tally = Tally()
     try:
         config = _load_effective_config(args)
@@ -169,6 +180,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import io
+
+    from .synthlab import SynthParams, sweep_foreign_share
+
     try:
         shares = [float(part) for part in args.shares.split(",") if part.strip() != ""]
     except ValueError:
@@ -217,6 +232,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_chisq(args) -> int:
+    from .stats import DegenerateTable, chi_square_homogeneity
+
     rows = []
     try:
         for row_text in args.table.split(";"):

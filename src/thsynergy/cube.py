@@ -174,16 +174,17 @@ def cube_to_dict(cube: ContingencyCube) -> dict:
 
 
 def cube_from_dict(payload: dict) -> ContingencyCube:
-    """Inverse of cube_to_dict. ValueError on any other payload: a missing key, a value of the wrong
-    type, an axis that is not a list of distinct labels, a cell off the axes or listed twice, a bad
-    count or a wrong total."""
+    """Inverse of cube_to_dict; each axis is stored sorted, whatever its order in the payload.
+    ValueError on any other payload: a missing key, a value of the wrong type, an axis that is not a
+    list of distinct labels that can be ordered, a cell off the axes or listed twice, a bad count or
+    a wrong total."""
     try:
         axes = {}
         for d in DIMS:
             labels = payload["axes"][d]
             if type(labels) is not list or len(set(labels)) < len(labels):  # "ab" is no axis ('a', 'b')
                 raise ValueError(f"axis {d} {labels!r} is not a list of distinct labels")
-            axes[d] = tuple(labels)
+            axes[d] = tuple(sorted(labels))
         on_axes = [set(axes[d]) for d in DIMS]
         domestic: dict[Cell, int] = {}
         foreign: dict[Cell, int] = {}
@@ -203,7 +204,7 @@ def cube_from_dict(payload: dict) -> ContingencyCube:
         total = payload["total"]
     except KeyError as exc:
         raise ValueError(f"cube JSON has no key {exc}") from None
-    except TypeError as exc:  # a list where a label belongs, a cell or payload that is no object
+    except TypeError as exc:  # a list as a label, a cell or payload that is no object, labels 1 and "a"
         raise ValueError(f"cube JSON holds a value of the wrong type ({exc})") from None
     check = sum(domestic.values()) + sum(foreign.values())
     if type(total) is not int or check != total:

@@ -394,28 +394,28 @@ def load_config(path: str) -> ClassificationConfig:
 
     Lines starting with # and blank lines are ignored, as is a leading byte
     order mark. Unknown and repeated keys are an error rather than a silent
-    no-op or override.
+    no-op or override. Every ValueError starts with "<path>:<line>:".
     """
-    cutoff = DEFAULT_FOREIGN_CUTOFF
-    edges = DEFAULT_SIZE_BIN_EDGES
-    seen = set()
+    settings: dict = {}
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if "=" not in stripped:
-                raise ValueError(f"config line not key = value: {raw!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in seen:
-                raise ValueError(f"config key {key!r} is set twice")
-            seen.add(key)
-            if key == "foreign_cutoff":
-                cutoff = parse_share(value)
-            elif key == "size_bin_edges":
-                edges = tuple(int(part.strip()) for part in value.split(","))
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    return ClassificationConfig(foreign_cutoff=cutoff, size_bin_edges=edges)
+            where = f"{path}:{number}:"
+            key, sep, value = (part.strip() for part in stripped.partition("="))
+            if not sep:
+                raise ValueError(f"{where} config line not key = value: {raw!r}")
+            if key in settings:
+                raise ValueError(f"{where} config key {key!r} is set twice")
+            if key not in ("foreign_cutoff", "size_bin_edges"):
+                raise ValueError(f"{where} unknown config key {key!r}")
+            try:
+                if key == "foreign_cutoff":
+                    settings[key] = parse_share(value)
+                else:
+                    settings[key] = tuple(int(part.strip()) for part in value.split(","))
+                ClassificationConfig(**{key: settings[key]})  # the range checks, reported on this line
+            except ValueError as exc:
+                raise ValueError(f"{where} {key}: {exc}") from None
+    return ClassificationConfig(**settings)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cube import ContingencyCube, marginalize
+if TYPE_CHECKING:
+    from .cube import ContingencyCube
 
 
 class DegenerateTable(ValueError):
@@ -139,6 +140,8 @@ def ownership_tech_table(cube: ContingencyCube) -> tuple[tuple, list[list[int]]]
     for chi_square_homogeneity. Columns always have positive totals because
     the axis is data driven.
     """
+    from .cube import marginalize  # the chi-square test alone needs no cube
+
     marginal = marginalize(cube, ("T",))
     categories = cube.axes["T"]
     domestic_row = [marginal.domestic.get((t,), 0) for t in categories]

@@ -188,6 +188,7 @@ def test_compute_negative_zero_turnover_sums_to_zero(tmp_path, capsys):
 def test_compute_bad_cutoff_is_usage_error(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     assert main(["compute", path, "--foreign-cutoff", "nope"]) == 2
+    assert capsys.readouterr().err == "error: --foreign-cutoff: could not convert string to float: 'nope'\n"
 
 
 def test_compute_missing_file_is_io_error(tmp_path):
@@ -326,9 +327,28 @@ def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["firms.csv", "report.json", "report.json.manifest.json"]
 
 
+@pytest.mark.parametrize("command", ["compute", "sweep"])
+def test_unwritable_output_error_names_the_requested_path(tmp_path, capsys, command):
+    target = tmp_path / "absent" / "out.txt"  # its directory does not exist
+    args = [write_csv(tmp_path, CLEAN_ROWS)] if command == "compute" else ["--shares", "0,1"]
+    assert main([command, *args, "--output", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert ".tmp" not in err.replace(str(tmp_path), "")  # no temporary file, whose name changes per run
+
+
 # --- start-up -----------------------------------------------------------------
 
 DEMO_CSV = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
+
+
+def run_python(tmp_path, code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports the package from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result
 
 
 @pytest.mark.parametrize("code", [
@@ -337,11 +357,29 @@ DEMO_CSV = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.
     "import thsynergy",
 ], ids=["validate-and-compute", "import"])
 def test_only_sweep_and_generate_load_numpy(tmp_path, code):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; assert 'numpy' not in sys.modules"],
-                            cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    run_python(tmp_path, f"{code}\nimport sys; assert 'numpy' not in sys.modules")
+
+
+SERIALIZERS = ("datetime", "hashlib", "json")
+
+
+@pytest.mark.parametrize("argv, modules, stdlib", [
+    (None, [], []),
+    (["--version"], ["cli", "ingest"], []),
+    (["validate", str(DEMO_CSV)], ["cli", "ingest"], []),
+    (["chisq", "10,20;20,10"], ["cli", "ingest", "stats"], []),
+    (["compute", str(DEMO_CSV), "--output", "report.json"],
+     ["cli", "cube", "decomp", "infotheory", "ingest", "stats"], SERIALIZERS),
+    (["sweep", "--shares", "0,1", "--output", "curve.csv"],
+     ["cli", "cube", "decomp", "infotheory", "ingest", "synthlab"], SERIALIZERS),
+], ids=["import", "version", "validate", "chisq", "compute", "sweep"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, stdlib):
+    call = "import thsynergy" if argv is None else (
+        f"from thsynergy.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass")
+    result = run_python(tmp_path, f"{call}\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)")
+    loaded = result.stderr.splitlines()[-1].split()
+    assert [m for m in loaded if m.startswith("thsynergy")] == ["thsynergy", *(f"thsynergy.{m}" for m in modules)]
+    assert [m for m in SERIALIZERS if m in loaded] == list(stdlib)
 
 
 # --- sweep ------------------------------------------------------------------

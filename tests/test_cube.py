@@ -10,6 +10,7 @@ from conftest import cube_from_tensors
 from thsynergy.cube import (
     ContingencyCube,
     EmptyDataset,
+    Tally,
     build_cube,
     cube_from_dict,
     cube_to_dict,
@@ -19,6 +20,7 @@ from thsynergy.cube import (
     normalize_dims,
 )
 from thsynergy.ingest import ClassifiedFirm, Ownership
+from thsynergy.stats import ownership_tech_table
 
 
 def firm(g="1504", o="20-49", t=2, ownership=Ownership.DOMESTIC, turnover=1000.0):
@@ -186,13 +188,29 @@ del NO_TOTAL["total"]
     (_payload(cells=[{"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}] * 2), "listed twice"),
     (_payload(axes={"G": ["a"], "O": ["0"], "T": [1, 1]}), "not a list of distinct labels"),
     (_payload(axes={"G": "ab", "O": ["0"], "T": [1]}), "not a list of distinct labels"),
+    (_payload(axes={"G": ["a", 1], "O": ["0"], "T": [1]}), "wrong type"),
 ], ids=["no-T-axis", "no-foreign-count", "no-total", "list-label", "list-coordinate", "list-cell",
-        "list-payload", "cell-twice", "repeated-label", "text-axis"])
+        "list-payload", "cell-twice", "repeated-label", "text-axis", "unorderable-labels"])
 def test_cube_from_dict_rejects_malformed_payload(payload, message):
     with pytest.raises(ValueError, match=message):
         cube_from_dict(payload)
     with pytest.raises(ValueError, match=message):
         load_cube(io.StringIO(json.dumps(payload)))
+
+
+def test_cube_from_dict_sorts_each_axis():
+    # the same cube as Tally builds, whatever order the payload lists an axis in
+    payload = _payload(axes={"G": ["b", "a"], "O": ["0"], "T": [2, 1]},
+                       cells=[{"g": "a", "o": "0", "t": 2, "domestic": 1, "foreign": 0},
+                              {"g": "b", "o": "0", "t": 1, "domestic": 0, "foreign": 1}])
+    payload["total"] = 2
+    tally = Tally()
+    tally.add(("a", "0", 2), False, 1.0)
+    tally.add(("b", "0", 1), True, 1.0)
+    cube = cube_from_dict(payload)
+    assert cube == tally.cube()
+    assert cube.axes == {"G": ("a", "b"), "O": ("0",), "T": (1, 2)}
+    assert ownership_tech_table(cube) == ((1, 2), [[0, 1], [1, 0]])
 
 
 def test_cube_dict_round_trips_unobserved_categories():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -434,7 +435,7 @@ def test_load_config(tmp_path):
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("mystery = 1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unknown config key 'mystery'")):
         load_config(str(path))
 
 
@@ -443,10 +444,26 @@ def test_load_config_rejects_repeated_key(tmp_path):
     path.write_text("foreign_cutoff = 10%\nforeign_cutoff = 50%\n")
     with pytest.raises(ValueError, match="config key 'foreign_cutoff' is set twice"):
         load_config(str(path))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+        load_config(str(path))
 
 
 def test_load_config_rejects_bare_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("foreign_cutoff\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: config line not key = value")):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("size_bin_edges = 0, x\n", "1: size_bin_edges: invalid literal for int() with base 10: 'x'"),
+    ("# cutoff\n\nforeign_cutoff = abc\n", "3: foreign_cutoff: could not convert string to float: 'abc'"),
+    ("foreign_cutoff = 0\n", "1: foreign_cutoff: foreign_cutoff must be in (0, 1]"),
+    ("foreign_cutoff = 150%\n", "1: foreign_cutoff: share '150%' outside [0, 1]"),
+    ("foreign_cutoff = 20%\nsize_bin_edges = 1, 5\n", "2: size_bin_edges: size_bin_edges must start at 0"),
+], ids=["edge-not-int", "cutoff-not-float", "cutoff-zero", "cutoff-over-one", "edges-not-from-zero"])
+def test_load_config_value_error_names_file_line_and_key(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
         load_config(str(path))
