@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import BinaryIO, Callable, Iterable, Mapping, TextIO
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, TextIO
 
 
 class MalformedRow(ValueError):
@@ -197,13 +199,41 @@ CANONICAL_COLUMNS = (
 _REQUIRED = CANONICAL_COLUMNS[1:]  # firm_id may be absent
 
 
-def _as_text_stream(source: bytes | bytearray | BinaryIO | TextIO) -> TextIO:
-    # utf-8-sig drops a leading byte order mark and reads plain UTF-8 unchanged
+_BATCH_CHARS = 16384  # size hint of each readlines() batch: 64 KiB kept peak RSS 0.2 MB higher
+_ESCAPED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" decodes a stray byte to
+
+
+def _text_lines(source: bytes | bytearray | BinaryIO | TextIO) -> Iterable[str]:
+    """The lines of source, each with its line end (LF, CRLF or a lone CR). Byte input is read
+    as UTF-8, a leading byte order mark dropped, through _checked_lines; text passes unchecked."""
     if isinstance(source, io.TextIOBase):
         return source
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    return _checked_lines(io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape", newline=""))
+
+
+def _checked_lines(stream: TextIO) -> Iterator[str]:
+    """The lines of a stream decoded with errors="surrogateescape"; pulling the first line that
+    holds an escaped byte raises its UnicodeDecodeError. Only such a batch is searched by line."""
+    def batches():
+        while batch := stream.readlines(_BATCH_CHARS):
+            text = "".join(batch)
+            if not text.isascii() and _ESCAPED.search(text):
+                for at, line in enumerate(batch):
+                    if _ESCAPED.search(line):
+                        yield batch[:at]
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")  # raises on the bytes as read
+            yield batch
+    return chain.from_iterable(batches())
+
+
+def _reader_defect(lines_read: int, exc: csv.Error | UnicodeDecodeError) -> tuple[int, str]:
+    """(line, reason) of a defect met by a reader that had pulled lines_read whole lines: a
+    csv.Error is on the last line pulled, a byte that is not UTF-8 on the line it failed to pull."""
+    if isinstance(exc, UnicodeDecodeError):
+        return lines_read + 1, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return lines_read, str(exc)
 
 
 def _read_header(reader, schema: Mapping[str, str] | None = None) -> tuple[tuple, int]:
@@ -230,19 +260,6 @@ def _read_header(reader, schema: Mapping[str, str] | None = None) -> tuple[tuple
     if duplicate:
         raise MalformedRow(1, f"duplicate column(s): {', '.join(duplicate)}")
     return positions, max(p for p in positions if p is not None) + 1
-
-
-def _undecodable(buffer: BinaryIO) -> tuple[int, str, bytes]:
-    """The issue for the first byte that is not UTF-8 and the input before its line. The
-    decoder counts its offset from its current chunk, so the input is read again from the start."""
-    buffer.seek(0)
-    data = buffer.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[:data.rfind(b"\n", 0, exc.start) + 1]
-        return before.count(b"\n") + 1, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})", before
-    return 1, "input is not UTF-8", b""
 
 
 def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple[str, int, int, float, float]:
@@ -285,18 +302,23 @@ def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[
             municipality_code, nace2, employees, turnover_nok, foreign_share)
             to the actual header names in the file.
 
-    Any defect aborts the whole parse; rows are never silently dropped, so
-    the returned list length always equals the data row count.
+    Any defect aborts the whole parse with a MalformedRow on its line, the
+    header's included: a field the csv module cannot read and a byte that
+    is not UTF-8 among them. Rows are never silently dropped, so the
+    returned list length always equals the data row count.
     """
-    reader = csv.reader(_as_text_stream(source))
-    positions, width = _read_header(reader, schema)
-    id_at = positions[0]
+    reader = csv.reader(_text_lines(source))
     out = []
-    for row in reader:
-        line = reader.line_num
-        fields = _parse_row(row, line, positions, width)
-        firm_id = row[id_at].strip() if id_at is not None else f"row-{line}"
-        out.append(FirmRecord(firm_id, *fields))
+    try:
+        positions, width = _read_header(reader, schema)
+        id_at = positions[0]
+        for row in reader:
+            line = reader.line_num
+            fields = _parse_row(row, line, positions, width)
+            firm_id = row[id_at].strip() if id_at is not None else f"row-{line}"
+            out.append(FirmRecord(firm_id, *fields))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MalformedRow(*_reader_defect(reader.line_num, exc)) from None
     return out
 
 
@@ -327,9 +349,11 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
     Returns (data_row_count, issues), each issue (line_no, message). Each
     accepted row goes in file order to add(cell, foreign, turnover), cell
     being its (municipality, size class, tech group). A header defect, a
-    record the csv module cannot read and bytes that are not UTF-8 end the
-    scan with an issue on their line. The header must use the canonical
-    column names; parse_firm_records stays strict and takes a schema remap.
+    record the csv module cannot read and a byte that is not UTF-8 end the
+    scan with an issue on their line; the rows before it are counted and
+    checked, and the record holding it is not counted. The input is read
+    once, never re-read. The header must use the canonical column names;
+    parse_firm_records stays strict and takes a schema remap.
 
     Each field's classification is memoized per distinct text: the raw
     municipality, nace2 and employees texts of an accepted row map to its
@@ -346,8 +370,7 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
     groups: dict[str, int] = {}
     issues: list[tuple[int, str]] = []
     rows = 0
-    stream = _as_text_stream(source)
-    reader = csv.reader(stream)
+    reader = csv.reader(_text_lines(source))
     try:
         positions, width = _read_header(reader)
         _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
@@ -375,13 +398,8 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
                 add(cell, share >= cutoff, turnover)
     except MalformedRow as exc:  # a header defect, MissingColumn included
         issues.append((exc.line_no, exc.reason))
-    except csv.Error as exc:
-        issues.append((reader.line_num, str(exc)))
-    except UnicodeDecodeError:
-        line, message, before = _undecodable(stream.buffer)
-        if line > 1:  # the failing chunk's rows were never scanned: scan all before the line afresh
-            rows, issues = validate_firm_csv(before, config)
-        issues.append((line, message))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        issues.append(_reader_defect(reader.line_num, exc))
     return rows, issues
 
 
@@ -394,28 +412,33 @@ def load_config(path: str) -> ClassificationConfig:
 
     Lines starting with # and blank lines are ignored, as is a leading byte
     order mark. Unknown and repeated keys are an error rather than a silent
-    no-op or override. Every ValueError starts with "<path>:<line>:".
+    no-op or override, and so is a byte that is not UTF-8. Every ValueError
+    starts with "<path>:<line>:".
     """
     settings: dict = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for number, raw in enumerate(fh, 1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            where = f"{path}:{number}:"
-            key, sep, value = (part.strip() for part in stripped.partition("="))
-            if not sep:
-                raise ValueError(f"{where} config line not key = value: {raw!r}")
-            if key in settings:
-                raise ValueError(f"{where} config key {key!r} is set twice")
-            if key not in ("foreign_cutoff", "size_bin_edges"):
-                raise ValueError(f"{where} unknown config key {key!r}")
-            try:
-                if key == "foreign_cutoff":
-                    settings[key] = parse_share(value)
-                else:
-                    settings[key] = tuple(int(part.strip()) for part in value.split(","))
-                ClassificationConfig(**{key: settings[key]})  # the range checks, reported on this line
-            except ValueError as exc:
-                raise ValueError(f"{where} {key}: {exc}") from None
+    number = 0
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        try:
+            for number, raw in enumerate(_checked_lines(fh), 1):
+                stripped = raw.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                where = f"{path}:{number}:"
+                key, sep, value = (part.strip() for part in stripped.partition("="))
+                if not sep:
+                    raise ValueError(f"{where} config line not key = value: {raw!r}")
+                if key in settings:
+                    raise ValueError(f"{where} config key {key!r} is set twice")
+                if key not in ("foreign_cutoff", "size_bin_edges"):
+                    raise ValueError(f"{where} unknown config key {key!r}")
+                try:
+                    if key == "foreign_cutoff":
+                        settings[key] = parse_share(value)
+                    else:
+                        settings[key] = tuple(int(part.strip()) for part in value.split(","))
+                    ClassificationConfig(**{key: settings[key]})  # the range checks, reported on this line
+                except ValueError as exc:
+                    raise ValueError(f"{where} {key}: {exc}") from None
+        except UnicodeDecodeError as exc:  # the line's own checks raise plain ValueErrors
+            raise ValueError("{}:{}: {}".format(path, *_reader_defect(number, exc))) from None
     return ClassificationConfig(**settings)

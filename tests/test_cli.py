@@ -300,20 +300,50 @@ def test_undecodable_byte_names_its_line(tmp_path, capsys):
     assert captured.err.splitlines()[-1] == "  line 2002: byte 0xff is not UTF-8 (invalid start byte)"
 
 
-@pytest.mark.parametrize("bad_line", [1002, 1202])
-def test_undecodable_byte_leaves_earlier_rows_counted_and_checked(tmp_path, capsys, bad_line):
+@pytest.mark.parametrize("bad_line, end", [
+    (1002, "\n"), (1202, "\n"), (1002, "\r\n"), (1202, "\r\n"), (1002, "\r"), (1202, "\r"),
+], ids=["1002", "1202", "1002-crlf", "1202-crlf", "1002-cr", "1202-cr"])
+def test_undecodable_byte_leaves_earlier_rows_counted_and_checked(tmp_path, capsys, bad_line, end):
     # the defect ten lines up sits in the decoder's failing chunk, whose rows
     # a scan that stops at the decode error never sees
     rows = [f"F{i},1504,30,5,100,0.0" for i in range(bad_line - 2)]
     rows[bad_line - 12] = "FD,1504,30,-5,100,0.0"
     path = tmp_path / "firms.csv"
-    path.write_bytes(("\n".join([HEADER, *rows]) + "\n").encode("utf-8") + b"FX,15\xff04,30,5,100,0.0\n")
+    path.write_bytes((end.join([HEADER, *rows]) + end).encode("utf-8") + b"FX,15\xff04,30,5,100,0.0" + end.encode())
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"{bad_line - 2} data row(s), 2 issue(s)",
         f"  line {bad_line - 10}: employees must be non-negative",
         f"  line {bad_line}: byte 0xff is not UTF-8 (invalid start byte)",
     ]
+
+
+def test_undecodable_byte_on_a_pipe_names_its_line(capsys):
+    read_end, write_end = os.pipe()  # a stream that cannot seek back
+    os.write(write_end, ("\n".join([HEADER, *CLEAN_ROWS[:1]]) + "\n").encode("utf-8") + b"FX,15\xff04,30,5,100,0.0\n")
+    os.close(write_end)
+    try:
+        assert main(["validate", f"/dev/fd/{read_end}"]) == 1
+    finally:
+        os.close(read_end)
+    assert capsys.readouterr().out.splitlines() == [
+        "1 data row(s), 1 issue(s)", "  line 3: byte 0xff is not UTF-8 (invalid start byte)"]
+
+
+def test_undecodable_byte_inside_a_quoted_record_names_its_line(tmp_path, capsys):
+    # the byte is on the record's second line; the record is not counted as a row
+    path = tmp_path / "firms.csv"
+    path.write_bytes(("\n".join([HEADER, *CLEAN_ROWS[:1]]) + '\n"F2\n').encode("utf-8") + b'x\xff",1504,30,5,100,0.0\n')
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "1 data row(s), 1 issue(s)", "  line 4: byte 0xff is not UTF-8 (invalid start byte)"]
+
+
+def test_config_byte_that_is_not_utf8_is_a_usage_error_naming_file_and_line(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"foreign_cutoff = 0.5\xff\n")
+    assert main(["validate", write_csv(tmp_path, CLEAN_ROWS), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}:1: byte 0xff is not UTF-8 (invalid start byte)\n"
 
 
 def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):

@@ -140,6 +140,19 @@ def test_parse_never_skips_bad_rows():
         parse_firm_records(data)
 
 
+@pytest.mark.parametrize("data, line", [
+    (csv_bytes("F0,1504,30,1,1000,0.0", 'F1,1504,30,1,1000,0.0,"' + "x" * 200_000 + '"'), 3),
+    (csv_bytes("F0,1504,30,1,1000,0.0") + b"F1,15\xff04,30,1,1000,0.0\n", 3),
+    (csv_bytes("F0,1504,30,1,1000,0.0").replace(b"firm_id", b"firm\xffid"), 1),
+], ids=["field-over-csv-limit", "byte-in-row", "byte-in-header"])
+def test_parse_raises_malformed_row_where_the_scan_reports(data, line):
+    # neither the csv module's Error nor a decoder error counting from its chunk escapes
+    with pytest.raises(MalformedRow) as err:
+        parse_firm_records(data)
+    assert err.value.line_no == line
+    assert (err.value.line_no, err.value.reason) == validate_firm_csv(data)[1][-1]
+
+
 def test_parse_deterministic():
     data = csv_bytes("F1,1504,30,120,5000000,0.0", "F2,5001,62,3,900000,0.5")
     assert parse_firm_records(data) == parse_firm_records(data)
@@ -298,6 +311,23 @@ def test_validate_missing_column():
     assert rows == 0
     assert len(issues) == 1
     assert "missing required column" in issues[0][1]
+
+
+@pytest.mark.parametrize("tail, reason", [
+    (b"F2,B\xffrum,30,1,1000,0.0\nF3,\xff\n", "byte 0xff is not UTF-8 (invalid start byte)"),
+    (b"F2,B\xc3(rum,30,1,1000,0.0\n", "byte 0xc3 is not UTF-8 (invalid continuation byte)"),
+    (b"F2,B\xed\xa0\x80rum,30,1,1000,0.0\n", "byte 0xed is not UTF-8 (invalid continuation byte)"),
+    (b"F2,B\xc3", "byte 0xc3 is not UTF-8 (unexpected end of data)"),
+], ids=["stray-byte", "cut-sequence", "encoded-surrogate", "cut-at-end"])
+def test_validate_names_the_first_byte_that_is_not_utf8_after_utf8_rows(tail, reason):
+    data = csv_bytes("F0,B\u00e6rum,30,1,1000,0.0", "F1,B\u00e6rum,30,1,1000,0.0") + tail
+    assert validate_firm_csv(data) == (2, [(4, reason)])
+
+
+def test_validate_leaves_a_callers_text_stream_unchecked():
+    # only byte input is decoded here: a lone surrogate in text is a field like any other
+    text = io.StringIO(HEADER + "\nF1,15\ud80004,30,120,5000000,0.0\n")
+    assert validate_firm_csv(text) == (1, [])
 
 
 def test_validate_respects_cutoff_config():
@@ -467,3 +497,12 @@ def test_load_config_value_error_names_file_line_and_key(tmp_path, text, message
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
         load_config(str(path))
+
+
+def test_load_config_names_file_and_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"# cutoff\r\nforeign_cutoff = 0.5\xff\r\n")
+    with pytest.raises(ValueError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}:2: byte 0xff is not UTF-8 (invalid start byte)"
+    assert type(err.value) is ValueError
