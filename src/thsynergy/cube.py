@@ -11,7 +11,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .ingest import ClassifiedFirm, Ownership
 
@@ -101,8 +101,10 @@ class Tally:
         total = sum(self.domestic.values()) + sum(self.foreign.values())
         if not total:
             raise EmptyDataset("no firms")
-        cells = self.domestic.keys() | self.foreign.keys()
-        axes = {dim: tuple(sorted({cell[i] for cell in cells})) for i, dim in enumerate(DIMS)}
+        axes = {}
+        for i, dim in enumerate(DIMS):
+            coord = itemgetter(i)
+            axes[dim] = tuple(sorted(set(map(coord, self.domestic)).union(map(coord, self.foreign))))
         return ContingencyCube(axes=axes, domestic=self.domestic, foreign=self.foreign, total=total)
 
 
@@ -126,15 +128,12 @@ def normalize_dims(dims: Iterable[str]) -> tuple[str, ...]:
     return tuple(d for d in DIMS if d in wanted)
 
 
-def _project(counts: dict[Cell, int], indices: tuple[int, ...]) -> dict[Cell, int]:
-    if len(indices) == len(DIMS):
-        return dict(counts)
-    # itemgetter of one index returns the bare coordinate; keys are 1-tuples
-    kept = itemgetter(*indices) if len(indices) > 1 else lambda cell, i=indices[0]: (cell[i],)
-    out: dict[Cell, int] = {}
-    for cell, count in counts.items():
-        key = kept(cell)
-        out[key] = out.get(key, 0) + count
+def _sum_by(counts: Mapping[Cell, int], key) -> dict:
+    """Counts summed by key(cell): one walk over the map, key applied in C by map()."""
+    out: dict = {}
+    get = out.get
+    for kept, count in zip(map(key, counts), counts.values()):
+        out[kept] = get(kept, 0) + count
     return out
 
 
@@ -144,12 +143,35 @@ def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> MarginalCounts:
     Cell totals are preserved: the projected counts always sum to cube.total.
     """
     kept = normalize_dims(dims)
-    indices = tuple(DIMS.index(d) for d in kept)
-    return MarginalCounts(
-        dims=kept,
-        domestic=_project(cube.domestic, indices),
-        foreign=_project(cube.foreign, indices),
-    )
+    if len(kept) == len(DIMS):
+        return MarginalCounts(kept, dict(cube.domestic), dict(cube.foreign))
+    key = itemgetter(*(DIMS.index(d) for d in kept))
+    domestic, foreign = _sum_by(cube.domestic, key), _sum_by(cube.foreign, key)
+    if len(kept) == 1:  # itemgetter of one index returns the bare coordinate; keys are 1-tuples
+        domestic, foreign = ({(k,): v for k, v in counts.items()} for counts in (domestic, foreign))
+    return MarginalCounts(kept, domestic, foreign)
+
+
+def split_marginals(cube: ContingencyCube) -> Iterator[tuple]:
+    """The cube's seven ownership-split marginals as (dims, domestic, foreign), each drawn once
+    from its smallest parent: GOT is the cube's own maps, GO, GT and OT are summed from them, G
+    from GO, O and T from OT. 1-D keys are bare coordinates, not 1-tuples. Each 2-D pair is
+    dropped once its children are drawn, so at most one is alive. Do not mutate the maps.
+    """
+    def summed(pair, *indices):
+        return tuple(_sum_by(counts, itemgetter(*indices)) for counts in pair)
+
+    full = cube.domestic, cube.foreign
+    yield DIMS, *full
+    go = summed(full, 0, 1)
+    yield ("G", "O"), *go
+    yield ("G",), *summed(go, 0)
+    del go
+    yield ("G", "T"), *summed(full, 0, 2)
+    ot = summed(full, 1, 2)
+    yield ("O", "T"), *ot
+    yield ("O",), *summed(ot, 0)
+    yield ("T",), *summed(ot, 1)
 
 
 # --- JSON fixture format ----------------------------------------------------

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
-from .cube import ContingencyCube, EmptyDataset, Tally, marginalize, merge_counts
+from .cube import ContingencyCube, EmptyDataset, Tally, merge_counts, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, ternary_information, ZeroTotal
 from .ingest import ClassifiedFirm, Ownership
 
@@ -93,9 +93,11 @@ class SynergyDecomposition:
 
 
 def decompose(cube: ContingencyCube, base: float = 2.0) -> SynergyDecomposition:
-    """Split the cube's signed measure into ownership contributions."""
-    return _decompose_terms(tuple(split_entropy(m.domestic, m.foreign, cube.total, base)
-                                  for m in (marginalize(cube, dims) for dims in SUBSETS)))
+    """Split the cube's signed measure into ownership contributions; each of the seven
+    marginals is drawn once, from its smallest parent (cube.split_marginals)."""
+    terms = {dims: split_entropy(domestic, foreign, cube.total, base)
+             for dims, domestic, foreign in split_marginals(cube)}
+    return _decompose_terms(tuple(terms[dims] for dims in SUBSETS))
 
 
 def _decompose_terms(terms: tuple[SplitEntropyTerm, ...]) -> SynergyDecomposition:

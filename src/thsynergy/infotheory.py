@@ -12,12 +12,16 @@ counts only.
 
 Every entropy sums its -p log p terms with math.fsum, which returns the
 correctly rounded sum, so results are bit-for-bit reproducible whatever the
-order of the counts. A cube's entropies come from decomp.decompose.
+order of the counts. The kernel takes one log per distinct count and hands
+fsum that term once per cell holding the count: the same terms as one log
+per cell, so the same sum. A cube's entropies come from decomp.decompose.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
@@ -29,9 +33,14 @@ class ZeroTotal(ValueError):
 
 
 def _plugin_entropy(counts: Iterable[int], total: int, base: float = 2.0) -> float:
-    """The entropy kernel over counts in any order; 0 * log 0 is taken as 0."""
+    """The entropy kernel over counts in any order; 0 * log 0 is taken as 0. One log per
+    distinct count: its p log p term goes to fsum once per cell that holds it, so the sum is
+    the per-cell one. An int total past 2**53 is not exact as a float, so there 1 and 1.0 can
+    give different terms and each cell gets its own."""
+    distinct = Counter(counts).items() if total <= 2**53 else zip(counts, repeat(1))
+    terms = (repeat((p := c / total) * math.log2(p), cells) for c, cells in distinct if c)
     # 0.0 - keeps a one-cell population at 0.0 rather than -0.0
-    h = 0.0 - math.fsum([(p := c / total) * math.log2(p) for c in counts if c])
+    h = 0.0 - math.fsum(chain.from_iterable(terms))
     return h if base == 2.0 else h / math.log2(base)
 
 

@@ -12,6 +12,7 @@ import io
 import math
 import re
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -203,14 +204,21 @@ _BATCH_CHARS = 16384  # size hint of each readlines() batch: 64 KiB kept peak RS
 _ESCAPED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" decodes a stray byte to
 
 
-def _text_lines(source: bytes | bytearray | BinaryIO | TextIO) -> Iterable[str]:
+@contextmanager
+def _text_lines(source: bytes | bytearray | BinaryIO | TextIO) -> Iterator[Iterable[str]]:
     """The lines of source, each with its line end (LF, CRLF or a lone CR). Byte input is read
-    as UTF-8, a leading byte order mark dropped, through _checked_lines; text passes unchecked."""
+    as UTF-8, a leading byte order mark dropped, through _checked_lines; text passes unchecked.
+    A caller's binary stream is left open on every exit: the decoding wrapper is detached."""
     if isinstance(source, io.TextIOBase):
-        return source
+        yield source
+        return
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    return _checked_lines(io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape", newline=""))
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape", newline="")
+    try:
+        yield _checked_lines(text)
+    finally:
+        text.detach()  # a collected wrapper would close the stream
 
 
 def _checked_lines(stream: TextIO) -> Iterator[str]:
@@ -307,18 +315,19 @@ def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[
     is not UTF-8 among them. Rows are never silently dropped, so the
     returned list length always equals the data row count.
     """
-    reader = csv.reader(_text_lines(source))
     out = []
-    try:
-        positions, width = _read_header(reader, schema)
-        id_at = positions[0]
-        for row in reader:
-            line = reader.line_num
-            fields = _parse_row(row, line, positions, width)
-            firm_id = row[id_at].strip() if id_at is not None else f"row-{line}"
-            out.append(FirmRecord(firm_id, *fields))
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise MalformedRow(*_reader_defect(reader.line_num, exc)) from None
+    with _text_lines(source) as lines:
+        reader = csv.reader(lines)
+        try:
+            positions, width = _read_header(reader, schema)
+            id_at = positions[0]
+            for row in reader:
+                line = reader.line_num
+                fields = _parse_row(row, line, positions, width)
+                firm_id = row[id_at].strip() if id_at is not None else f"row-{line}"
+                out.append(FirmRecord(firm_id, *fields))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedRow(*_reader_defect(reader.line_num, exc)) from None
     return out
 
 
@@ -370,36 +379,37 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
     groups: dict[str, int] = {}
     issues: list[tuple[int, str]] = []
     rows = 0
-    reader = csv.reader(_text_lines(source))
-    try:
-        positions, width = _read_header(reader)
-        _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
-        memos = ((municipalities, muni_at), (sizes, employees_at), (groups, nace_at))
-        for row in reader:
-            rows += 1
-            try:
-                cell = (municipalities[row[muni_at]], sizes[row[employees_at]], groups[row[nace_at]])
-                turnover, share = float(row[turnover_at]), float(row[share_at])
-                known = len(row) >= width and 0.0 <= turnover < inf and 0.0 <= share <= 1.0
-            except (LookupError, ValueError):  # a new text, a short row or a failed conversion
-                known = False
-            if not known:
-                line = reader.line_num
+    with _text_lines(source) as lines:
+        reader = csv.reader(lines)
+        try:
+            positions, width = _read_header(reader)
+            _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
+            memos = ((municipalities, muni_at), (sizes, employees_at), (groups, nace_at))
+            for row in reader:
+                rows += 1
                 try:
-                    municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
-                    cell = categorize(municipality, nace2, employees, share)[0]
-                except (MalformedRow, UnmappedNace) as exc:
-                    issues.append((line, exc.reason))
-                    continue
-                for (memo, at), value in zip(memos, cell):
-                    if len(memo) < _MEMO_LIMIT:
-                        memo[row[at]] = value
-            if add is not None:
-                add(cell, share >= cutoff, turnover)
-    except MalformedRow as exc:  # a header defect, MissingColumn included
-        issues.append((exc.line_no, exc.reason))
-    except (csv.Error, UnicodeDecodeError) as exc:
-        issues.append(_reader_defect(reader.line_num, exc))
+                    cell = (municipalities[row[muni_at]], sizes[row[employees_at]], groups[row[nace_at]])
+                    turnover, share = float(row[turnover_at]), float(row[share_at])
+                    known = len(row) >= width and 0.0 <= turnover < inf and 0.0 <= share <= 1.0
+                except (LookupError, ValueError):  # a new text, a short row or a failed conversion
+                    known = False
+                if not known:
+                    line = reader.line_num
+                    try:
+                        municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
+                        cell = categorize(municipality, nace2, employees, share)[0]
+                    except (MalformedRow, UnmappedNace) as exc:
+                        issues.append((line, exc.reason))
+                        continue
+                    for (memo, at), value in zip(memos, cell):
+                        if len(memo) < _MEMO_LIMIT:
+                            memo[row[at]] = value
+                if add is not None:
+                    add(cell, share >= cutoff, turnover)
+        except MalformedRow as exc:  # a header defect, MissingColumn included
+            issues.append((exc.line_no, exc.reason))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            issues.append(_reader_defect(reader.line_num, exc))
     return rows, issues
 
 

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 
+from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
@@ -18,7 +19,9 @@ from thsynergy.cube import (
     load_cube,
     marginalize,
     normalize_dims,
+    split_marginals,
 )
+from thsynergy.infotheory import SUBSETS
 from thsynergy.ingest import ClassifiedFirm, Ownership
 from thsynergy.stats import ownership_tech_table
 
@@ -100,6 +103,40 @@ def test_marginal_dims_canonical_order():
     cube = small_cube()
     assert marginalize(cube, ("T", "G")).dims == ("G", "T")
     assert marginalize(cube, ("T", "G")).combined() == marginalize(cube, ("G", "T")).combined()
+
+
+@st.composite
+def split_cubes(draw):
+    """Sparse cubes of a few labels per axis: mixed, all-domestic or all-foreign."""
+    groups = draw(st.sampled_from(["mixed", "domestic", "foreign"]))
+    cell = st.tuples(st.sampled_from("abcd"), st.sampled_from(["0", "1-4", "5-9"]), st.integers(1, 3))
+    counts = st.dictionaries(cell, st.integers(1, 9), max_size=20)
+    domestic = draw(counts) if groups != "foreign" else {}
+    foreign = draw(counts) if groups != "domestic" else {}
+    if not domestic and not foreign:
+        (domestic if groups == "domestic" else foreign)[draw(cell)] = draw(st.integers(1, 9))
+    tally = Tally()
+    tally.domestic.update(domestic)
+    tally.foreign.update(foreign)
+    return tally.cube()
+
+
+@given(split_cubes())
+@example(build_cube([firm("a", "0", 1)]))
+@example(build_cube([firm("a", "0", 1, Ownership.FOREIGN), firm("a", "0", 1, Ownership.FOREIGN)]))
+def test_split_marginals_equal_marginalize(cube):
+    yielded = list(split_marginals(cube))
+    assert sorted(dims for dims, _, _ in yielded) == sorted(SUBSETS)
+    dims, domestic, foreign = yielded[0]
+    assert dims == ("G", "O", "T") and domestic is cube.domestic and foreign is cube.foreign  # not copied
+    for dims, domestic, foreign in yielded:
+        expected = marginalize(cube, dims)
+        if len(dims) == 1:  # the generator yields bare coordinates
+            expected = [{key: count for (key,), count in counts.items()}
+                        for counts in (expected.domestic, expected.foreign)]
+        else:
+            expected = [expected.domestic, expected.foreign]
+        assert [domestic, foreign] == expected
 
 
 def test_marginal_consistent_with_dense_sums():

@@ -6,6 +6,8 @@ import pytest
 
 import oracles
 from conftest import cube_from_tensors
+import thsynergy.cube
+import thsynergy.decomp
 from thsynergy.cube import EmptyDataset, build_cube, marginalize
 from thsynergy.decomp import (
     decompose,
@@ -189,6 +191,30 @@ def test_decompose_swap_symmetry_exact():
         assert swapped.cross == dec.cross
         assert swapped.domestic == dec.foreign_only
         assert swapped.foreign_only == dec.domestic
+
+
+def test_decompose_walks_each_full_cell_map_three_times(monkeypatch):
+    cube = cube_from_tensors(*mixed_xor_tensors())
+    expected = decompose(cube)
+    walked = []
+    sum_by = thsynergy.cube._sum_by
+
+    def counted(counts, key):
+        walked.append(counts)
+        return sum_by(counts, key)
+
+    def no_marginalize(*args):
+        raise AssertionError("decompose called marginalize")
+
+    monkeypatch.setattr(thsynergy.cube, "_sum_by", counted)
+    monkeypatch.setattr(thsynergy.cube, "marginalize", no_marginalize)
+    monkeypatch.setattr(thsynergy.decomp, "marginalize", no_marginalize, raising=False)
+    dec = decompose(cube)
+    assert (dec, dec.terms) == (expected, expected.terms)
+    # GO, GT and OT from each full map; G from GO, O and T from OT, one walk per group each
+    assert sum(counts is cube.domestic for counts in walked) == 3
+    assert sum(counts is cube.foreign for counts in walked) == 3
+    assert len(walked) == 12
 
 
 # --- renormalized subgroup diagnostic ---------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from thsynergy.decomp import decompose
 from thsynergy.infotheory import (
     EntropyProfile,
     ZeroTotal,
+    _plugin_entropy,
     cube_ternary_information,
     entropy_profile,
     shannon_entropy,
@@ -75,6 +77,34 @@ def test_entropy_insertion_order_irrelevant():
     forward = {"a": 3, "b": 5, "c": 9}
     backward = {"c": 9, "b": 5, "a": 3}
     assert shannon_entropy(forward, 17) == shannon_entropy(backward, 17)
+
+
+def _per_cell_entropy(counts, total, base):
+    """The kernel's reference: one p log p term per nonzero cell, summed by fsum."""
+    h = 0.0 - math.fsum([(c / total) * math.log2(c / total) for c in counts if c])
+    return h if base == 2.0 else h / math.log2(base)
+
+
+@st.composite
+def count_lists(draw):
+    """Counts drawn from a small pool, so values repeat: zeros, ints past 2**53, floats and
+    integral floats equal to an int; and a total at least their sum, sometimes past 2**53."""
+    value = st.one_of(st.just(0), st.integers(1, 40), st.integers(2**53 - 4, 2**60),
+                      st.integers(1, 40).map(float), st.floats(0.5, 2.0**60))
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    counts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    return counts, max(1, math.ceil(sum(counts))) + draw(st.sampled_from([0, 1, 2**53, 2**61 + 1]))
+
+
+@given(count_lists(), st.sampled_from([2.0, math.e, 10.0]))
+@example(([0, 0, 5], 5), 2.0)
+@example(([3, 3, 3, 0, 1], 10), math.e)
+@example(([1, 1.0], 2**53 + 1), 2.0)  # 1 / total and 1.0 / total differ here
+@example(([5.0, 5], 2**53 + 1), 10.0)
+def test_plugin_entropy_equals_per_cell_fsum_exactly(case, base):
+    counts, total = case
+    assert _plugin_entropy(counts, total, base) == _per_cell_entropy(counts, total, base)
+    assert _plugin_entropy(iter(counts), total, base) == _per_cell_entropy(counts, total, base)
 
 
 # --- profile and ternary measure --------------------------------------------

@@ -330,6 +330,25 @@ def test_validate_leaves_a_callers_text_stream_unchecked():
     assert validate_firm_csv(text) == (1, [])
 
 
+@pytest.mark.parametrize("reader", [validate_firm_csv, parse_firm_records], ids=["validate", "parse"])
+@pytest.mark.parametrize("data", [
+    csv_bytes("F1,1504,30,120,5000000,0.0"),
+    csv_bytes("F1,1504", header="firm_id,municipality_code"),
+    csv_bytes("F1,1504,3x,120,5000000,0.0"),
+    csv_bytes("F1,1504,30,120,5000000,0.0") + b"F2,B\xffrum,30,1,1000,0.0\n",
+    csv_bytes("F1,1504,30,120,5000000,0.0") + b'F2,"' + b"x" * (csv.field_size_limit() + 1) + b'"\n',
+], ids=["read-to-end", "header-defect", "row-defect", "not-utf8", "csv-error"])
+def test_readers_leave_a_callers_binary_stream_open(reader, data):
+    stream = io.BytesIO(data)
+    try:
+        reader(stream)
+    except MalformedRow:  # the strict parser's way of reporting a defect
+        pass
+    assert not stream.closed
+    stream.seek(0)
+    assert stream.read() == data
+
+
 def test_validate_respects_cutoff_config():
     # classification runs during validation, so a config error would surface here
     config = ClassificationConfig(foreign_cutoff=0.9)
