@@ -3,7 +3,9 @@
 Counts are kept separately for domestic and foreign ownership so downstream
 decompositions can split every marginal. Cells are sparse maps keyed by
 (g, o, t) tuples; axis category lists are data driven and sorted, which makes
-cube construction independent of input row order.
+cube construction independent of input row order. A marginal is a cube too:
+the same split maps over the axes it keeps, keyed by tuples of the kept
+coordinates (1-tuples for one axis), with the parent's total.
 """
 from __future__ import annotations
 
@@ -27,9 +29,10 @@ class EmptyDataset(ValueError):
 class ContingencyCube:
     """Immutable-by-convention sparse cube. Do not mutate the dicts.
 
-    axes maps each dimension letter to its sorted category tuple; domestic
-    and foreign map (g, o, t) cells to counts; total is the firm count and
-    always equals the sum of both maps.
+    axes maps each dimension letter the cube keeps (all of G, O and T for a
+    built cube, fewer for a marginal) to its sorted category tuple; domestic
+    and foreign map cells, tuples of coordinates in G, O, T order, to counts;
+    total is the firm count and always equals the sum of both maps.
     """
 
     axes: dict[str, tuple]
@@ -39,26 +42,6 @@ class ContingencyCube:
 
     def combined(self) -> dict[Cell, int]:
         return merge_counts(self.domestic, self.foreign)
-
-
-@dataclass(frozen=True)
-class MarginalCounts:
-    """Counts projected onto a dimension subset, ownership split preserved.
-
-    Keys are tuples of the kept coordinates in G, O, T order (1-tuples for a
-    single dimension), so the full projection compares equal to the cube's
-    own cell maps.
-    """
-
-    dims: tuple[str, ...]
-    domestic: dict[Cell, int]
-    foreign: dict[Cell, int]
-
-    def combined(self) -> dict[Cell, int]:
-        return merge_counts(self.domestic, self.foreign)
-
-    def total(self) -> int:
-        return sum(self.domestic.values()) + sum(self.foreign.values())
 
 
 def merge_counts(domestic: Mapping, foreign: Mapping) -> dict:
@@ -137,47 +120,44 @@ def _sum_by(counts: Mapping[Cell, int], key) -> dict:
     return out
 
 
-def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> MarginalCounts:
-    """Project the cube onto a non-empty subset of its dimensions.
-
-    Cell totals are preserved: the projected counts always sum to cube.total.
+def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> ContingencyCube:
+    """The marginal of a cube, or of a marginal, on a non-empty subset of its dimensions: a cube
+    over the kept axes whose cells are tuples of the kept coordinates (1-tuples for one axis),
+    with the source's total. Asking for the cube's own dimensions returns the cube itself;
+    asking for one it lacks raises ValueError.
     """
-    kept = normalize_dims(dims)
-    if len(kept) == len(DIMS):
-        return MarginalCounts(kept, dict(cube.domestic), dict(cube.foreign))
-    key = itemgetter(*(DIMS.index(d) for d in kept))
+    kept, own = normalize_dims(dims), normalize_dims(cube.axes)
+    if kept == own:
+        return cube
+    missing = set(kept) - set(own)
+    if missing:
+        raise ValueError(f"cube over {''.join(own)} has no dimension(s) {sorted(missing)}")
+    key = itemgetter(*(own.index(d) for d in kept))
     domestic, foreign = _sum_by(cube.domestic, key), _sum_by(cube.foreign, key)
-    if len(kept) == 1:  # itemgetter of one index returns the bare coordinate; keys are 1-tuples
+    if len(kept) == 1:  # itemgetter of one index returns the bare coordinate; cells are 1-tuples
         domestic, foreign = ({(k,): v for k, v in counts.items()} for counts in (domestic, foreign))
-    return MarginalCounts(kept, domestic, foreign)
+    return ContingencyCube({d: cube.axes[d] for d in kept}, domestic, foreign, cube.total)
 
 
-def split_marginals(cube: ContingencyCube) -> Iterator[tuple]:
-    """The cube's seven ownership-split marginals as (dims, domestic, foreign), each drawn once
-    from its smallest parent: GOT is the cube's own maps, GO, GT and OT are summed from them, G
-    from GO, O and T from OT. 1-D keys are bare coordinates, not 1-tuples. Each 2-D pair is
+def split_marginals(cube: ContingencyCube) -> Iterator[ContingencyCube]:
+    """The cube's seven marginals, each drawn once from its smallest parent: GOT is the cube
+    itself, GO, GT and OT are drawn from it, G from GO, O and T from OT. Each 2-D marginal is
     dropped once its children are drawn, so at most one is alive. Do not mutate the maps.
     """
-    def summed(pair, *indices):
-        return tuple(_sum_by(counts, itemgetter(*indices)) for counts in pair)
-
-    full = cube.domestic, cube.foreign
-    yield DIMS, *full
-    go = summed(full, 0, 1)
-    yield ("G", "O"), *go
-    yield ("G",), *summed(go, 0)
-    del go
-    yield ("G", "T"), *summed(full, 0, 2)
-    ot = summed(full, 1, 2)
-    yield ("O", "T"), *ot
-    yield ("O",), *summed(ot, 0)
-    yield ("T",), *summed(ot, 1)
+    yield marginalize(cube, DIMS)  # the cube itself; ValueError on a marginal
+    for pair, singles in (("GO", "G"), ("GT", ""), ("OT", "OT")):
+        parent = marginalize(cube, pair)
+        yield parent
+        for dim in singles:
+            yield marginalize(parent, dim)
+        del parent
 
 
 # --- JSON fixture format ----------------------------------------------------
 
 def cube_to_dict(cube: ContingencyCube) -> dict:
-    """Documented JSON shape: axes, total and a sorted sparse cell list."""
+    """Documented JSON shape: axes, total and a sorted sparse cell list. ValueError on a marginal."""
+    cube = marginalize(cube, DIMS)  # the cube itself when it has all three axes
     cells = []
     for cell in sorted(set(cube.domestic) | set(cube.foreign)):
         cells.append({

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
-from .cube import ContingencyCube, EmptyDataset, Tally, merge_counts, split_marginals
+from .cube import ContingencyCube, EmptyDataset, Tally, merge_counts, normalize_dims, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, ternary_information, ZeroTotal
 from .ingest import ClassifiedFirm, Ownership
 
@@ -95,8 +95,8 @@ class SynergyDecomposition:
 def decompose(cube: ContingencyCube, base: float = 2.0) -> SynergyDecomposition:
     """Split the cube's signed measure into ownership contributions; each of the seven
     marginals is drawn once, from its smallest parent (cube.split_marginals)."""
-    terms = {dims: split_entropy(domestic, foreign, cube.total, base)
-             for dims, domestic, foreign in split_marginals(cube)}
+    terms = {normalize_dims(m.axes): split_entropy(m.domestic, m.foreign, m.total, base)
+             for m in split_marginals(cube)}
     return _decompose_terms(tuple(terms[dims] for dims in SUBSETS))
 
 

@@ -21,6 +21,7 @@ from thsynergy.cube import (
     normalize_dims,
     split_marginals,
 )
+from thsynergy.decomp import decompose
 from thsynergy.infotheory import SUBSETS
 from thsynergy.ingest import ClassifiedFirm, Ownership
 from thsynergy.stats import ownership_tech_table
@@ -96,13 +97,43 @@ def test_marginal_totals_preserved_every_subset():
     cube = small_cube()
     for r in (1, 2, 3):
         for dims in itertools.combinations("GOT", r):
-            assert marginalize(cube, dims).total() == cube.total
+            marginal = marginalize(cube, dims)
+            assert marginal.total == sum(marginal.domestic.values()) + sum(marginal.foreign.values()) == cube.total
 
 
 def test_marginal_dims_canonical_order():
     cube = small_cube()
-    assert marginalize(cube, ("T", "G")).dims == ("G", "T")
+    assert tuple(marginalize(cube, ("T", "G")).axes) == ("G", "T")
+    assert marginalize(cube, ("T", "G")).axes == {"G": ("a", "b"), "T": (1, 2)}
     assert marginalize(cube, ("T", "G")).combined() == marginalize(cube, ("G", "T")).combined()
+
+
+def test_marginal_of_own_dimensions_is_the_cube():
+    cube = small_cube()
+    assert marginalize(cube, "GOT") is cube
+    pair = marginalize(cube, "OT")
+    assert marginalize(pair, "TO") is pair
+
+
+def test_marginal_missing_dimension_raises():
+    pair = marginalize(small_cube(), "GO")
+    with pytest.raises(ValueError, match="has no dimension"):
+        marginalize(pair, "T")
+    with pytest.raises(ValueError, match="has no dimension"):
+        marginalize(pair, "GOT")
+    with pytest.raises(ValueError, match="unknown dimension"):
+        marginalize(pair, "X")
+
+
+def test_cube_functions_reject_a_marginal_without_their_axes():
+    cube = small_cube()
+    pair = marginalize(cube, "GO")
+    buffer = io.StringIO()
+    for needs_all_axes in (decompose, cube_to_dict, lambda c: dump_cube(c, buffer), ownership_tech_table):
+        with pytest.raises(ValueError, match="has no dimension"):
+            needs_all_axes(pair)
+    assert buffer.getvalue() == ""
+    assert ownership_tech_table(marginalize(cube, "GT")) == ownership_tech_table(cube)  # it needs T alone
 
 
 @st.composite
@@ -126,17 +157,20 @@ def split_cubes(draw):
 @example(build_cube([firm("a", "0", 1, Ownership.FOREIGN), firm("a", "0", 1, Ownership.FOREIGN)]))
 def test_split_marginals_equal_marginalize(cube):
     yielded = list(split_marginals(cube))
-    assert sorted(dims for dims, _, _ in yielded) == sorted(SUBSETS)
-    dims, domestic, foreign = yielded[0]
-    assert dims == ("G", "O", "T") and domestic is cube.domestic and foreign is cube.foreign  # not copied
-    for dims, domestic, foreign in yielded:
-        expected = marginalize(cube, dims)
-        if len(dims) == 1:  # the generator yields bare coordinates
-            expected = [{key: count for (key,), count in counts.items()}
-                        for counts in (expected.domestic, expected.foreign)]
-        else:
-            expected = [expected.domestic, expected.foreign]
-        assert [domestic, foreign] == expected
+    assert sorted(tuple(m.axes) for m in yielded) == sorted(SUBSETS)
+    assert yielded[0] is cube  # not copied
+    for m in yielded:
+        assert m == marginalize(cube, m.axes)
+
+
+@given(split_cubes())
+def test_marginal_of_a_marginal_is_the_marginal_of_the_cube(cube):
+    # every chain: each subset, then each subset of it
+    for outer in SUBSETS:
+        marginal = marginalize(cube, outer)
+        for inner in SUBSETS:
+            if set(inner) <= set(outer):
+                assert marginalize(marginal, inner) == marginalize(cube, inner)
 
 
 def test_marginal_consistent_with_dense_sums():
