@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
 from .cube import ContingencyCube, EmptyDataset, Tally, merge_counts, normalize_dims, split_marginals
-from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, ternary_information, ZeroTotal
+from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, _check_within_total, ternary_information, ZeroTotal
 from .ingest import ClassifiedFirm, Ownership
 
 
@@ -49,7 +49,8 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
         domestic: cell -> count map for domestically owned firms.
         foreign: cell -> count map for foreign owned firms.
         total: full population size N. Both maps are scored against N, not
-            against their own subtotals; combined counts must not exceed N.
+            against their own subtotals; combined counts must not exceed N
+            (ValueError).
         base: logarithm base (2, e or 10).
 
     The cross part is computed as the residual total - (domestic + foreign),
@@ -58,6 +59,7 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
     """
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
+    _check_within_total(sum(domestic.values()) + sum(foreign.values()), total)
     return _split_term(*(_plugin_entropy(counts.values(), total, base)
                         for counts in (domestic, foreign, merge_counts(domestic, foreign))))
 

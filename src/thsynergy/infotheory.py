@@ -50,14 +50,22 @@ def shannon_entropy(counts: Mapping, total: int, base: float = 2.0) -> float:
     Arguments:
         counts: map from hashable keys to counts >= 0.
         total: the denominator, usually the full population size. May exceed
-            the sum of counts when scoring a subgroup against the whole.
+            the sum of counts when scoring a subgroup against the whole, but
+            not fall short of it (ValueError).
         base: logarithm base, 2 (bits, default), e or 10.
     """
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
     if any(c < 0 for c in counts.values()):
         raise ValueError("counts must be non-negative")
+    _check_within_total(sum(counts.values()), total)
     return _plugin_entropy(counts.values(), total, base)
+
+
+def _check_within_total(counted: float, total: float) -> None:
+    """ValueError when counts sum past the total they are scored against: some p would exceed 1."""
+    if counted > total:
+        raise ValueError(f"counts sum to {counted}, more than the total {total}")
 
 
 @dataclass(frozen=True)

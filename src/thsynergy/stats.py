@@ -134,16 +134,16 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
 
 
 def ownership_tech_table(cube: ContingencyCube) -> tuple[tuple, list[list[int]]]:
-    """Domestic vs foreign counts over the observed technology groups.
+    """Domestic vs foreign counts over the occupied technology groups.
 
     Returns (categories, [domestic_row, foreign_row]) in axis order, ready
-    for chi_square_homogeneity. Columns always have positive totals because
-    the axis is data driven.
+    for chi_square_homogeneity. Columns always have positive totals: a group
+    that the T axis lists but no firm falls in gets no column. ValueError on
+    a cube without a T axis.
     """
     from .cube import marginalize  # the chi-square test alone needs no cube
 
-    marginal = marginalize(cube, ("T",))
-    categories = cube.axes["T"]
-    domestic_row = [marginal.domestic.get((t,), 0) for t in categories]
-    foreign_row = [marginal.foreign.get((t,), 0) for t in categories]
-    return categories, [domestic_row, foreign_row]
+    marginal = marginalize(cube, "T")
+    domestic, foreign = marginal.domestic, marginal.foreign
+    categories = tuple(t for t in marginal.axes["T"] if domestic.get((t,), 0) + foreign.get((t,), 0) > 0)
+    return categories, [[counts.get((t,), 0) for t in categories] for counts in (domestic, foreign)]

@@ -94,6 +94,12 @@ def test_split_rejects_zero_total():
         split_entropy({"a": 1}, {}, 0)
 
 
+@pytest.mark.parametrize("domestic, foreign", [({"a": 3}, {}), ({}, {"a": 3}), ({"a": 2}, {"b": 1})])
+def test_split_rejects_counts_past_the_total(domestic, foreign):
+    with pytest.raises(ValueError, match="counts sum to 3, more than the total 2"):
+        split_entropy(domestic, foreign, 2)
+
+
 def test_split_log_base():
     bits = split_entropy({"a": 1}, {"a": 1}, 2)
     nats = split_entropy({"a": 1}, {"a": 1}, 2, base=math.e)

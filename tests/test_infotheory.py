@@ -73,6 +73,13 @@ def test_entropy_rejects_negative_counts():
         shannon_entropy({"a": -1}, 4)
 
 
+def test_entropy_rejects_counts_past_the_total():
+    # scored as is, {"a": 3} against 2 would give -0.877 bits
+    with pytest.raises(ValueError, match="counts sum to 3, more than the total 2"):
+        shannon_entropy({"a": 3}, 2)
+    assert shannon_entropy({"a": 1}, 2) == 0.5  # a subgroup under the total is fine
+
+
 def test_entropy_insertion_order_irrelevant():
     forward = {"a": 3, "b": 5, "c": 9}
     backward = {"c": 9, "b": 5, "a": 3}

@@ -1,8 +1,12 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import cube_from_tensors
+from thsynergy.cube import load_cube
 from thsynergy.stats import (
     ChiSquareResult,
     DegenerateTable,
@@ -149,3 +153,18 @@ def test_ownership_tech_table_all_domestic_degenerates():
     _, table = ownership_tech_table(cube)
     with pytest.raises(DegenerateTable):
         chi_square_homogeneity(table)
+
+
+def test_ownership_tech_table_skips_groups_no_firm_uses():
+    # cube JSON may list a technology group that no cell uses; it gets no column
+    payload = {"schema_version": 1, "axes": {"G": ["a", "b"], "O": ["0"], "T": [1, 2, 3]}, "total": 6,
+               "cells": [{"g": "a", "o": "0", "t": 1, "domestic": 2, "foreign": 1},
+                         {"g": "b", "o": "0", "t": 3, "domestic": 1, "foreign": 2}]}
+    cube = load_cube(io.StringIO(json.dumps(payload)))
+    assert cube.axes["T"] == (1, 2, 3)
+    categories, table = ownership_tech_table(cube)
+    assert categories == (1, 3)
+    assert table == [[2, 1], [1, 2]]
+    result = chi_square_homogeneity(table)
+    assert result.dof == 1
+    assert result.statistic == pytest.approx(2 / 3, rel=1e-12)
