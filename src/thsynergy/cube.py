@@ -32,13 +32,18 @@ class ContingencyCube:
     axes maps each dimension letter the cube keeps (all of G, O and T for a
     built cube, fewer for a marginal) to its sorted category tuple; domestic
     and foreign map cells, tuples of coordinates in G, O, T order, to counts;
-    total is the firm count and always equals the sum of both maps.
+    total is the firm count and must equal the sum of both maps (ValueError).
     """
 
     axes: dict[str, tuple]
     domestic: dict[Cell, int]
     foreign: dict[Cell, int]
     total: int
+
+    def __post_init__(self):
+        check = sum(self.domestic.values()) + sum(self.foreign.values())
+        if check != self.total:
+            raise ValueError(f"cell counts sum to {check}, total says {self.total!r}")
 
     def combined(self) -> dict[Cell, int]:
         return merge_counts(self.domestic, self.foreign)
@@ -208,8 +213,8 @@ def cube_from_dict(payload: dict) -> ContingencyCube:
         raise ValueError(f"cube JSON has no key {exc}") from None
     except TypeError as exc:  # a list as a label, a cell or payload that is no object, labels 1 and "a"
         raise ValueError(f"cube JSON holds a value of the wrong type ({exc})") from None
-    check = sum(domestic.values()) + sum(foreign.values())
-    if type(total) is not int or check != total:
+    if type(total) is not int:  # 1.0 and true equal an integer sum but are no firm count
+        check = sum(domestic.values()) + sum(foreign.values())
         raise ValueError(f"cell counts sum to {check}, total says {total!r}")
     return ContingencyCube(axes=axes, domestic=domestic, foreign=foreign, total=total)
 

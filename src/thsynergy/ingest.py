@@ -347,7 +347,9 @@ def classify_all(records: Iterable[FirmRecord], config: ClassificationConfig | N
     return [classify(r, config) for r in records]
 
 
-_MEMO_LIMIT = 4096  # distinct texts per memo; rows with texts past it take the slow path
+# Distinct texts per memo. Past it a memo learns only a text that is its own value, as an unpadded
+# municipality is its label, which the cube keeps anyway; padded variants of a label stay bounded.
+_MEMO_LIMIT = 4096
 
 
 def validate_firm_csv(source, config: ClassificationConfig | None = None,
@@ -370,7 +372,7 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
     row whose three texts are all known and whose turnover and share convert
     and lie in range is accepted from the memos. Every other row goes
     through _parse_row and categorize, which name its defect or accept it
-    and teach the memos its texts, up to _MEMO_LIMIT texts each.
+    and teach the memos its texts, as far as _MEMO_LIMIT allows.
     """
     config = config or ClassificationConfig()
     categorize, cutoff, inf = config.categorize, config.foreign_cutoff, math.inf
@@ -402,7 +404,7 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
                         issues.append((line, exc.reason))
                         continue
                     for (memo, at), value in zip(memos, cell):
-                        if len(memo) < _MEMO_LIMIT:
+                        if len(memo) < _MEMO_LIMIT or row[at] == value:
                             memo[row[at]] = value
                 if add is not None:
                     add(cell, share >= cutoff, turnover)

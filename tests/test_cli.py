@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from thsynergy.cli import main
+from thsynergy.cli import config_digest, main
 
 HEADER = "firm_id,municipality_code,nace2,employees,turnover_nok,foreign_share"
 
@@ -74,12 +75,23 @@ def test_compute_report_file_and_sidecar(tmp_path):
     path = write_csv(tmp_path, CLEAN_ROWS)
     out = tmp_path / "report.json"
     assert main(["compute", path, "--output", str(out)]) == 0
-    document = json.loads(out.read_text())
+    document = json.loads(out.read_text(encoding="utf-8"))
     assert document["schema_version"] == 1
-    sidecar = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    sidecar = json.loads((tmp_path / "report.json.manifest.json").read_text(encoding="utf-8"))
     assert sidecar["command"] == "compute"
     assert "timestamp" in sidecar
     assert sidecar["config_hash"] == document["manifest"]["config_hash"]
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"foreign_cutoff": 0.1, "size_bin_edges": [0, 10, 50, 250]},
+    {"nace_map": {"62": 4, "10": 1}, "coupling": 0.8, "firms": 5000},
+    {"kommune": "Tr\u00f8ndelag", "\u00e5r": 2016, "\u6570": [None, True, 1.5e-300]},
+], ids=["empty", "classification", "nested", "non-ascii"])
+def test_config_digest_is_the_sha256_of_the_canonical_settings(settings):
+    canon = json.dumps(settings, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert config_digest(settings) == hashlib.sha256(canon).hexdigest()[:16]
 
 
 def test_compute_byte_identical_reruns(tmp_path):
@@ -151,7 +163,7 @@ def test_compute_log_base_flag(tmp_path, capsys):
 
 def test_compute_config_file(tmp_path, capsys):
     config = tmp_path / "region.cfg"
-    config.write_text("foreign_cutoff = 60%\n")
+    config.write_text("foreign_cutoff = 60%\n", encoding="utf-8")
     path = write_csv(tmp_path, CLEAN_ROWS)
     assert main(["compute", path, "--config", str(config)]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["firms"]["foreign"] == 0
@@ -349,11 +361,11 @@ def test_config_byte_that_is_not_utf8_is_a_usage_error_naming_file_and_line(tmp_
 def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     out = tmp_path / "report.json"
-    out.write_text("previous report\n")
+    out.write_text("previous report\n", encoding="utf-8")
     (tmp_path / "report.json.manifest.json").mkdir()  # the sidecar cannot be written there
     assert main(["compute", path, "--output", str(out)]) == 3
     assert "error" in capsys.readouterr().err
-    assert out.read_text() == "previous report\n"
+    assert out.read_text(encoding="utf-8") == "previous report\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["firms.csv", "report.json", "report.json.manifest.json"]
 
 
@@ -376,7 +388,7 @@ def run_python(tmp_path, code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports the package from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, encoding="utf-8")
     assert result.returncode == 0, result.stderr
     return result
 
@@ -390,7 +402,8 @@ def test_only_sweep_and_generate_load_numpy(tmp_path, code):
     run_python(tmp_path, f"{code}\nimport sys; assert 'numpy' not in sys.modules")
 
 
-SERIALIZERS = ("datetime", "hashlib", "json")
+# the serializers and OpenSSL's hashlib; compute hashes its config with the built-in SHA-256
+WATCHED = ("_hashlib", "datetime", "hashlib", "json")
 
 
 @pytest.mark.parametrize("argv, modules, stdlib", [
@@ -399,9 +412,9 @@ SERIALIZERS = ("datetime", "hashlib", "json")
     (["validate", str(DEMO_CSV)], ["cli", "ingest"], []),
     (["chisq", "10,20;20,10"], ["cli", "ingest", "stats"], []),
     (["compute", str(DEMO_CSV), "--output", "report.json"],
-     ["cli", "cube", "decomp", "infotheory", "ingest", "stats"], SERIALIZERS),
-    (["sweep", "--shares", "0,1", "--output", "curve.csv"],
-     ["cli", "cube", "decomp", "infotheory", "ingest", "synthlab"], SERIALIZERS),
+     ["cli", "cube", "decomp", "infotheory", "ingest", "stats"], ["datetime", "json"]),
+    (["sweep", "--shares", "0,1", "--output", "curve.csv"],  # numpy.random loads secrets, hmac and _hashlib
+     ["cli", "cube", "decomp", "infotheory", "ingest", "synthlab"], WATCHED),
 ], ids=["import", "version", "validate", "chisq", "compute", "sweep"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, stdlib):
     call = "import thsynergy" if argv is None else (
@@ -409,7 +422,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, st
     result = run_python(tmp_path, f"{call}\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)")
     loaded = result.stderr.splitlines()[-1].split()
     assert [m for m in loaded if m.startswith("thsynergy")] == ["thsynergy", *(f"thsynergy.{m}" for m in modules)]
-    assert [m for m in SERIALIZERS if m in loaded] == list(stdlib)
+    assert [m for m in WATCHED if m in loaded] == list(stdlib)
 
 
 # --- sweep ------------------------------------------------------------------
@@ -419,10 +432,10 @@ def test_sweep_writes_curve_and_sidecar(tmp_path, capsys):
     code = main(["sweep", "--firms", "80", "--coupling", "0.8", "--seed", "5",
                  "--shares", "0,0.5,1", "--output", str(out)])
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "share,r_ratio,t_ratio"
     assert len(lines) == 4
-    sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+    sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text(encoding="utf-8"))
     assert sidecar["command"] == "sweep"
     assert sidecar["seed"] == 5
     assert "synergy_share_violations" in sidecar

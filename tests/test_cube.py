@@ -290,6 +290,16 @@ def test_cube_dict_round_trips_unobserved_categories():
     assert cube_from_dict(cube_to_dict(cube)) == cube
 
 
+@pytest.mark.parametrize("total", [4, 1, 0])
+def test_cube_total_must_equal_its_cells(total):
+    # one domestic firm in each of G a and b; scored against total=4 they gave 0.5 bits
+    axes = {"G": ("a", "b"), "O": ("0",), "T": (1,)}
+    domestic = {("a", "0", 1): 1, ("b", "0", 1): 1}
+    with pytest.raises(ValueError, match=f"cell counts sum to 2, total says {total}"):
+        ContingencyCube(axes, domestic, {}, total)
+    assert decompose(ContingencyCube(axes, domestic, {}, 2)).total == 0.0
+
+
 def test_cube_dict_drops_zero_cells():
     cube = ContingencyCube(
         axes={"G": ("a",), "O": ("0",), "T": (1,)},

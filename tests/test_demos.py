@@ -22,7 +22,7 @@ def test_all_four_demos_are_found():
 def test_demo_runs(tmp_path, demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
+                            capture_output=True, encoding="utf-8", timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from test_onepass import _adapter_document
+import thsynergy.ingest
 from thsynergy.cli import main
 from thsynergy.ingest import (
     CANONICAL_COLUMNS,
@@ -437,6 +438,34 @@ def test_compute_past_the_memo_limit_equals_adapter_route(tmp_path, capsys):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+def _parse_row_calls(monkeypatch, codes):
+    """Indices of the rows, one per municipality text, that the scan sends through _parse_row."""
+    calls = []
+
+    def counted(row, *args):
+        calls.append(int(row[0][1:]))
+        return _parse_row(row, *args)
+
+    monkeypatch.setattr(thsynergy.ingest, "_parse_row", counted)
+    rows, issues = validate_firm_csv(csv_bytes(*(f"F{i},{code},62,5,1000,0.1" for i, code in enumerate(codes))))
+    assert (rows, issues) == (len(codes), [])
+    return calls
+
+
+def test_memo_learns_every_municipality_past_its_limit(monkeypatch):
+    # 5,000 distinct codes, more than _MEMO_LIMIT texts, each seen twice: the second pass is all memo hits
+    codes = [f"{i:04d}" for i in range(5000)]
+    assert _parse_row_calls(monkeypatch, codes + codes) == list(range(5000))
+
+
+def test_memo_of_padded_municipalities_stops_growing_at_its_limit(monkeypatch):
+    # 5,000 padded variants of one label fill the memo to 4,096 texts and no further; an unpadded
+    # code after them is its own label and is still learned
+    padded = [" " * left + "0301" + " " * right for left in range(1, 72) for right in range(72)][:5000]
+    calls = _parse_row_calls(monkeypatch, padded + padded + ["0302", "0302"])
+    assert calls == [*range(5000), *range(5000 + 4096, 10000), 10000]
+
+
 # whitespace that int() and float() skip around a number, and a zero-width space that they do not
 PADDING = ["", " ", "\t", "\n", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000", "\u200b"]
 NUMERIC_FIELDS = (("nace2", int), ("employees", int), ("turnover_nok", float), ("foreign_share", float))
@@ -475,7 +504,7 @@ def test_parse_row_returns_what_int_and_float_return(texts):
 
 def test_load_config(tmp_path):
     path = tmp_path / "override.cfg"
-    path.write_text("# comment\nforeign_cutoff = 50%\nsize_bin_edges = 0,10,100\n")
+    path.write_text("# comment\nforeign_cutoff = 50%\nsize_bin_edges = 0,10,100\n", encoding="utf-8")
     config = load_config(str(path))
     assert config.foreign_cutoff == pytest.approx(0.5)
     assert config.size_bin_edges == (0, 10, 100)
@@ -483,14 +512,14 @@ def test_load_config(tmp_path):
 
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("mystery = 1\n")
+    path.write_text("mystery = 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:1: unknown config key 'mystery'")):
         load_config(str(path))
 
 
 def test_load_config_rejects_repeated_key(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("foreign_cutoff = 10%\nforeign_cutoff = 50%\n")
+    path.write_text("foreign_cutoff = 10%\nforeign_cutoff = 50%\n", encoding="utf-8")
     with pytest.raises(ValueError, match="config key 'foreign_cutoff' is set twice"):
         load_config(str(path))
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
@@ -499,7 +528,7 @@ def test_load_config_rejects_repeated_key(tmp_path):
 
 def test_load_config_rejects_bare_line(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("foreign_cutoff\n")
+    path.write_text("foreign_cutoff\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:1: config line not key = value")):
         load_config(str(path))
 
@@ -513,7 +542,7 @@ def test_load_config_rejects_bare_line(tmp_path):
 ], ids=["edge-not-int", "cutoff-not-float", "cutoff-zero", "cutoff-over-one", "edges-not-from-zero"])
 def test_load_config_value_error_names_file_line_and_key(tmp_path, text, message):
     path = tmp_path / "bad.cfg"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
         load_config(str(path))
 

@@ -240,5 +240,5 @@ def test_sweep_curve_is_pinned(tmp_path, flags, digest, violations):
     out = tmp_path / "curve.csv"
     assert main(["sweep", *flags, "--shares", SWEEP_SHARES, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+    sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text(encoding="utf-8"))
     assert sidecar["synergy_share_violations"] == violations
