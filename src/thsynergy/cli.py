@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 from . import __version__
 from .ingest import ClassificationConfig, default_nace_map, load_config, parse_share, validate_firm_csv
@@ -29,8 +29,7 @@ from .ingest import ClassificationConfig, default_nace_map, load_config, parse_s
 _LOG_BASES = {"2": 2.0, "e": 2.718281828459045, "10": 10.0}
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     command: str
     inputs: tuple[str, ...]
     config_hash: str
@@ -38,7 +37,7 @@ class RunManifest:
     seed: int | None = None
 
     def to_dict(self, timestamp: str | None = None) -> dict:
-        out = {key: value for key, value in asdict(self).items() if value is not None}
+        out = {key: value for key, value in self._asdict().items() if value is not None}
         return out if timestamp is None else out | {"timestamp": timestamp}
 
 
@@ -96,7 +95,7 @@ def _load_effective_config(args) -> ClassificationConfig:
     config = load_config(args.config) if args.config else ClassificationConfig()
     if args.foreign_cutoff is not None:
         try:
-            config = replace(config, foreign_cutoff=parse_share(args.foreign_cutoff))
+            config = config._replace(foreign_cutoff=parse_share(args.foreign_cutoff))
         except ValueError as exc:
             raise ValueError(f"--foreign-cutoff: {exc}") from None
     return config
@@ -157,7 +156,7 @@ def cmd_compute(args) -> int:
         return _error(f"{args.input}: {exc}", 1)
     categories, table = ownership_tech_table(cube)
     try:
-        chi_block: dict = {"categories": list(categories), **asdict(chi_square_homogeneity(table))}
+        chi_block: dict = {"categories": list(categories), **chi_square_homogeneity(table)._asdict()}
     except DegenerateTable as exc:
         chi_block = {"undefined_reason": str(exc)}
 
@@ -166,7 +165,7 @@ def cmd_compute(args) -> int:
         inputs=(args.input,),
         # both classification settings and the log base; the fixed NACE map stays in the hash,
         # keyed by text as JSON keys it, so that hashes match those of earlier versions
-        config_hash=config_digest({**asdict(config), "nace_map": {str(k): v for k, v in default_nace_map().items()},
+        config_hash=config_digest({**config._asdict(), "nace_map": {str(k): v for k, v in default_nace_map().items()},
                                    "log_base": args.log_base}),
         version=__version__,
     )
@@ -174,7 +173,7 @@ def cmd_compute(args) -> int:
         "schema_version": 1,
         "log_base": args.log_base,
         "report": report.to_dict(),
-        "entropy": asdict(report.synergy.profile()),
+        "entropy": report.synergy.profile()._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,
         "manifest": manifest.to_dict(),
     }
@@ -226,7 +225,7 @@ def cmd_sweep(args) -> int:
         inputs=(),
         # every generator knob except the seed (recorded on its own) and the swept share
         config_hash=config_digest({
-            **{k: v for k, v in asdict(params).items() if k not in ("seed", "foreign_share_target")},
+            **{k: v for k, v in params._asdict().items() if k not in ("seed", "foreign_share_target")},
             "shares": shares,
         }),
         version=__version__,

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .ingest import ClassifiedFirm, Ownership
+from .ingest import ClassifiedFirm, Ownership, _Validated
 
 DIMS = ("G", "O", "T")  # geography, organization (size), technology
 Cell = tuple
@@ -25,8 +24,14 @@ class EmptyDataset(ValueError):
     """No firms to build a cube from."""
 
 
-@dataclass(frozen=True)
-class ContingencyCube:
+class _CubeFields(NamedTuple):
+    axes: dict[str, tuple]
+    domestic: dict[Cell, int]
+    foreign: dict[Cell, int]
+    total: int
+
+
+class ContingencyCube(_Validated, _CubeFields):
     """Immutable-by-convention sparse cube. Do not mutate the dicts.
 
     axes maps each dimension letter the cube keeps (all of G, O and T for a
@@ -35,15 +40,13 @@ class ContingencyCube:
     total is the firm count and must equal the sum of both maps (ValueError).
     """
 
-    axes: dict[str, tuple]
-    domestic: dict[Cell, int]
-    foreign: dict[Cell, int]
-    total: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validated(self):
         check = sum(self.domestic.values()) + sum(self.foreign.values())
         if check != self.total:
             raise ValueError(f"cell counts sum to {check}, total says {self.total!r}")
+        return self
 
     def combined(self) -> dict[Cell, int]:
         return merge_counts(self.domestic, self.foreign)

@@ -20,16 +20,14 @@ the remaining counts are left untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .cube import ContingencyCube, EmptyDataset, Tally, merge_counts, normalize_dims, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, _check_within_total, ternary_information, ZeroTotal
 from .ingest import ClassifiedFirm, Ownership
 
 
-@dataclass(frozen=True)
-class SplitEntropyTerm:
+class SplitEntropyTerm(NamedTuple):
     """One marginal entropy split by ownership, all against the full total.
 
     domestic and foreign are each non-negative; cross is <= 0 and the three
@@ -69,8 +67,7 @@ def _split_term(h_domestic: float, h_foreign: float, h_total: float) -> SplitEnt
     return SplitEntropyTerm(h_domestic, h_foreign, h_total - (h_domestic + h_foreign), h_total)
 
 
-@dataclass(frozen=True)
-class SynergyDecomposition:
+class SynergyDecomposition(NamedTuple):
     """Additive ownership decomposition of the signed three-way measure.
 
     total     signed measure of the whole population
@@ -87,7 +84,7 @@ class SynergyDecomposition:
     foreign_only: float
     cross: float
     foreign: float
-    terms: tuple[SplitEntropyTerm, ...] = field(default=(), repr=False, compare=False)
+    terms: tuple[SplitEntropyTerm, ...] = ()
 
     def profile(self) -> EntropyProfile:
         """The seven marginal entropies of the whole population."""
@@ -152,8 +149,7 @@ def efficiency_ratio(turnover_share: float, syn_share: float | None) -> float | 
 
 # --- region-level report ----------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(NamedTuple):
     """Everything a region summary needs: decomposition, turnover, ratios.
 
     Turnover figures are in the currency of the input data (NOK for the

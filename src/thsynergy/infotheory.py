@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .cube import ContingencyCube
@@ -68,8 +67,7 @@ def _check_within_total(counted: float, total: float) -> None:
         raise ValueError(f"counts sum to {counted}, more than the total {total}")
 
 
-@dataclass(frozen=True)
-class EntropyProfile:
+class EntropyProfile(NamedTuple):
     """The seven marginal entropies of a cube, in the configured log base."""
 
     h_g: float

@@ -13,11 +13,10 @@ import math
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 
 class MalformedRow(ValueError):
@@ -111,8 +110,26 @@ def parse_share(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ClassificationConfig:
+class _Validated:
+    """First base of a NamedTuple subclass whose _validated() raises ValueError or returns the
+    instance to keep; __new__ and _make, which namedtuple's _replace builds through, both run it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._validated()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _ClassificationFields(NamedTuple):
+    foreign_cutoff: float = DEFAULT_FOREIGN_CUTOFF
+    size_bin_edges: tuple[int, ...] = DEFAULT_SIZE_BIN_EDGES
+
+
+class ClassificationConfig(_Validated, _ClassificationFields):
     """The two settings of the row -> categories mapping.
 
     foreign_cutoff is inclusive: a share exactly at the cutoff counts as
@@ -121,10 +138,9 @@ class ClassificationConfig:
     unbounded. The NACE -> technology group mapping is fixed (_NACE_MAP).
     """
 
-    foreign_cutoff: float = DEFAULT_FOREIGN_CUTOFF
-    size_bin_edges: tuple[int, ...] = DEFAULT_SIZE_BIN_EDGES
+    # no __slots__: size_class_labels is cached in the instance __dict__
 
-    def __post_init__(self):
+    def _validated(self):
         if not 0.0 < self.foreign_cutoff <= 1.0:
             raise ValueError("foreign_cutoff must be in (0, 1]")
         edges = tuple(int(e) for e in self.size_bin_edges)
@@ -132,7 +148,7 @@ class ClassificationConfig:
             raise ValueError("size_bin_edges must start at 0")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ValueError("size_bin_edges must be strictly increasing")
-        object.__setattr__(self, "size_bin_edges", edges)
+        return tuple.__new__(type(self), (self.foreign_cutoff, edges))
 
     @cached_property
     def size_class_labels(self) -> tuple[str, ...]:
@@ -161,10 +177,7 @@ def _check_ranges(nace2: int, employees: int, turnover: float, share: float) -> 
         raise ValueError("foreign_share must be a fraction in [0, 1]")
 
 
-@dataclass(frozen=True)
-class FirmRecord:
-    """One validated register row, units as in the source data (NOK, headcount)."""
-
+class _FirmFields(NamedTuple):
     firm_id: str
     municipality_code: str
     nace2: int
@@ -172,12 +185,18 @@ class FirmRecord:
     turnover: float
     foreign_share: float
 
-    def __post_init__(self):
+
+class FirmRecord(_Validated, _FirmFields):
+    """One validated register row, units as in the source data (NOK, headcount)."""
+
+    __slots__ = ()
+
+    def _validated(self):
         _check_ranges(self.nace2, self.employees, self.turnover, self.foreign_share)
+        return self
 
 
-@dataclass(frozen=True)
-class ClassifiedFirm:
+class ClassifiedFirm(NamedTuple):
     """A firm reduced to its three categorical coordinates plus ownership."""
 
     municipality: str

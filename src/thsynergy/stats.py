@@ -8,8 +8,7 @@ matches the uncorrected textbook statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .cube import ContingencyCube
@@ -80,8 +79,7 @@ def chi_square_survival(statistic: float, dof: int) -> float:
     return regularized_gamma_q(dof / 2.0, statistic / 2.0)
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     statistic: float
     dof: int
     p_value: float

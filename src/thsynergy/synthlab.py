@@ -11,24 +11,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .cube import DIMS
 from .decomp import RegionReport, _build_report, _decompose_terms, _split_term
 from .infotheory import SUBSETS, _plugin_entropy
-from .ingest import ClassifiedFirm, Ownership
+from .ingest import ClassifiedFirm, Ownership, _Validated
 
 # the cube label of a drawn municipality, size class and tech group index
 _LABELS = (lambda g: f"m{g}", lambda o: f"s{o}", lambda t: t + 1)
 
 
-@dataclass(frozen=True)
-class SynthParams:
-    """Generator knobs. coupling is the probability that a firm's size and
-    technology labels are deterministic functions (index modulo class count)
-    of its municipality; otherwise they are independent uniform draws."""
-
+class _SynthFields(NamedTuple):
     n_firms: int = 500
     n_municipalities: int = 30
     n_size_classes: int = 8
@@ -40,7 +34,15 @@ class SynthParams:
     lognormal_sigma: float = 1.0
     seed: int = 0
 
-    def __post_init__(self):
+
+class SynthParams(_Validated, _SynthFields):
+    """Generator knobs. coupling is the probability that a firm's size and
+    technology labels are deterministic functions (index modulo class count)
+    of its municipality; otherwise they are independent uniform draws."""
+
+    __slots__ = ()
+
+    def _validated(self):
         if self.n_firms < 1:
             raise ValueError("n_firms must be at least 1")
         for name in ("n_municipalities", "n_size_classes", "n_tech_groups"):
@@ -56,6 +58,7 @@ class SynthParams:
             raise ValueError("lognormal_mu and lognormal_sigma must be finite")
         if self.lognormal_sigma < 0:
             raise ValueError("lognormal_sigma must be non-negative")
+        return self
 
 
 def foreign_count(n_firms: int, share: float) -> int:
@@ -101,18 +104,16 @@ def generate(params: SynthParams) -> list[ClassifiedFirm]:
             for cell, turnover, rank in zip(cells, turnovers.tolist(), ranks.tolist())]
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     share: float
     turnover_share: float
     synergy_share: float | None
     report: RegionReport
 
 
-@dataclass(frozen=True)
-class SweepCurve:
+class SweepCurve(NamedTuple):
     params: SynthParams
-    points: tuple[SweepPoint, ...] = field(default_factory=tuple)
+    points: tuple[SweepPoint, ...] = ()
 
     def synergy_share_violations(self) -> int:
         """How often the synergy share strictly decreases along the curve.

@@ -5,7 +5,6 @@ criterion; a pytest failure on any test is that criterion's fail line.
 """
 import io
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,7 +219,7 @@ def test_criterion_7_sweep_endpoints():
 
     buffer_a, buffer_b = io.StringIO(), io.StringIO()
     curve.to_csv(buffer_a)
-    sweep_foreign_share(replace(params), shares).to_csv(buffer_b)
+    sweep_foreign_share(params._replace(), shares).to_csv(buffer_b)
     assert buffer_a.getvalue() == buffer_b.getvalue()
 
     violations = curve.synergy_share_violations()  # measured, never assumed

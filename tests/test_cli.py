@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from thsynergy.cli import config_digest, main
+from thsynergy.cli import RunManifest, config_digest, main
+from thsynergy.infotheory import EntropyProfile
+from thsynergy.ingest import ClassificationConfig
+from thsynergy.stats import ChiSquareResult
+from thsynergy.synthlab import SynthParams
 
 HEADER = "firm_id,municipality_code,nace2,employees,turnover_nok,foreign_share"
 
@@ -92,6 +96,19 @@ def test_compute_report_file_and_sidecar(tmp_path):
 def test_config_digest_is_the_sha256_of_the_canonical_settings(settings):
     canon = json.dumps(settings, sort_keys=True, separators=(",", ":")).encode("utf-8")
     assert config_digest(settings) == hashlib.sha256(canon).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("value, keys", [
+    (EntropyProfile(*range(7)), ["h_g", "h_o", "h_t", "h_go", "h_gt", "h_ot", "h_got"]),
+    (ChiSquareResult(1.0, 1, 0.5), ["statistic", "dof", "p_value"]),
+    (RunManifest("compute", ("firms.csv",), "0" * 16, "0.1.0"), ["command", "inputs", "config_hash", "version", "seed"]),
+    (ClassificationConfig(), ["foreign_cutoff", "size_bin_edges"]),
+    (SynthParams(), ["n_firms", "n_municipalities", "n_size_classes", "n_tech_groups", "coupling",
+                     "foreign_share_target", "turnover_law", "lognormal_mu", "lognormal_sigma", "seed"]),
+], ids=["entropy", "chi-square", "manifest", "config", "synth"])
+def test_document_facing_fields_keep_their_order(value, keys):
+    # the key order of the report's entropy and chi-square blocks, of its manifest, and of the hashed settings
+    assert list(value._asdict()) == keys
 
 
 def test_compute_byte_identical_reruns(tmp_path):
@@ -201,6 +218,13 @@ def test_compute_bad_cutoff_is_usage_error(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     assert main(["compute", path, "--foreign-cutoff", "nope"]) == 2
     assert capsys.readouterr().err == "error: --foreign-cutoff: could not convert string to float: 'nope'\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "compute"])
+def test_cutoff_outside_the_config_range_is_usage_error(tmp_path, capsys, command):
+    # a share of 0 parses, but the config built from it rejects it
+    assert main([command, write_csv(tmp_path, CLEAN_ROWS), "--foreign-cutoff", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --foreign-cutoff: foreign_cutoff must be in (0, 1]\n")
 
 
 def test_compute_missing_file_is_io_error(tmp_path):
@@ -402,8 +426,9 @@ def test_only_sweep_and_generate_load_numpy(tmp_path, code):
     run_python(tmp_path, f"{code}\nimport sys; assert 'numpy' not in sys.modules")
 
 
-# the serializers and OpenSSL's hashlib; compute hashes its config with the built-in SHA-256
-WATCHED = ("_hashlib", "datetime", "hashlib", "json")
+# the serializers, OpenSSL's hashlib, and dataclasses with the inspect it loads; compute hashes its
+# config with the built-in SHA-256, and the package's record types are NamedTuples
+WATCHED = ("_hashlib", "dataclasses", "datetime", "hashlib", "inspect", "json")
 
 
 @pytest.mark.parametrize("argv, modules, stdlib", [
@@ -413,8 +438,8 @@ WATCHED = ("_hashlib", "datetime", "hashlib", "json")
     (["chisq", "10,20;20,10"], ["cli", "ingest", "stats"], []),
     (["compute", str(DEMO_CSV), "--output", "report.json"],
      ["cli", "cube", "decomp", "infotheory", "ingest", "stats"], ["datetime", "json"]),
-    (["sweep", "--shares", "0,1", "--output", "curve.csv"],  # numpy.random loads secrets, hmac and _hashlib
-     ["cli", "cube", "decomp", "infotheory", "ingest", "synthlab"], WATCHED),
+    (["sweep", "--shares", "0,1", "--output", "curve.csv"],  # numpy loads inspect; numpy.random secrets, hmac, _hashlib
+     ["cli", "cube", "decomp", "infotheory", "ingest", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
 ], ids=["import", "version", "validate", "chisq", "compute", "sweep"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, stdlib):
     call = "import thsynergy" if argv is None else (

@@ -9,6 +9,7 @@ import pytest
 from test_onepass import _adapter_document
 import thsynergy.ingest
 from thsynergy.cli import main
+from thsynergy.cube import ContingencyCube
 from thsynergy.ingest import (
     CANONICAL_COLUMNS,
     DEFAULT_SIZE_BIN_EDGES,
@@ -30,6 +31,7 @@ from thsynergy.ingest import (
     _parse_row,
     _read_header,
 )
+from thsynergy.synthlab import SynthParams
 
 HEADER = "firm_id,municipality_code,nace2,employees,turnover_nok,foreign_share"
 
@@ -284,6 +286,45 @@ def test_firm_record_invariants(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         FirmRecord(**base)
+
+
+# --- validated types: every route to an instance runs the checks -------------
+
+_RECORD = dict(firm_id="F", municipality_code="1504", nace2=30, employees=1, turnover=1.0, foreign_share=0.0)
+_CUBE = dict(axes={"G": ("a",), "O": ("0",), "T": (1,)}, domestic={("a", "0", 1): 2}, foreign={}, total=2)
+
+
+@pytest.mark.parametrize("cls, good, bad, message", [
+    (ClassificationConfig, {}, {"foreign_cutoff": 0.0}, r"foreign_cutoff must be in \(0, 1\]"),
+    (ClassificationConfig, {}, {"size_bin_edges": (0, 5, 5)}, "size_bin_edges must be strictly increasing"),
+    (FirmRecord, _RECORD, {"nace2": 100}, "nace2 100 outside 01-99"),
+    (ContingencyCube, _CUBE, {"total": 3}, "cell counts sum to 2, total says 3"),
+    (SynthParams, {}, {"coupling": 1.5}, r"coupling must be in \[0, 1\]"),
+], ids=["config-cutoff", "config-edges", "record", "cube", "synth"])
+@pytest.mark.parametrize("route", ["positional", "keyword", "_replace", "_make"])
+def test_validated_type_rejects_a_bad_value_on_every_route(cls, good, bad, message, route):
+    valid = cls(**good)
+    assert type(valid._replace()) is cls and valid._replace() == valid
+    assert hasattr(valid, "__dict__") == (cls is ClassificationConfig)  # its cached size_class_labels
+    fields = valid._asdict() | bad
+    build = {
+        "positional": lambda: cls(*fields.values()),
+        "keyword": lambda: cls(**fields),
+        "_replace": lambda: valid._replace(**bad),
+        "_make": lambda: cls._make(fields.values()),
+    }[route]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_config_edges_become_a_tuple_of_ints_on_every_route():
+    expected = ClassificationConfig(0.2, (0, 10, 50))
+    for config in (ClassificationConfig(0.2, [0, 10.0, "50"]), ClassificationConfig(size_bin_edges=[0, 10, 50]),
+                   ClassificationConfig()._replace(size_bin_edges=[0, 10.0, 50]),
+                   ClassificationConfig._make((0.2, [0, 10, 50.0]))):
+        assert config == expected and type(config.size_bin_edges) is tuple
+        assert [type(e) for e in config.size_bin_edges] == [int, int, int]
+        assert config.size_class_labels == ("0-9", "10-49", "50+")
 
 
 # --- lenient validation scan ------------------------------------------------

@@ -16,7 +16,6 @@ adapters; another, that it does not depend on the order of the rows.
 import hashlib
 import json
 import shutil
-from dataclasses import asdict
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -150,7 +149,7 @@ def _adapter_document(path: Path, config: ClassificationConfig, log_base: str, m
         "schema_version": 1,
         "log_base": log_base,
         "report": region_report(firms, base=base).to_dict(),
-        "entropy": asdict(entropy_profile(cube, base=base)),
+        "entropy": entropy_profile(cube, base=base)._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,
         "manifest": manifest,
     }

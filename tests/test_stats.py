@@ -84,7 +84,7 @@ def test_degenerate_tables_raise(table):
         chi_square_homogeneity(table)
 
 
-def test_result_is_plain_dataclass():
+def test_result_is_a_chi_square_result():
     result = chi_square_homogeneity([[10, 20], [20, 10]])
     assert isinstance(result, ChiSquareResult)
 

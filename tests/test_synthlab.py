@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 
 import pytest
 
@@ -43,15 +42,15 @@ def test_population_invariant_under_share():
     # only the ownership labels may change with the target share
     base = SynthParams(n_firms=300, seed=9, foreign_share_target=0.1)
     low = generate(base)
-    high = generate(replace(base, foreign_share_target=0.6))
+    high = generate(base._replace(foreign_share_target=0.6))
     assert [(f.municipality, f.size_class, f.tech_group, f.turnover) for f in low] == \
            [(f.municipality, f.size_class, f.tech_group, f.turnover) for f in high]
 
 
 def test_foreign_sets_nested_across_shares():
     base = SynthParams(n_firms=300, seed=9)
-    low = generate(replace(base, foreign_share_target=0.2))
-    high = generate(replace(base, foreign_share_target=0.5))
+    low = generate(base._replace(foreign_share_target=0.2))
+    high = generate(base._replace(foreign_share_target=0.5))
     low_idx = {i for i, f in enumerate(low) if f.ownership is Ownership.FOREIGN}
     high_idx = {i for i, f in enumerate(high) if f.ownership is Ownership.FOREIGN}
     assert low_idx <= high_idx
@@ -212,7 +211,7 @@ def test_sweep_decomposition_consistency():
     for params in (sweep_params(), wide):
         curve = sweep_foreign_share(params, [0.0, 0.3, 0.55, 1.0])
         for point in curve.points:
-            firms = generate(replace(params, foreign_share_target=point.share))
+            firms = generate(params._replace(foreign_share_target=point.share))
             expected = region_report(firms)
             assert point.report == expected
             assert point.report.synergy == decompose(build_cube(firms))
