@@ -7,7 +7,10 @@ Subcommands:
     sweep     synthetic foreign-share sweep written as CSV
     chisq     standalone 2 x k homogeneity test
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error (a
+standard output that cannot be written included). main maps every OSError
+a subcommand raises to 3 and every ValueError to 2; a subcommand catches
+only what it reports otherwise.
 
 Reports embed their run manifest without a timestamp so identical inputs
 and flags produce byte-identical output; the wall clock lives only in the
@@ -115,14 +118,9 @@ def _print_issues(rows: int, issues: list[tuple[int, str]], file) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = _load_effective_config(args)
-        with open(args.input, "rb") as fh:
-            rows, issues = validate_firm_csv(fh, config=config)
-    except OSError as exc:
-        return _error(exc, 3)
-    except ValueError as exc:
-        return _error(exc, 2)
+    config = _load_effective_config(args)
+    with open(args.input, "rb") as fh:
+        rows, issues = validate_firm_csv(fh, config=config)
     _print_issues(rows, issues, sys.stdout)
     return 1 if issues else 0
 
@@ -135,14 +133,9 @@ def cmd_compute(args) -> int:
     from .stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
 
     tally = Tally()
-    try:
-        config = _load_effective_config(args)
-        with open(args.input, "rb") as fh:
-            rows, issues = validate_firm_csv(fh, config=config, add=tally.add)
-    except OSError as exc:
-        return _error(exc, 3)
-    except ValueError as exc:
-        return _error(exc, 2)
+    config = _load_effective_config(args)
+    with open(args.input, "rb") as fh:
+        rows, issues = validate_firm_csv(fh, config=config, add=tally.add)
     if issues:
         _print_issues(rows, issues, sys.stderr)
         return 1
@@ -182,10 +175,7 @@ def cmd_compute(args) -> int:
     except ValueError:
         return _error(f"{args.input}: report holds a number that is not finite", 1)
     if args.output:
-        try:
-            _write_outputs(args.output, text, manifest)
-        except OSError as exc:
-            return _error(exc, 3)
+        _write_outputs(args.output, text, manifest)
     else:
         sys.stdout.write(text)
     return 0
@@ -200,21 +190,10 @@ def cmd_sweep(args) -> int:
         shares = [float(part) for part in args.shares.split(",") if part.strip() != ""]
     except ValueError:
         return _error(f"cannot parse --shares {args.shares!r}", 2)
+    # the generator flags are stored under their field names and default to None: SynthParams holds the defaults
+    params = SynthParams(**{k: v for k, v in vars(args).items() if k in SynthParams._fields and v is not None})
     try:
-        params = SynthParams(
-            n_firms=args.firms,
-            n_municipalities=args.municipalities,
-            n_size_classes=args.size_classes,
-            n_tech_groups=args.tech_groups,
-            coupling=args.coupling,
-            turnover_law=args.turnover_law,
-            lognormal_mu=args.mu,
-            lognormal_sigma=args.sigma,
-            seed=args.seed,
-        )
         curve = sweep_foreign_share(params, shares)
-    except ValueError as exc:
-        return _error(exc, 2)
     except OverflowError as exc:  # a turnover sum is not finite
         return _error(exc, 1)
     # turnovers are non-negative, so the total is positive at one share exactly when it is at every share
@@ -234,10 +213,7 @@ def cmd_sweep(args) -> int:
     violations = curve.synergy_share_violations()
     text = io.StringIO()
     curve.to_csv(text)
-    try:
-        _write_outputs(args.output, text.getvalue(), manifest, extra={"synergy_share_violations": violations})
-    except OSError as exc:
-        return _error(exc, 3)
+    _write_outputs(args.output, text.getvalue(), manifest, extra={"synergy_share_violations": violations})
     print(f"{len(curve.points)} point(s) written to {args.output}")
     print(f"synergy share monotonicity violations: {violations}")
     return 0
@@ -288,15 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.set_defaults(func=cmd_compute)
 
     p_sweep = sub.add_parser("sweep", help="synthetic foreign-share sweep to CSV")
-    p_sweep.add_argument("--firms", type=int, default=500)
-    p_sweep.add_argument("--municipalities", type=int, default=30)
-    p_sweep.add_argument("--size-classes", type=int, default=8)
-    p_sweep.add_argument("--tech-groups", type=int, default=10)
-    p_sweep.add_argument("--coupling", type=float, default=0.5)
-    p_sweep.add_argument("--turnover-law", choices=("uniform", "lognormal"), default="uniform")
-    p_sweep.add_argument("--mu", type=float, default=16.0, help="lognormal mu")
-    p_sweep.add_argument("--sigma", type=float, default=1.0, help="lognormal sigma")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--firms", type=int, dest="n_firms", metavar="FIRMS")
+    p_sweep.add_argument("--municipalities", type=int, dest="n_municipalities", metavar="MUNICIPALITIES")
+    p_sweep.add_argument("--size-classes", type=int, dest="n_size_classes", metavar="SIZE_CLASSES")
+    p_sweep.add_argument("--tech-groups", type=int, dest="n_tech_groups", metavar="TECH_GROUPS")
+    p_sweep.add_argument("--coupling", type=float)
+    p_sweep.add_argument("--turnover-law", choices=("uniform", "lognormal"))
+    p_sweep.add_argument("--mu", type=float, dest="lognormal_mu", metavar="MU", help="lognormal mu")
+    p_sweep.add_argument("--sigma", type=float, dest="lognormal_sigma", metavar="SIGMA", help="lognormal sigma")
+    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--shares", required=True, help="strictly increasing comma list in [0, 1]")
     p_sweep.add_argument("--output", required=True, help="curve CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -313,11 +289,25 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) == 2 and argv[0] == "chisq" and argv[1] not in ("-h", "--help", "--"):
         argv.insert(1, "--")  # a table such as '-1,2;3,4' is never an option
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        if sys.stdout is not None:  # None when the process was started with standard output closed
+            sys.stdout.flush()  # a buffered write that fails shows here, not in the interpreter's flush at exit
+        return status
+    except OSError as exc:
+        return _error(exc, 3)
+    except ValueError as exc:
+        return _error(exc, 2)
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # main reported it; send what is still buffered to devnull so that exit does not fail on it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -289,8 +289,8 @@ def _read_header(reader, schema: Mapping[str, str] | None = None) -> tuple[tuple
     return positions, max(p for p in positions if p is not None) + 1
 
 
-def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple[str, int, int, float, float]:
-    """Check one data row; return (municipality, nace2, employees, turnover, share).
+def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> FirmRecord:
+    """Check one data row and return its FirmRecord, whose firm_id is "row-<line>" without that column.
 
     Raises MalformedRow naming the line and the first defect found.
     """
@@ -298,7 +298,7 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple
         raise MalformedRow(line, "blank row")
     if len(row) < width:
         raise MalformedRow(line, f"expected at least {width} fields, got {len(row)}")
-    _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
+    id_at, muni_at, nace_at, employees_at, turnover_at, share_at = positions
     values = []
     for at, name, convert, kind in ((nace_at, "nace2", int, "an integer"),
                                     (employees_at, "employees", int, "an integer"),
@@ -309,15 +309,14 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple
             values.append(convert(text))
         except ValueError:
             raise MalformedRow(line, f"{name} {text!r} is not {kind}") from None
-    nace2, employees, turnover, share = values
+    firm_id = row[id_at].strip() if id_at is not None else f"row-{line}"
     try:
-        _check_ranges(nace2, employees, turnover, share)
+        record = FirmRecord(firm_id, row[muni_at].strip(), *values)  # its validation is the one range check
     except ValueError as exc:
         raise MalformedRow(line, str(exc)) from None
-    municipality = row[muni_at].strip()
-    if not municipality:
+    if not record.municipality_code:
         raise MalformedRow(line, "municipality_code is empty")
-    return municipality, nace2, employees, turnover, share
+    return record
 
 
 def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[FirmRecord]:
@@ -339,12 +338,8 @@ def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[
         reader = csv.reader(lines)
         try:
             positions, width = _read_header(reader, schema)
-            id_at = positions[0]
             for row in reader:
-                line = reader.line_num
-                fields = _parse_row(row, line, positions, width)
-                firm_id = row[id_at].strip() if id_at is not None else f"row-{line}"
-                out.append(FirmRecord(firm_id, *fields))
+                out.append(_parse_row(row, reader.line_num, positions, width))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise MalformedRow(*_reader_defect(reader.line_num, exc)) from None
     return out
@@ -417,7 +412,7 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
                 if not known:
                     line = reader.line_num
                     try:
-                        municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
+                        _, municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
                         cell = categorize(municipality, nace2, employees, share)[0]
                     except (MalformedRow, UnmappedNace) as exc:
                         issues.append((line, exc.reason))

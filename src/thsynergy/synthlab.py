@@ -18,6 +18,8 @@ from .decomp import RegionReport, _build_report, _decompose_terms, _split_term
 from .infotheory import SUBSETS, _plugin_entropy
 from .ingest import ClassifiedFirm, Ownership, _Validated
 
+_INT64_MAX = 2**63 - 1
+
 # the cube label of a drawn municipality, size class and tech group index
 _LABELS = (lambda g: f"m{g}", lambda o: f"s{o}", lambda t: t + 1)
 
@@ -46,8 +48,11 @@ class SynthParams(_Validated, _SynthFields):
         if self.n_firms < 1:
             raise ValueError("n_firms must be at least 1")
         for name in ("n_municipalities", "n_size_classes", "n_tech_groups"):
-            if getattr(self, name) < 1:
+            count = getattr(self, name)
+            if count < 1:
                 raise ValueError(f"{name} must be at least 1")
+            if count > _INT64_MAX:  # numpy draws and reduces the indices as int64
+                raise ValueError(f"{name} must be at most {_INT64_MAX}")
         if not 0.0 <= self.coupling <= 1.0:
             raise ValueError("coupling must be in [0, 1]")
         if not 0.0 <= self.foreign_share_target <= 1.0:

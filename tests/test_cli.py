@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -403,6 +405,37 @@ def test_unwritable_output_error_names_the_requested_path(tmp_path, capsys, comm
     assert ".tmp" not in err.replace(str(tmp_path), "")  # no temporary file, whose name changes per run
 
 
+class FullStream(io.StringIO):
+    """A standard output on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+DISK_FULL = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "chisq", "sweep"])
+def test_unwritable_stdout_is_io_error(tmp_path, capsys, monkeypatch, command):
+    args = {"validate": [write_csv(tmp_path, CLEAN_ROWS)], "compute": [write_csv(tmp_path, CLEAN_ROWS)],
+            "chisq": ["10,20;20,10"], "sweep": ["--shares", "0,1", "--output", str(tmp_path / "c.csv")]}
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert main([command, *args[command]]) == 3
+    assert capsys.readouterr().err == DISK_FULL
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_buffered_stdout_on_a_full_device_exits_3(tmp_path):
+    # without PYTHONUNBUFFERED the write only fails when the buffer is flushed, which the
+    # interpreter would otherwise do at exit and end with status 120
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": src}
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        result = subprocess.run([sys.executable, "-m", "thsynergy.cli", "validate", write_csv(tmp_path, CLEAN_ROWS)],
+                                env=env, stdout=full, stderr=subprocess.PIPE, encoding="utf-8")
+    assert (result.returncode, result.stderr) == (3, DISK_FULL)
+
+
 # --- start-up -----------------------------------------------------------------
 
 DEMO_CSV = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
@@ -518,6 +551,15 @@ def test_sweep_zero_turnover_sum_writes_no_csv(tmp_path, capsys):
     assert main(["sweep", "--turnover-law", "lognormal", "--mu", "-800", "--shares", "0,0.5,1",
                  "--output", str(out)]) == 1
     assert capsys.readouterr().err == "error: turnover sum is not positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, field", [("--municipalities", "n_municipalities"),
+                                         ("--size-classes", "n_size_classes"), ("--tech-groups", "n_tech_groups")])
+def test_sweep_category_count_past_int64_is_usage_error(tmp_path, capsys, flag, field):
+    out = tmp_path / "c.csv"
+    assert main(["sweep", flag, str(2**63), "--shares", "0,1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be at most {2**63 - 1}\n"
     assert not out.exists()
 
 

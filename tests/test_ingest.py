@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 import re
 
 from hypothesis import example, given, settings, strategies as st
@@ -34,6 +35,7 @@ from thsynergy.ingest import (
 from thsynergy.synthlab import SynthParams
 
 HEADER = "firm_id,municipality_code,nace2,employees,turnover_nok,foreign_share"
+DEMO_CSV = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
 
 
 def csv_bytes(*rows: str, header: str = HEADER) -> bytes:
@@ -159,6 +161,20 @@ def test_parse_raises_malformed_row_where_the_scan_reports(data, line):
 def test_parse_deterministic():
     data = csv_bytes("F1,1504,30,120,5000000,0.0", "F2,5001,62,3,900000,0.5")
     assert parse_firm_records(data) == parse_firm_records(data)
+
+
+def test_parse_range_checks_each_row_once(monkeypatch):
+    calls = []
+
+    def counted(*values):
+        calls.append(values)
+        return _check_ranges(*values)
+
+    monkeypatch.setattr(thsynergy.ingest, "_check_ranges", counted)
+    with open(DEMO_CSV, "rb") as fh:
+        records = parse_firm_records(fh)
+    assert len(records) == 30
+    assert calls == [(r.nace2, r.employees, r.turnover, r.foreign_share) for r in records]
 
 
 # --- classification ---------------------------------------------------------
@@ -422,7 +438,7 @@ def _row_by_row(data: bytes, config: ClassificationConfig):
     for row in reader:
         rows += 1
         try:
-            municipality, nace2, employees, turnover, share = _parse_row(row, reader.line_num, positions, width)
+            _, municipality, nace2, employees, turnover, share = _parse_row(row, reader.line_num, positions, width)
             cell, foreign = config.categorize(municipality, nace2, employees, share)
         except (MalformedRow, UnmappedNace) as exc:
             issues.append((reader.line_num, exc.reason))
@@ -520,11 +536,11 @@ def test_parse_row_returns_what_int_and_float_return(texts):
     """Whenever int() or float() converts a raw field text, _parse_row returns exactly that value."""
     row = ["F1", "0301", *(texts[name] for name, _ in NUMERIC_FIELDS)]
     try:
-        got = _parse_row(row, 2, tuple(range(6)), 6)
+        got = tuple(_parse_row(row, 2, tuple(range(6)), 6))
     except MalformedRow as exc:
         got = exc.reason
     raw = {}
-    for at, (name, convert) in enumerate(NUMERIC_FIELDS, start=1):
+    for at, (name, convert) in enumerate(NUMERIC_FIELDS, start=2):
         try:
             raw[name] = convert(texts[name])
         except ValueError:
@@ -535,7 +551,7 @@ def test_parse_row_returns_what_int_and_float_return(texts):
         values = tuple(raw[name] for name, _ in NUMERIC_FIELDS)
         try:
             _check_ranges(*values)
-            expected = ("0301", *values)
+            expected = ("F1", "0301", *values)
         except ValueError as exc:
             expected = str(exc)
         assert repr(got) == repr(expected)

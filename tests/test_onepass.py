@@ -222,22 +222,25 @@ def test_compute_document_is_invariant_under_row_order(tmp_path, capsys, rows):
 SWEEP_SHARES = ",".join(repr(i / 10) for i in range(11))
 SWEEP_GOLDEN = [
     # default generator: uniform turnover law, 500 firms, seed 0
-    ((), "1bc3675dc590c807cb2af2885d09792ae60d1eb060946b8c2fb85e552c1ec2ad", 2),
+    ((), "1bc3675dc590c807cb2af2885d09792ae60d1eb060946b8c2fb85e552c1ec2ad", "b427b93bb97f63ba", 2),
     # the parameters of demos/04_foreign_share_sweep.py
     (("--firms", "400", "--municipalities", "10", "--size-classes", "6", "--tech-groups", "8",
       "--coupling", "0.8", "--turnover-law", "lognormal", "--mu", "17.0", "--sigma", "0.9",
       "--seed", "2013"),
-     "742f4afb85fd9df015c0ae318dca06de19227cd6701319a44046bf384e4a244b", 5),
+     "742f4afb85fd9df015c0ae318dca06de19227cd6701319a44046bf384e4a244b", "106d2fb8442b1c56", 5),
     # two-digit municipality and size labels, whose string order is not numeric order
     (("--size-classes", "12", "--municipalities", "40", "--turnover-law", "lognormal"),
-     "0f10f81dbd993ca37d95fbd514ddc541b00ceae123b6b3d885d4d6f72d6b7b66", 2),
+     "0f10f81dbd993ca37d95fbd514ddc541b00ceae123b6b3d885d4d6f72d6b7b66", "54095fae222f499b", 2),
 ]
 
 
-@pytest.mark.parametrize("flags, digest, violations", SWEEP_GOLDEN, ids=["uniform", "demo-04", "two-digit-labels"])
-def test_sweep_curve_is_pinned(tmp_path, flags, digest, violations):
+# config_hash covers every generator setting but the seed, so it pins the defaults the flags fall back to
+@pytest.mark.parametrize("flags, digest, config_hash, violations", SWEEP_GOLDEN,
+                         ids=["uniform", "demo-04", "two-digit-labels"])
+def test_sweep_curve_is_pinned(tmp_path, flags, digest, config_hash, violations):
     out = tmp_path / "curve.csv"
     assert main(["sweep", *flags, "--shares", SWEEP_SHARES, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text(encoding="utf-8"))
     assert sidecar["synergy_share_violations"] == violations
+    assert sidecar["config_hash"] == config_hash
