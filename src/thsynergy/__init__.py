@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 
 # each exported name -> the submodule that defines it
 _HOMES = {
-    **dict.fromkeys(("ContingencyCube", "EmptyDataset", "build_cube", "cube_from_dict", "cube_to_dict",
-                     "dump_cube", "load_cube", "marginalize"), "cube"),
+    **dict.fromkeys(("ContingencyCube", "EmptyDataset", "build_cube", "marginalize"), "cube"),
     **dict.fromkeys(("RegionReport", "SplitEntropyTerm", "SynergyDecomposition", "decompose", "efficiency_ratio",
                      "region_report", "split_entropy", "subgroup_synergy", "synergy_share"), "decomp"),
     **dict.fromkeys(("EntropyProfile", "ZeroTotal", "cube_ternary_information", "entropy_profile",

@@ -8,7 +8,7 @@ Subcommands:
     chisq     standalone 2 x k homogeneity test
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error (a
-standard output that cannot be written included). main maps every OSError
+closed or unwritable standard output included). main maps every OSError
 a subcommand raises to 3 and every ValueError to 2; a subcommand catches
 only what it reports otherwise.
 
@@ -290,8 +290,12 @@ def main(argv: list[str] | None = None) -> int:
         argv.insert(1, "--")  # a table such as '-1,2;3,4' is never an option
     args = build_parser().parse_args(argv)
     try:
+        # sys.stdout is None when the process was started with standard output closed; every
+        # command but compute --output writes to it, so refuse before doing any work
+        if sys.stdout is None and (args.func is not cmd_compute or not args.output):
+            raise OSError("standard output is closed")
         status = args.func(args)
-        if sys.stdout is not None:  # None when the process was started with standard output closed
+        if sys.stdout is not None:
             sys.stdout.flush()  # a buffered write that fails shows here, not in the interpreter's flush at exit
         return status
     except OSError as exc:

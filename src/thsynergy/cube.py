@@ -9,10 +9,9 @@ coordinates (1-tuples for one axis), with the parent's total.
 """
 from __future__ import annotations
 
-import json
 from array import array
 from operator import itemgetter
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .ingest import ClassifiedFirm, Ownership, _Validated
 
@@ -159,73 +158,3 @@ def split_marginals(cube: ContingencyCube) -> Iterator[ContingencyCube]:
         for dim in singles:
             yield marginalize(parent, dim)
         del parent
-
-
-# --- JSON fixture format ----------------------------------------------------
-
-def cube_to_dict(cube: ContingencyCube) -> dict:
-    """Documented JSON shape: axes, total and a sorted sparse cell list. ValueError on a marginal."""
-    cube = marginalize(cube, DIMS)  # the cube itself when it has all three axes
-    cells = []
-    for cell in sorted(set(cube.domestic) | set(cube.foreign)):
-        cells.append({
-            "g": cell[0],
-            "o": cell[1],
-            "t": cell[2],
-            "domestic": cube.domestic.get(cell, 0),
-            "foreign": cube.foreign.get(cell, 0),
-        })
-    return {
-        "schema_version": 1,
-        "axes": {d: list(cube.axes[d]) for d in DIMS},
-        "total": cube.total,
-        "cells": cells,
-    }
-
-
-def cube_from_dict(payload: dict) -> ContingencyCube:
-    """Inverse of cube_to_dict; each axis is stored sorted, whatever its order in the payload.
-    ValueError on any other payload: a missing key, a value of the wrong type, an axis that is not a
-    list of distinct labels that can be ordered, a cell off the axes or listed twice, a bad count or
-    a wrong total."""
-    try:
-        axes = {}
-        for d in DIMS:
-            labels = payload["axes"][d]
-            if type(labels) is not list or len(set(labels)) < len(labels):  # "ab" is no axis ('a', 'b')
-                raise ValueError(f"axis {d} {labels!r} is not a list of distinct labels")
-            axes[d] = tuple(sorted(labels))
-        on_axes = [set(axes[d]) for d in DIMS]
-        domestic: dict[Cell, int] = {}
-        foreign: dict[Cell, int] = {}
-        seen = set()
-        for entry in payload["cells"]:
-            cell = (entry["g"], entry["o"], entry["t"])
-            if any(coord not in labels for coord, labels in zip(cell, on_axes)):
-                raise ValueError(f"cell {cell} is not on the axes")
-            if cell in seen:
-                raise ValueError(f"cell {cell} is listed twice")
-            seen.add(cell)
-            for counts, count in ((domestic, entry["domestic"]), (foreign, entry["foreign"])):
-                if type(count) is not int or count < 0:  # 1.9, true and -1 are no firm counts
-                    raise ValueError(f"cell {cell} count {count!r} is not a non-negative integer")
-                if count:
-                    counts[cell] = count
-        total = payload["total"]
-    except KeyError as exc:
-        raise ValueError(f"cube JSON has no key {exc}") from None
-    except TypeError as exc:  # a list as a label, a cell or payload that is no object, labels 1 and "a"
-        raise ValueError(f"cube JSON holds a value of the wrong type ({exc})") from None
-    if type(total) is not int:  # 1.0 and true equal an integer sum but are no firm count
-        check = sum(domestic.values()) + sum(foreign.values())
-        raise ValueError(f"cell counts sum to {check}, total says {total!r}")
-    return ContingencyCube(axes=axes, domestic=domestic, foreign=foreign, total=total)
-
-
-def dump_cube(cube: ContingencyCube, fp: IO[str]) -> None:
-    json.dump(cube_to_dict(cube), fp, indent=2, sort_keys=False)
-    fp.write("\n")
-
-
-def load_cube(fp: IO[str]) -> ContingencyCube:
-    return cube_from_dict(json.load(fp))

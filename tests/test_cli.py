@@ -424,6 +424,25 @@ def test_unwritable_stdout_is_io_error(tmp_path, capsys, monkeypatch, command):
     assert capsys.readouterr().err == DISK_FULL
 
 
+@pytest.mark.parametrize("command", ["validate", "compute", "chisq", "sweep"])
+def test_closed_stdout_is_io_error(tmp_path, capsys, monkeypatch, command):
+    # a process started with standard output closed (`>&-`) has sys.stdout None
+    curve = tmp_path / "c.csv"
+    args = {"validate": [write_csv(tmp_path, CLEAN_ROWS)], "compute": [write_csv(tmp_path, CLEAN_ROWS)],
+            "chisq": ["10,20;20,10"], "sweep": ["--shares", "0,1", "--output", str(curve)]}
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main([command, *args[command]]) == 3
+    assert capsys.readouterr().err == "error: standard output is closed\n"
+    assert not list(tmp_path.glob("c.csv*"))  # the sweep refused before drawing a firm
+
+
+def test_closed_stdout_leaves_compute_output_working(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["compute", write_csv(tmp_path, CLEAN_ROWS), "--output", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["report"]["firms"]["count"] == 5
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
 def test_buffered_stdout_on_a_full_device_exits_3(tmp_path):
     # without PYTHONUNBUFFERED the write only fails when the buffer is flushed, which the
@@ -457,6 +476,10 @@ def run_python(tmp_path, code: str) -> subprocess.CompletedProcess:
 ], ids=["validate-and-compute", "import"])
 def test_only_sweep_and_generate_load_numpy(tmp_path, code):
     run_python(tmp_path, f"{code}\nimport sys; assert 'numpy' not in sys.modules")
+
+
+def test_cube_module_loads_no_json(tmp_path):
+    run_python(tmp_path, "import sys, thsynergy.cube; assert 'json' not in sys.modules")
 
 
 # the serializers, OpenSSL's hashlib, and dataclasses with the inspect it loads; compute hashes its

@@ -1,6 +1,4 @@
-import io
 import itertools
-import json
 
 from hypothesis import example, given, strategies as st
 import numpy as np
@@ -13,10 +11,6 @@ from thsynergy.cube import (
     EmptyDataset,
     Tally,
     build_cube,
-    cube_from_dict,
-    cube_to_dict,
-    dump_cube,
-    load_cube,
     marginalize,
     normalize_dims,
     split_marginals,
@@ -128,11 +122,9 @@ def test_marginal_missing_dimension_raises():
 def test_cube_functions_reject_a_marginal_without_their_axes():
     cube = small_cube()
     pair = marginalize(cube, "GO")
-    buffer = io.StringIO()
-    for needs_all_axes in (decompose, cube_to_dict, lambda c: dump_cube(c, buffer), ownership_tech_table):
+    for needs_all_axes in (decompose, ownership_tech_table):
         with pytest.raises(ValueError, match="has no dimension"):
             needs_all_axes(pair)
-    assert buffer.getvalue() == ""
     assert ownership_tech_table(marginalize(cube, "GT")) == ownership_tech_table(cube)  # it needs T alone
 
 
@@ -191,105 +183,6 @@ def test_normalize_dims_rejects_bad_input():
         normalize_dims(("G", "X"))
 
 
-# --- JSON fixture round trip ------------------------------------------------
-
-def test_cube_dict_round_trip():
-    cube = small_cube()
-    assert cube_from_dict(cube_to_dict(cube)) == cube
-
-
-def test_cube_dict_shape():
-    payload = cube_to_dict(small_cube())
-    assert payload["schema_version"] == 1
-    assert payload["total"] == 5
-    assert payload["axes"]["G"] == ["a", "b"]
-    cells = payload["cells"]
-    assert cells == sorted(cells, key=lambda c: (c["g"], c["o"], c["t"]))
-    assert all(set(c) == {"g", "o", "t", "domestic", "foreign"} for c in cells)
-
-
-def test_cube_stream_round_trip():
-    cube = small_cube()
-    buffer = io.StringIO()
-    dump_cube(cube, buffer)
-    buffer.seek(0)
-    assert load_cube(buffer) == cube
-
-
-def test_cube_from_dict_checks_total():
-    payload = cube_to_dict(small_cube())
-    payload["total"] = 99
-    with pytest.raises(ValueError):
-        cube_from_dict(payload)
-
-
-@pytest.mark.parametrize("cell, total, message", [
-    ({"g": "a", "o": "0", "t": 1, "domestic": 1.9, "foreign": 0}, 1, "1.9 is not a non-negative integer"),
-    ({"g": "a", "o": "0", "t": 1, "domestic": 3, "foreign": -1}, 2, "-1 is not a non-negative integer"),
-    ({"g": "a", "o": "0", "t": 1, "domestic": True, "foreign": 0}, 1, "True is not a non-negative integer"),
-    ({"g": "a", "o": "0", "t": 2, "domestic": 1, "foreign": 0}, 1, "is not on the axes"),
-    ({"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}, 1.5, "total says 1.5"),
-    ({"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}, 1.0, "total says 1.0"),
-    ({"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}, True, "total says True"),
-], ids=["fractional", "negative", "boolean", "off-axis", "fractional-total", "float-total", "boolean-total"])
-def test_cube_from_dict_rejects_inconsistent_cells(cell, total, message):
-    payload = {"schema_version": 1, "axes": {"G": ["a"], "O": ["0"], "T": [1]}, "total": total, "cells": [cell]}
-    with pytest.raises(ValueError, match=message):
-        cube_from_dict(payload)
-
-
-def _payload(axes=None, cells=None):
-    """A one-cell cube payload, with its axes or its cells replaced when given."""
-    return {"schema_version": 1, "axes": axes or {"G": ["a"], "O": ["0"], "T": [1]}, "total": 1,
-            "cells": cells or [{"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}]}
-
-
-NO_TOTAL = _payload()
-del NO_TOTAL["total"]
-
-
-@pytest.mark.parametrize("payload, message", [
-    (_payload(axes={"G": ["a"], "O": ["0"]}), "no key 'T'"),
-    (_payload(cells=[{"g": "a", "o": "0", "t": 1, "domestic": 1}]), "no key 'foreign'"),
-    (NO_TOTAL, "no key 'total'"),
-    (_payload(axes={"G": [["a"]], "O": ["0"], "T": [1]}), "wrong type"),
-    (_payload(cells=[{"g": ["a"], "o": "0", "t": 1, "domestic": 1, "foreign": 0}]), "wrong type"),
-    (_payload(cells=[["a", "0", 1, 1, 0]]), "wrong type"),
-    ([_payload()], "wrong type"),
-    (_payload(cells=[{"g": "a", "o": "0", "t": 1, "domestic": 1, "foreign": 0}] * 2), "listed twice"),
-    (_payload(axes={"G": ["a"], "O": ["0"], "T": [1, 1]}), "not a list of distinct labels"),
-    (_payload(axes={"G": "ab", "O": ["0"], "T": [1]}), "not a list of distinct labels"),
-    (_payload(axes={"G": ["a", 1], "O": ["0"], "T": [1]}), "wrong type"),
-], ids=["no-T-axis", "no-foreign-count", "no-total", "list-label", "list-coordinate", "list-cell",
-        "list-payload", "cell-twice", "repeated-label", "text-axis", "unorderable-labels"])
-def test_cube_from_dict_rejects_malformed_payload(payload, message):
-    with pytest.raises(ValueError, match=message):
-        cube_from_dict(payload)
-    with pytest.raises(ValueError, match=message):
-        load_cube(io.StringIO(json.dumps(payload)))
-
-
-def test_cube_from_dict_sorts_each_axis():
-    # the same cube as Tally builds, whatever order the payload lists an axis in
-    payload = _payload(axes={"G": ["b", "a"], "O": ["0"], "T": [2, 1]},
-                       cells=[{"g": "a", "o": "0", "t": 2, "domestic": 1, "foreign": 0},
-                              {"g": "b", "o": "0", "t": 1, "domestic": 0, "foreign": 1}])
-    payload["total"] = 2
-    tally = Tally()
-    tally.add(("a", "0", 2), False, 1.0)
-    tally.add(("b", "0", 1), True, 1.0)
-    cube = cube_from_dict(payload)
-    assert cube == tally.cube()
-    assert cube.axes == {"G": ("a", "b"), "O": ("0",), "T": (1, 2)}
-    assert ownership_tech_table(cube) == ((1, 2), [[0, 1], [1, 0]])
-
-
-def test_cube_dict_round_trips_unobserved_categories():
-    cube = cube_from_tensors(np.array([[[2, 0]], [[0, 0]]]), np.array([[[0, 0]], [[0, 1]]]))
-    assert cube.axes == {"G": ("g0", "g1"), "O": ("o0",), "T": (1, 2)}
-    assert cube_from_dict(cube_to_dict(cube)) == cube
-
-
 @pytest.mark.parametrize("total", [4, 1, 0])
 def test_cube_total_must_equal_its_cells(total):
     # one domestic firm in each of G a and b; scored against total=4 they gave 0.5 bits
@@ -298,15 +191,3 @@ def test_cube_total_must_equal_its_cells(total):
     with pytest.raises(ValueError, match=f"cell counts sum to 2, total says {total}"):
         ContingencyCube(axes, domestic, {}, total)
     assert decompose(ContingencyCube(axes, domestic, {}, 2)).total == 0.0
-
-
-def test_cube_dict_drops_zero_cells():
-    cube = ContingencyCube(
-        axes={"G": ("a",), "O": ("0",), "T": (1,)},
-        domestic={("a", "0", 1): 2},
-        foreign={},
-        total=2,
-    )
-    payload = cube_to_dict(cube)
-    assert payload["cells"] == [{"g": "a", "o": "0", "t": 1, "domestic": 2, "foreign": 0}]
-    assert cube_from_dict(payload).foreign == {}

@@ -1,5 +1,6 @@
 """Each demo script runs to completion in a fresh interpreter and prints something,
-and the README's quick-start sweep writes the CSV that the README shows."""
+the README's quick-start sweep writes the CSV that the README shows, and the
+README's Library example runs."""
 import os
 import re
 import subprocess
@@ -34,3 +35,13 @@ def test_readme_quick_start_sweep_writes_the_readme_csv(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert main([*command, "--output", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == shown
+
+
+def test_readme_library_example_reads_a_file_with_a_byte_order_mark(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    (tmp_path / "firms.csv").write_bytes(b"\xef\xbb\xbf" + (ROOT / "demos" / "data" / "firms_demo.csv").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(code, namespace)
+    assert namespace["records"][0].firm_id == "F001"

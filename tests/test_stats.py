@@ -1,12 +1,9 @@
-import io
-import json
-
 import numpy as np
 import pytest
 
 import oracles
 from conftest import cube_from_tensors
-from thsynergy.cube import load_cube
+from thsynergy.cube import ContingencyCube
 from thsynergy.stats import (
     ChiSquareResult,
     DegenerateTable,
@@ -156,11 +153,10 @@ def test_ownership_tech_table_all_domestic_degenerates():
 
 
 def test_ownership_tech_table_skips_groups_no_firm_uses():
-    # cube JSON may list a technology group that no cell uses; it gets no column
-    payload = {"schema_version": 1, "axes": {"G": ["a", "b"], "O": ["0"], "T": [1, 2, 3]}, "total": 6,
-               "cells": [{"g": "a", "o": "0", "t": 1, "domestic": 2, "foreign": 1},
-                         {"g": "b", "o": "0", "t": 3, "domestic": 1, "foreign": 2}]}
-    cube = load_cube(io.StringIO(json.dumps(payload)))
+    # a hand-built cube may list a technology group that no cell uses; it gets no column
+    cube = ContingencyCube(axes={"G": ("a", "b"), "O": ("0",), "T": (1, 2, 3)},
+                           domestic={("a", "0", 1): 2, ("b", "0", 3): 1},
+                           foreign={("a", "0", 1): 1, ("b", "0", 3): 2}, total=6)
     assert cube.axes["T"] == (1, 2, 3)
     categories, table = ownership_tech_table(cube)
     assert categories == (1, 3)
