@@ -12,7 +12,6 @@ from thsynergy import (
     build_cube,
     chi_square_homogeneity,
     classify_all,
-    entropy_profile,
     ownership_tech_table,
     parse_firm_records,
     region_report,
@@ -36,13 +35,12 @@ print()
 print("region report")
 print(json.dumps(report.to_dict(), indent=2))
 
-cube = build_cube(firms)
-profile = entropy_profile(cube)
+profile = report.synergy.profile()  # the entropies behind the report's decomposition
 print()
 print(f"entropies (bits): triple {profile.h_got:.4f}, "
       f"pairs {profile.h_go:.4f}/{profile.h_gt:.4f}/{profile.h_ot:.4f}")
 
-categories, table = ownership_tech_table(cube)
+categories, table = ownership_tech_table(build_cube(firms))
 try:
     chi = chi_square_homogeneity(table)
     print()

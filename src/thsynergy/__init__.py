@@ -21,7 +21,7 @@ _HOMES = {
     **dict.fromkeys(("EntropyProfile", "ZeroTotal", "cube_ternary_information", "entropy_profile",
                      "shannon_entropy", "ternary_information"), "infotheory"),
     **dict.fromkeys(("ClassificationConfig", "ClassifiedFirm", "FirmRecord", "MalformedRow", "MissingColumn",
-                     "Ownership", "UnmappedNace", "classify", "classify_all", "load_config", "parse_firm_records",
+                     "Ownership", "UnmappedNace", "classify", "classify_all", "parse_firm_records",
                      "validate_firm_csv"), "ingest"),
     **dict.fromkeys(("ChiSquareResult", "DegenerateTable", "chi_square_homogeneity", "chi_square_survival",
                      "ownership_tech_table"), "stats"),

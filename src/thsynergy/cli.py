@@ -19,12 +19,14 @@ and flags produce byte-identical output; the wall clock lives only in the
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 from typing import NamedTuple
 
 from . import __version__
-from .ingest import ClassificationConfig, default_nace_map, load_config, parse_share, validate_firm_csv
+from .ingest import DEFAULT_SIZE_BIN_EDGES, ClassificationConfig, default_nace_map, parse_share, validate_firm_csv
 
 # Everything else is imported by the subcommand that runs it, so that `--version`,
 # `validate` and `chisq` load neither the cube, the decomposition nor json.
@@ -95,12 +97,16 @@ def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: di
 
 
 def _load_effective_config(args) -> ClassificationConfig:
-    config = load_config(args.config) if args.config else ClassificationConfig()
-    if args.foreign_cutoff is not None:
-        try:
-            config = config._replace(foreign_cutoff=parse_share(args.foreign_cutoff))
-        except ValueError as exc:
-            raise ValueError(f"--foreign-cutoff: {exc}") from None
+    """The classification settings of --foreign-cutoff and --size-bins; a bad value's ValueError names its flag."""
+    config = ClassificationConfig()
+    for flag, field, parse in (("--foreign-cutoff", "foreign_cutoff", parse_share),
+                               ("--size-bins", "size_bin_edges", lambda text: text.split(","))):
+        text = getattr(args, field)
+        if text is not None:
+            try:
+                config = config._replace(**{field: parse(text)})  # the config converts and checks the edges
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     return config
 
 
@@ -182,8 +188,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import io
-
     from .synthlab import SynthParams, sweep_foreign_share
 
     try:
@@ -247,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_classification_flags(p):
-        p.add_argument("--config", help="key = value file overriding cutoff and size bins")
-        p.add_argument("--foreign-cutoff", default=None,
-                       help="ownership cutoff as fraction ('0.2') or percent ('20%%')")
+        p.add_argument("--foreign-cutoff", help="ownership cutoff as fraction ('0.2') or percent ('20%%')")
+        p.add_argument("--size-bins", dest="size_bin_edges", metavar="EDGES",
+                       help="employee bin edges, a comma list starting at 0 (default %s)"
+                       % ",".join(map(str, DEFAULT_SIZE_BIN_EDGES)))
 
     p_val = sub.add_parser("validate", help="scan a firm CSV and list every defect")
     p_val.add_argument("input", help="firm CSV path")
@@ -288,11 +293,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if len(argv) == 2 and argv[0] == "chisq" and argv[1] not in ("-h", "--help", "--"):
         argv.insert(1, "--")  # a table such as '-1,2;3,4' is never an option
-    args = build_parser().parse_args(argv)
+    closed = sys.stdout is None  # the process was started with standard output closed
     try:
-        # sys.stdout is None when the process was started with standard output closed; every
-        # command but compute --output writes to it, so refuse before doing any work
-        if sys.stdout is None and (args.func is not cmd_compute or not args.output):
+        # argparse would write --help and --version to stderr in place of a closed stdout, then exit 0
+        with contextlib.redirect_stdout(io.StringIO() if closed else sys.stdout):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if closed and exc.code == 0:
+            return _error("standard output is closed", 3)
+        raise
+    try:
+        # every command but compute --output writes to stdout, so refuse before doing any work
+        if closed and (args.func is not cmd_compute or not args.output):
             raise OSError("standard output is closed")
         status = args.func(args)
         if sys.stdout is not None:

@@ -47,17 +47,6 @@ class ContingencyCube(_Validated, _CubeFields):
             raise ValueError(f"cell counts sum to {check}, total says {self.total!r}")
         return self
 
-    def combined(self) -> dict[Cell, int]:
-        return merge_counts(self.domestic, self.foreign)
-
-
-def merge_counts(domestic: Mapping, foreign: Mapping) -> dict:
-    """Add two count maps key by key; the ownership-blind view of a split map."""
-    out = dict(domestic)
-    for key, count in foreign.items():
-        out[key] = out.get(key, 0) + count
-    return out
-
 
 class Tally:
     """Split cell counts and turnovers, built one firm at a time.

@@ -20,10 +20,12 @@ the remaining counts are left untouched.
 from __future__ import annotations
 
 import math
+from itertools import chain, filterfalse, repeat
+from operator import add
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .cube import ContingencyCube, EmptyDataset, Tally, merge_counts, normalize_dims, split_marginals
-from .infotheory import SUBSETS, EntropyProfile, _plugin_entropy, _check_within_total, ternary_information, ZeroTotal
+from .cube import ContingencyCube, EmptyDataset, Tally, normalize_dims, split_marginals
+from .infotheory import SUBSETS, EntropyProfile, _check_counts, _plugin_entropy, ternary_information, ZeroTotal
 from .ingest import ClassifiedFirm, Ownership
 
 
@@ -47,8 +49,8 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
         domestic: cell -> count map for domestically owned firms.
         foreign: cell -> count map for foreign owned firms.
         total: full population size N. Both maps are scored against N, not
-            against their own subtotals; combined counts must not exceed N
-            (ValueError).
+            against their own subtotals; counts must be non-negative and
+            their sum must not exceed N (ValueError).
         base: logarithm base (2, e or 10).
 
     The cross part is computed as the residual total - (domestic + foreign),
@@ -57,9 +59,13 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
     """
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
-    _check_within_total(sum(domestic.values()) + sum(foreign.values()), total)
-    return _split_term(*(_plugin_entropy(counts.values(), total, base)
-                        for counts in (domestic, foreign, merge_counts(domestic, foreign))))
+    _check_counts((domestic.values(), foreign.values()), total)
+    # the ownership-blind counts as a stream, not a merged map: each domestic count plus its
+    # foreign count, then the counts of cells only the foreign map holds
+    combined = chain(map(add, domestic.values(), map(foreign.get, domestic, repeat(0))),
+                     map(foreign.__getitem__, filterfalse(domestic.__contains__, foreign)))
+    return _split_term(*(_plugin_entropy(counts, total, base)
+                        for counts in (domestic.values(), foreign.values(), combined)))
 
 
 def _split_term(h_domestic: float, h_foreign: float, h_total: float) -> SplitEntropyTerm:

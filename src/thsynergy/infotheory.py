@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .cube import ContingencyCube
@@ -55,14 +55,18 @@ def shannon_entropy(counts: Mapping, total: int, base: float = 2.0) -> float:
     """
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
-    if any(c < 0 for c in counts.values()):
-        raise ValueError("counts must be non-negative")
-    _check_within_total(sum(counts.values()), total)
+    _check_counts((counts.values(),), total)
     return _plugin_entropy(counts.values(), total, base)
 
 
-def _check_within_total(counted: float, total: float) -> None:
-    """ValueError when counts sum past the total they are scored against: some p would exceed 1."""
+def _check_counts(groups: Iterable[Collection], total: float) -> None:
+    """ValueError when a count is negative or the groups' counts sum past the total they are
+    scored against: some p would fall outside [0, 1]. min and sum each walk a group in C."""
+    counted = 0
+    for counts in groups:
+        if min(counts, default=0) < 0:
+            raise ValueError("counts must be non-negative")
+        counted += sum(counts)
     if counted > total:
         raise ValueError(f"counts sum to {counted}, more than the total {total}")
 

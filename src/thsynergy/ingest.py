@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 
 class MalformedRow(ValueError):
@@ -263,27 +263,21 @@ def _reader_defect(lines_read: int, exc: csv.Error | UnicodeDecodeError) -> tupl
     return lines_read, str(exc)
 
 
-def _read_header(reader, schema: Mapping[str, str] | None = None) -> tuple[tuple, int]:
+def _read_header(reader) -> tuple[tuple, int]:
     """Read the header row and return (positions, width): positions are
     indexed like CANONICAL_COLUMNS, None for an absent firm_id, and width is
-    the field count a data row needs. Raises ValueError when the schema maps
-    two columns to one header name, MissingColumn, or MalformedRow on line 1
-    when the header names a mapped column more than once.
+    the field count a data row needs. Raises MissingColumn, or MalformedRow
+    on line 1 when the header names a column more than once.
     """
-    mapping = {name: name for name in CANONICAL_COLUMNS} | dict(schema or {})
-    targets = [mapping[c] for c in CANONICAL_COLUMNS]
-    shared = [c for c in CANONICAL_COLUMNS if targets.count(mapping[c]) > 1]
-    if shared:  # their fields would all be read from one column
-        raise ValueError(f"schema maps {', '.join(shared)} to one header name")
     try:
         header = next(reader)
     except StopIteration:
         raise MissingColumn(_REQUIRED) from None
-    positions = tuple(header.index(mapping[c]) if mapping[c] in header else None for c in CANONICAL_COLUMNS)
-    missing = [mapping[c] for c, pos in zip(CANONICAL_COLUMNS, positions) if pos is None and c in _REQUIRED]
+    positions = tuple(header.index(c) if c in header else None for c in CANONICAL_COLUMNS)
+    missing = [c for c, pos in zip(CANONICAL_COLUMNS, positions) if pos is None and c in _REQUIRED]
     if missing:
         raise MissingColumn(missing)
-    duplicate = [mapping[c] for c in CANONICAL_COLUMNS if header.count(mapping[c]) > 1]
+    duplicate = [c for c in CANONICAL_COLUMNS if header.count(c) > 1]
     if duplicate:
         raise MalformedRow(1, f"duplicate column(s): {', '.join(duplicate)}")
     return positions, max(p for p in positions if p is not None) + 1
@@ -319,25 +313,21 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> FirmR
     return record
 
 
-def parse_firm_records(source, schema: Mapping[str, str] | None = None) -> list[FirmRecord]:
+def parse_firm_records(source) -> list[FirmRecord]:
     """Parse a UTF-8 CSV stream into FirmRecords, strictly.
 
-    Arguments:
-        source: bytes, a binary stream or a text stream positioned at the header.
-        schema: optional map from canonical column names (firm_id,
-            municipality_code, nace2, employees, turnover_nok, foreign_share)
-            to the actual header names in the file.
-
-    Any defect aborts the whole parse with a MalformedRow on its line, the
-    header's included: a field the csv module cannot read and a byte that
-    is not UTF-8 among them. Rows are never silently dropped, so the
-    returned list length always equals the data row count.
+    source is bytes, a binary stream or a text stream positioned at the
+    header, which must use the canonical column names. Any defect aborts
+    the whole parse with a MalformedRow on its line, the header's included:
+    a field the csv module cannot read and a byte that is not UTF-8 among
+    them. Rows are never silently dropped, so the returned list length
+    always equals the data row count.
     """
     out = []
     with _text_lines(source) as lines:
         reader = csv.reader(lines)
         try:
-            positions, width = _read_header(reader, schema)
+            positions, width = _read_header(reader)
             for row in reader:
                 out.append(_parse_row(row, reader.line_num, positions, width))
         except (csv.Error, UnicodeDecodeError) as exc:
@@ -377,8 +367,7 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
     record the csv module cannot read and a byte that is not UTF-8 end the
     scan with an issue on their line; the rows before it are counted and
     checked, and the record holding it is not counted. The input is read
-    once, never re-read. The header must use the canonical column names;
-    parse_firm_records stays strict and takes a schema remap.
+    once, never re-read. The header must use the canonical column names.
 
     Each field's classification is memoized per distinct text: the raw
     municipality, nace2 and employees texts of an accepted row map to its
@@ -428,43 +417,3 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
             issues.append(_reader_defect(reader.line_num, exc))
     return rows, issues
 
-
-def load_config(path: str) -> ClassificationConfig:
-    """Read a key = value config file for classification overrides.
-
-    Recognized keys:
-        foreign_cutoff   fraction ("0.2") or percent ("20%")
-        size_bin_edges   comma-separated non-negative integers starting at 0
-
-    Lines starting with # and blank lines are ignored, as is a leading byte
-    order mark. Unknown and repeated keys are an error rather than a silent
-    no-op or override, and so is a byte that is not UTF-8. Every ValueError
-    starts with "<path>:<line>:".
-    """
-    settings: dict = {}
-    number = 0
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        try:
-            for number, raw in enumerate(_checked_lines(fh), 1):
-                stripped = raw.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                where = f"{path}:{number}:"
-                key, sep, value = (part.strip() for part in stripped.partition("="))
-                if not sep:
-                    raise ValueError(f"{where} config line not key = value: {raw!r}")
-                if key in settings:
-                    raise ValueError(f"{where} config key {key!r} is set twice")
-                if key not in ("foreign_cutoff", "size_bin_edges"):
-                    raise ValueError(f"{where} unknown config key {key!r}")
-                try:
-                    if key == "foreign_cutoff":
-                        settings[key] = parse_share(value)
-                    else:
-                        settings[key] = tuple(int(part.strip()) for part in value.split(","))
-                    ClassificationConfig(**{key: settings[key]})  # the range checks, reported on this line
-                except ValueError as exc:
-                    raise ValueError(f"{where} {key}: {exc}") from None
-        except UnicodeDecodeError as exc:  # the line's own checks raise plain ValueErrors
-            raise ValueError("{}:{}: {}".format(path, *_reader_defect(number, exc))) from None
-    return ClassificationConfig(**settings)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -181,23 +182,10 @@ def test_compute_log_base_flag(tmp_path, capsys):
 
 
 def test_compute_config_file(tmp_path, capsys):
-    config = tmp_path / "region.cfg"
-    config.write_text("foreign_cutoff = 60%\n", encoding="utf-8")
+    # the classification settings are given by flag; no firm's share reaches a 60% cutoff
     path = write_csv(tmp_path, CLEAN_ROWS)
-    assert main(["compute", path, "--config", str(config)]) == 0
+    assert main(["compute", path, "--foreign-cutoff", "60%"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["firms"]["foreign"] == 0
-
-
-def test_compute_config_file_with_byte_order_mark(tmp_path, capsys):
-    # the CSV reader skips a leading BOM, and so does the config reader
-    path = write_csv(tmp_path, CLEAN_ROWS)
-    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
-    plain.write_text("foreign_cutoff = 60%\n", encoding="utf-8")
-    marked.write_text("foreign_cutoff = 60%\n", encoding="utf-8-sig")
-    assert main(["compute", path, "--config", str(plain)]) == 0
-    expected = capsys.readouterr().out
-    assert main(["compute", path, "--config", str(marked)]) == 0
-    assert capsys.readouterr().out == expected
 
 
 def test_compute_all_domestic_turnover_sums_are_floats(tmp_path, capsys):
@@ -227,6 +215,16 @@ def test_cutoff_outside_the_config_range_is_usage_error(tmp_path, capsys, comman
     # a share of 0 parses, but the config built from it rejects it
     assert main([command, write_csv(tmp_path, CLEAN_ROWS), "--foreign-cutoff", "0"]) == 2
     assert capsys.readouterr() == ("", "error: --foreign-cutoff: foreign_cutoff must be in (0, 1]\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "compute"])
+@pytest.mark.parametrize("edges, message", [
+    ("1,5", "size_bin_edges must start at 0"),
+    ("0,x", "invalid literal for int() with base 10: 'x'"),
+], ids=["not-from-zero", "not-an-integer"])
+def test_bad_size_bins_is_usage_error_naming_the_flag(tmp_path, capsys, command, edges, message):
+    assert main([command, write_csv(tmp_path, CLEAN_ROWS), "--size-bins", edges]) == 2
+    assert capsys.readouterr() == ("", f"error: --size-bins: {message}\n")
 
 
 def test_compute_missing_file_is_io_error(tmp_path):
@@ -377,13 +375,6 @@ def test_undecodable_byte_inside_a_quoted_record_names_its_line(tmp_path, capsys
         "1 data row(s), 1 issue(s)", "  line 4: byte 0xff is not UTF-8 (invalid start byte)"]
 
 
-def test_config_byte_that_is_not_utf8_is_a_usage_error_naming_file_and_line(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_bytes(b"foreign_cutoff = 0.5\xff\n")
-    assert main(["validate", write_csv(tmp_path, CLEAN_ROWS), "--config", str(config)]) == 2
-    assert capsys.readouterr().err == f"error: {config}:1: byte 0xff is not UTF-8 (invalid start byte)\n"
-
-
 def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     out = tmp_path / "report.json"
@@ -434,6 +425,17 @@ def test_closed_stdout_is_io_error(tmp_path, capsys, monkeypatch, command):
     assert main([command, *args[command]]) == 3
     assert capsys.readouterr().err == "error: standard output is closed\n"
     assert not list(tmp_path.glob("c.csv*"))  # the sweep refused before drawing a firm
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["validate", "--help"]],
+                         ids=["version", "help", "validate-help"])
+def test_help_and_version_with_stdout_closed_exit_3(argv):
+    # argparse would print them to stderr in place of the closed stdout and exit 0 inside parse_args
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = shlex.join([sys.executable, "-m", "thsynergy.cli", *argv]) + " >&-"
+    result = subprocess.run(command, shell=True, env=env, stderr=subprocess.PIPE, encoding="utf-8")
+    assert (result.returncode, result.stderr) == (3, "error: standard output is closed\n")
 
 
 def test_closed_stdout_leaves_compute_output_working(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from thsynergy.cube import (
     normalize_dims,
     split_marginals,
 )
-from thsynergy.decomp import decompose
+from thsynergy.decomp import decompose, split_entropy
 from thsynergy.infotheory import SUBSETS
 from thsynergy.ingest import ClassifiedFirm, Ownership
 from thsynergy.stats import ownership_tech_table
@@ -62,22 +62,24 @@ def test_build_order_independent():
 
 
 def test_combined_adds_both_groups():
+    # the ownership-blind view adds the two groups cell by cell: here one cell of two firms
     cube = build_cube([firm("a", "0", 1), firm("a", "0", 1, Ownership.FOREIGN)])
-    assert cube.combined() == {("a", "0", 1): 2}
+    assert (cube.domestic, cube.foreign) == ({("a", "0", 1): 1}, {("a", "0", 1): 1})
+    assert split_entropy(cube.domestic, cube.foreign, cube.total).total == 0.0
 
 
 # --- marginalization --------------------------------------------------------
 
 def test_marginal_single_dimension():
     marginal = marginalize(small_cube(), ("G",))
-    assert marginal.combined() == {("a",): 3, ("b",): 2}
     assert marginal.domestic == {("a",): 2, ("b",): 1}
     assert marginal.foreign == {("a",): 1, ("b",): 1}
 
 
 def test_marginal_pair():
     marginal = marginalize(small_cube(), ("G", "T"))
-    assert marginal.combined() == {("a", 1): 2, ("a", 2): 1, ("b", 1): 1, ("b", 2): 1}
+    assert marginal.domestic == {("a", 1): 2, ("b", 2): 1}
+    assert marginal.foreign == {("a", 2): 1, ("b", 1): 1}
 
 
 def test_marginal_identity_projection():
@@ -99,7 +101,7 @@ def test_marginal_dims_canonical_order():
     cube = small_cube()
     assert tuple(marginalize(cube, ("T", "G")).axes) == ("G", "T")
     assert marginalize(cube, ("T", "G")).axes == {"G": ("a", "b"), "T": (1, 2)}
-    assert marginalize(cube, ("T", "G")).combined() == marginalize(cube, ("G", "T")).combined()
+    assert marginalize(cube, ("T", "G")) == marginalize(cube, ("G", "T"))
 
 
 def test_marginal_of_own_dimensions_is_the_cube():
@@ -170,10 +172,10 @@ def test_marginal_consistent_with_dense_sums():
     for _ in range(20):
         nat, forn = oracles.random_split_tensors(rng)
         cube = cube_from_tensors(nat, forn)
-        got = marginalize(cube, ("O",)).combined()
+        got = marginalize(cube, ("O",))
         dense = (nat + forn).sum(axis=(0, 2))
         for j, count in enumerate(dense):
-            assert got.get((f"o{j}",), 0) == count
+            assert got.domestic.get((f"o{j}",), 0) + got.foreign.get((f"o{j}",), 0) == count
 
 
 def test_normalize_dims_rejects_bad_input():

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import cube_from_tensors
 import thsynergy.cube
-from thsynergy.cube import EmptyDataset, build_cube, marginalize
+from thsynergy.cube import ContingencyCube, EmptyDataset, build_cube, marginalize
 from thsynergy.decomp import (
     decompose,
     efficiency_ratio,
@@ -100,6 +100,14 @@ def test_split_rejects_counts_past_the_total(domestic, foreign):
         split_entropy(domestic, foreign, 2)
 
 
+@pytest.mark.parametrize("domestic, foreign", [({"a": 3, "b": -1}, {}), ({}, {"a": 3, "b": -1}),
+                                              ({"a": 3}, {"a": -1})])
+def test_split_rejects_a_negative_count(domestic, foreign):
+    # the counts sum to the total, so only the sign check catches them; log2 of a negative p would fail
+    with pytest.raises(ValueError, match="^counts must be non-negative$"):
+        split_entropy(domestic, foreign, 2)
+
+
 def test_split_log_base():
     bits = split_entropy({"a": 1}, {"a": 1}, 2)
     nats = split_entropy({"a": 1}, {"a": 1}, 2, base=math.e)
@@ -107,6 +115,13 @@ def test_split_log_base():
 
 
 # --- decompose --------------------------------------------------------------
+
+def test_decompose_rejects_a_cube_with_a_negative_cell():
+    # the cells sum to the total, so the cube is built; its first marginal, the cube itself, is refused
+    cube = ContingencyCube({"G": ("a", "b"), "O": ("0",), "T": (1,)}, {("a", "0", 1): 3, ("b", "0", 1): -1}, {}, 2)
+    with pytest.raises(ValueError, match="^counts must be non-negative$"):
+        decompose(cube)
+
 
 def test_decompose_mixed_xor_cube():
     # both groups are XOR-shaped and their synergies cancel against the

@@ -69,7 +69,7 @@ def test_entropy_rejects_zero_total():
 
 
 def test_entropy_rejects_negative_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^counts must be non-negative$"):
         shannon_entropy({"a": -1}, 4)
 
 

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 from pathlib import Path
-import re
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -23,7 +22,6 @@ from thsynergy.ingest import (
     classify,
     classify_all,
     default_nace_map,
-    load_config,
     parse_firm_records,
     parse_share,
     size_labels,
@@ -61,30 +59,6 @@ def test_parse_preserves_row_count_and_order():
 def test_parse_accepts_binary_stream():
     stream = io.BytesIO(csv_bytes("F1,1504,30,120,5000000,0.0"))
     assert len(parse_firm_records(stream)) == 1
-
-
-def test_parse_schema_remap():
-    data = csv_bytes(
-        "X,1504,30,120,5000000,0.1",
-        header="orgnr,kommune,naering,ansatte,omsetning,utenlandsk",
-    )
-    schema = {
-        "firm_id": "orgnr",
-        "municipality_code": "kommune",
-        "nace2": "naering",
-        "employees": "ansatte",
-        "turnover_nok": "omsetning",
-        "foreign_share": "utenlandsk",
-    }
-    records = parse_firm_records(data, schema)
-    assert records[0].firm_id == "X"
-    assert records[0].municipality_code == "1504"
-
-
-def test_parse_rejects_schema_mapping_two_columns_to_one_header():
-    data = csv_bytes("F1,1504,30,5000000,0.0", header="firm_id,municipality_code,x,turnover_nok,foreign_share")
-    with pytest.raises(ValueError, match="schema maps nace2, employees to one header name"):
-        parse_firm_records(data, {"nace2": "x", "employees": "x"})
 
 
 def test_parse_column_order_irrelevant():
@@ -433,7 +407,7 @@ FIELD_TEXTS = {
 def _row_by_row(data: bytes, config: ClassificationConfig):
     """The scan's (rows, issues) and add() calls from _parse_row and categorize on every row."""
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    positions, width = _read_header(reader, None)
+    positions, width = _read_header(reader)
     rows, issues, calls = 0, [], []
     for row in reader:
         rows += 1
@@ -555,59 +529,3 @@ def test_parse_row_returns_what_int_and_float_return(texts):
         except ValueError as exc:
             expected = str(exc)
         assert repr(got) == repr(expected)
-
-
-# --- config file ------------------------------------------------------------
-
-def test_load_config(tmp_path):
-    path = tmp_path / "override.cfg"
-    path.write_text("# comment\nforeign_cutoff = 50%\nsize_bin_edges = 0,10,100\n", encoding="utf-8")
-    config = load_config(str(path))
-    assert config.foreign_cutoff == pytest.approx(0.5)
-    assert config.size_bin_edges == (0, 10, 100)
-
-
-def test_load_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("mystery = 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unknown config key 'mystery'")):
-        load_config(str(path))
-
-
-def test_load_config_rejects_repeated_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("foreign_cutoff = 10%\nforeign_cutoff = 50%\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="config key 'foreign_cutoff' is set twice"):
-        load_config(str(path))
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
-        load_config(str(path))
-
-
-def test_load_config_rejects_bare_line(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("foreign_cutoff\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:1: config line not key = value")):
-        load_config(str(path))
-
-
-@pytest.mark.parametrize("text, message", [
-    ("size_bin_edges = 0, x\n", "1: size_bin_edges: invalid literal for int() with base 10: 'x'"),
-    ("# cutoff\n\nforeign_cutoff = abc\n", "3: foreign_cutoff: could not convert string to float: 'abc'"),
-    ("foreign_cutoff = 0\n", "1: foreign_cutoff: foreign_cutoff must be in (0, 1]"),
-    ("foreign_cutoff = 150%\n", "1: foreign_cutoff: share '150%' outside [0, 1]"),
-    ("foreign_cutoff = 20%\nsize_bin_edges = 1, 5\n", "2: size_bin_edges: size_bin_edges must start at 0"),
-], ids=["edge-not-int", "cutoff-not-float", "cutoff-zero", "cutoff-over-one", "edges-not-from-zero"])
-def test_load_config_value_error_names_file_line_and_key(tmp_path, text, message):
-    path = tmp_path / "bad.cfg"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
-        load_config(str(path))
-
-
-def test_load_config_names_file_and_line_of_a_byte_that_is_not_utf8(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_bytes(b"# cutoff\r\nforeign_cutoff = 0.5\xff\r\n")
-    with pytest.raises(ValueError) as err:
-        load_config(str(path))
-    assert str(err.value) == f"{path}:2: byte 0xff is not UTF-8 (invalid start byte)"
-    assert type(err.value) is ValueError

@@ -55,11 +55,10 @@ def test_compute_demo_document_is_pinned(tmp_path, monkeypatch, capsys, flags, d
 
 
 def test_compute_demo_document_with_config_file_is_pinned(tmp_path, monkeypatch, capsys):
-    # a config file enters the document through the size classes and the manifest's config hash
+    # the size bins enter the document through the size classes and the manifest's config hash
     shutil.copy(DEMO, tmp_path / "firms_demo.csv")
-    (tmp_path / "bins.ini").write_text("size_bin_edges = 0, 10, 100\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    assert main(["compute", "firms_demo.csv", "--config", "bins.ini"]) == 0
+    assert main(["compute", "firms_demo.csv", "--size-bins", "0,10,100"]) == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
             == "9cdd1fdcb8c3fc6a89ff99d369d568dca38be134e652ecc36bd3e93f07638bf8")
 

@@ -32,3 +32,4 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="'thsynergy' has no attribute 'no_such_name'"):
         thsynergy.no_such_name
     assert not hasattr(thsynergy, "marginalise")
+    assert not hasattr(thsynergy, "load_config")  # the classification settings are flags only
