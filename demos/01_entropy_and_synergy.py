@@ -5,7 +5,7 @@ interesting part: negative means the three dimensions are bound together
 more tightly than any pairwise view reveals, positive means they largely
 repeat each other.
 """
-from thsynergy import ContingencyCube, entropy_profile, ternary_information
+from thsynergy import ContingencyCube, decompose, ternary_information
 
 # A parity population: the technology group is the XOR of the other two
 # coordinates. Any single dimension looks uniform, any pair looks uniform,
@@ -22,7 +22,7 @@ parity = ContingencyCube(
     total=4,
 )
 
-profile = entropy_profile(parity)
+profile = decompose(parity).profile()
 print("parity cube entropies")
 print(f"  singles:  G={profile.h_g}  O={profile.h_o}  T={profile.h_t}")
 print(f"  pairs:    GO={profile.h_go}  GT={profile.h_gt}  OT={profile.h_ot}")
@@ -38,7 +38,7 @@ aligned = ContingencyCube(
     total=2,
 )
 print("aligned cube (every dimension copies the others)")
-print(f"  signed measure: {ternary_information(entropy_profile(aligned))}  (pure redundancy)")
+print(f"  signed measure: {ternary_information(decompose(aligned).profile())}  (pure redundancy)")
 print()
 
 # Independence sits exactly at zero: a uniform cube factorizes.
@@ -49,4 +49,4 @@ uniform = ContingencyCube(
     total=8,
 )
 print("uniform independent cube")
-print(f"  signed measure: {ternary_information(entropy_profile(uniform))}")
+print(f"  signed measure: {ternary_information(decompose(uniform).profile())}")

@@ -8,29 +8,22 @@ the alternating sum splits too:
 The combined foreign contribution (foreign_only + cross) is what the region
 loses if its foreign-owned firms disappear and nothing else moves.
 """
-from thsynergy import (
-    ClassifiedFirm,
-    Ownership,
-    build_cube,
-    decompose,
-    marginalize,
-    split_entropy,
-    subgroup_synergy,
-)
+from thsynergy import Tally, decompose, marginalize, split_entropy, subgroup_synergy
 
 # A toy region: domestic firms concentrated in two municipality/size/tech
-# niches, foreign firms bridging a third combination.
-firms = []
-for _ in range(6):
-    firms.append(ClassifiedFirm("west", "1-4", 2, Ownership.DOMESTIC, 8e6))
-for _ in range(6):
-    firms.append(ClassifiedFirm("east", "20-49", 5, Ownership.DOMESTIC, 30e6))
-for _ in range(3):
-    firms.append(ClassifiedFirm("west", "20-49", 5, Ownership.FOREIGN, 90e6))
-for _ in range(3):
-    firms.append(ClassifiedFirm("east", "1-4", 2, Ownership.FOREIGN, 12e6))
+# niches, foreign firms bridging a third combination. Each firm is a
+# ((municipality, size class, tech group), foreign, turnover) triple.
+tally = Tally()
+for cell, foreign, turnover, count in [
+    (("west", "1-4", 2), False, 8e6, 6),
+    (("east", "20-49", 5), False, 30e6, 6),
+    (("west", "20-49", 5), True, 90e6, 3),
+    (("east", "1-4", 2), True, 12e6, 3),
+]:
+    for _ in range(count):
+        tally.add(cell, foreign, turnover)
 
-cube = build_cube(firms)
+cube = tally.cube()
 dec = decompose(cube)
 
 print(f"{cube.total} firms, {sum(cube.foreign.values())} foreign")
@@ -57,5 +50,5 @@ print()
 # (how synergistic are the foreign firms among themselves?) and is kept
 # apart from the additive split.
 print("foreign firms as their own population:",
-      f"{subgroup_synergy(cube, Ownership.FOREIGN):+.6f}")
+      f"{subgroup_synergy(cube, foreign=True):+.6f}")
 print("additive foreign term (full denominator):", f"{dec.foreign:+.6f}")

@@ -1,36 +1,34 @@
 """End to end: firm CSV in, region report out.
 
-Mirrors what `thsynergy compute` does, but step by step: validate, parse,
-classify, build the cube, decompose, and attach the domestic-vs-foreign
-chi-square over technology groups.
+Mirrors what `thsynergy compute` does, step by step on one scan, one cube:
+the scan checks and classifies every row and hands each accepted firm to a
+tally, the tally builds the cube, the cube is decomposed into the report,
+and the domestic-vs-foreign chi-square over technology groups comes from
+the same cube.
 """
 import json
 from pathlib import Path
 
 from thsynergy import (
     DegenerateTable,
-    build_cube,
+    Tally,
     chi_square_homogeneity,
-    classify_all,
+    cube_report,
     ownership_tech_table,
-    parse_firm_records,
-    region_report,
     validate_firm_csv,
 )
 
 data_path = Path(__file__).parent / "data" / "firms_demo.csv"
 
+tally = Tally()
 with open(data_path, "rb") as fh:
-    rows, issues = validate_firm_csv(fh)
+    rows, issues = validate_firm_csv(fh, add=tally.add)
 print(f"validation: {rows} rows, {len(issues)} issues")
 for line, message in issues:
     print(f"  line {line}: {message}")
 
-with open(data_path, "rb") as fh:
-    records = parse_firm_records(fh)
-firms = classify_all(records)
-
-report = region_report(firms)
+cube = tally.cube()
+report = cube_report(cube, tally)
 print()
 print("region report")
 print(json.dumps(report.to_dict(), indent=2))
@@ -40,7 +38,7 @@ print()
 print(f"entropies (bits): triple {profile.h_got:.4f}, "
       f"pairs {profile.h_go:.4f}/{profile.h_gt:.4f}/{profile.h_ot:.4f}")
 
-categories, table = ownership_tech_table(build_cube(firms))
+categories, table = ownership_tech_table(cube)
 try:
     chi = chi_square_homogeneity(table)
     print()

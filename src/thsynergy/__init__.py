@@ -15,14 +15,12 @@ __version__ = "0.1.0"
 
 # each exported name -> the submodule that defines it
 _HOMES = {
-    **dict.fromkeys(("ContingencyCube", "EmptyDataset", "build_cube", "marginalize"), "cube"),
-    **dict.fromkeys(("RegionReport", "SplitEntropyTerm", "SynergyDecomposition", "decompose", "efficiency_ratio",
-                     "region_report", "split_entropy", "subgroup_synergy", "synergy_share"), "decomp"),
-    **dict.fromkeys(("EntropyProfile", "ZeroTotal", "cube_ternary_information", "entropy_profile",
-                     "shannon_entropy", "ternary_information"), "infotheory"),
-    **dict.fromkeys(("ClassificationConfig", "ClassifiedFirm", "FirmRecord", "MalformedRow", "MissingColumn",
-                     "Ownership", "UnmappedNace", "classify", "classify_all", "parse_firm_records",
-                     "validate_firm_csv"), "ingest"),
+    **dict.fromkeys(("ContingencyCube", "EmptyDataset", "Tally", "marginalize"), "cube"),
+    **dict.fromkeys(("RegionReport", "SplitEntropyTerm", "SynergyDecomposition", "cube_report", "decompose",
+                     "efficiency_ratio", "split_entropy", "subgroup_synergy", "synergy_share"), "decomp"),
+    **dict.fromkeys(("EntropyProfile", "ZeroTotal", "shannon_entropy", "ternary_information"), "infotheory"),
+    **dict.fromkeys(("ClassificationConfig", "MalformedRow", "MissingColumn", "UnmappedNace", "validate_firm_csv"),
+                    "ingest"),
     **dict.fromkeys(("ChiSquareResult", "DegenerateTable", "chi_square_homogeneity", "chi_square_survival",
                      "ownership_tech_table"), "stats"),
     **dict.fromkeys(("SweepCurve", "SweepPoint", "SynthParams", "generate", "sweep_foreign_share"), "synthlab"),

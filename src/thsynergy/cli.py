@@ -295,14 +295,19 @@ def main(argv: list[str] | None = None) -> int:
         argv.insert(1, "--")  # a table such as '-1,2;3,4' is never an option
     closed = sys.stdout is None  # the process was started with standard output closed
     try:
-        # argparse would write --help and --version to stderr in place of a closed stdout, then exit 0
-        with contextlib.redirect_stdout(io.StringIO() if closed else sys.stdout):
-            args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        if closed and exc.code == 0:
-            return _error("standard output is closed", 3)
-        raise
-    try:
+        # argparse prints --help and --version itself, dropping an OSError from the write and using
+        # stderr in place of a closed stdout, so their text is captured and written here
+        text = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(text):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 0:
+                if closed:
+                    raise OSError("standard output is closed") from None
+                sys.stdout.write(text.getvalue())
+                sys.stdout.flush()
+            raise
         # every command but compute --output writes to stdout, so refuse before doing any work
         if closed and (args.func is not cmd_compute or not args.output):
             raise OSError("standard output is closed")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from array import array
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .ingest import ClassifiedFirm, Ownership, _Validated
+from .ingest import _Validated
 
 DIMS = ("G", "O", "T")  # geography, organization (size), technology
 Cell = tuple
@@ -51,7 +51,9 @@ class ContingencyCube(_Validated, _CubeFields):
 class Tally:
     """Split cell counts and turnovers, built one firm at a time.
 
-    add() takes a firm's (g, o, t) cell, its ownership flag and its turnover.
+    A firm is the triple add() takes: its (g, o, t) cell, its ownership flag
+    (True for foreign) and its turnover. ingest.validate_firm_csv passes
+    each accepted row's triple to add, and synthlab.generate returns them.
     turnovers holds the domestic and the foreign turnovers, indexed by the
     flag; decomp._build_report sums them. The cube shares the tally's count
     maps: take it after the last add.
@@ -68,13 +70,6 @@ class Tally:
         append(turnover)
         counts[cell] = counts.get(cell, 0) + 1
 
-    def add_firms(self, firms: Iterable[ClassifiedFirm]) -> "Tally":
-        add = self.add
-        for firm in firms:
-            add((firm.municipality, firm.size_class, firm.tech_group),
-                firm.ownership is Ownership.FOREIGN, firm.turnover)
-        return self
-
     def cube(self) -> ContingencyCube:
         """The cube of all firms added; axes hold the observed values, sorted."""
         total = sum(self.domestic.values()) + sum(self.foreign.values())
@@ -85,15 +80,6 @@ class Tally:
             coord = itemgetter(i)
             axes[dim] = tuple(sorted(set(map(coord, self.domestic)).union(map(coord, self.foreign))))
         return ContingencyCube(axes=axes, domestic=self.domestic, foreign=self.foreign, total=total)
-
-
-def build_cube(firms: Sequence[ClassifiedFirm]) -> ContingencyCube:
-    """Aggregate classified firms into a cube.
-
-    Raises EmptyDataset on an empty input. Axis categories are exactly the
-    values observed in the data, sorted.
-    """
-    return Tally().add_firms(firms).cube()
 
 
 def normalize_dims(dims: Iterable[str]) -> tuple[str, ...]:

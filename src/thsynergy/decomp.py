@@ -22,11 +22,10 @@ from __future__ import annotations
 import math
 from itertools import chain, filterfalse, repeat
 from operator import add
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple
 
 from .cube import ContingencyCube, EmptyDataset, Tally, normalize_dims, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _check_counts, _plugin_entropy, ternary_information, ZeroTotal
-from .ingest import ClassifiedFirm, Ownership
 
 
 class SplitEntropyTerm(NamedTuple):
@@ -114,17 +113,18 @@ def _decompose_terms(terms: tuple[SplitEntropyTerm, ...]) -> SynergyDecompositio
     return SynergyDecomposition(total, domestic, foreign_only, cross, foreign_only + cross, terms)
 
 
-def subgroup_synergy(cube: ContingencyCube, ownership: Ownership, base: float = 2.0) -> float:
-    """Signed measure of one ownership group renormalized by its own size.
+def subgroup_synergy(cube: ContingencyCube, foreign: bool, base: float = 2.0) -> float:
+    """Signed measure of one ownership group, the foreign firms when foreign
+    is true and the domestic ones otherwise, renormalized by its own size.
 
     Secondary diagnostic only. The additive decomposition keeps the full
     population denominator; this instead treats the chosen group as a
     population of its own, so its value is NOT a term of decompose().
     """
-    counts = cube.foreign if ownership is Ownership.FOREIGN else cube.domestic
+    counts = cube.foreign if foreign else cube.domestic
     subtotal = sum(counts.values())
     if subtotal == 0:
-        raise EmptyDataset(f"no {ownership.value} firms in cube")
+        raise EmptyDataset(f"no {'foreign' if foreign else 'domestic'} firms in cube")
     return decompose(ContingencyCube(cube.axes, counts, {}, subtotal), base).total
 
 
@@ -204,19 +204,13 @@ class RegionReport(NamedTuple):
         }
 
 
-def region_report(firms: Sequence[ClassifiedFirm], base: float = 2.0) -> RegionReport:
-    """Build the full region summary from classified firms.
-
-    Raises EmptyDataset on empty input and OverflowError when a turnover sum
-    is not finite. The foreign share of an all-foreign population is exactly
-    1.0.
-    """
-    tally = Tally().add_firms(firms)
-    return cube_report(tally.cube(), tally, base)
-
-
 def cube_report(cube: ContingencyCube, tally: Tally, base: float = 2.0) -> RegionReport:
-    """Region summary from a tally's cube and turnovers: one decomposition."""
+    """Region summary from a tally's cube and turnovers: one decomposition.
+
+    Raises OverflowError when a turnover sum is not finite (tally.cube()
+    raises EmptyDataset on a tally without firms). The foreign share of an
+    all-foreign population is exactly 1.0.
+    """
     return _build_report(decompose(cube, base), *tally.turnovers)
 
 

@@ -14,17 +14,15 @@ Every entropy sums its -p log p terms with math.fsum, which returns the
 correctly rounded sum, so results are bit-for-bit reproducible whatever the
 order of the counts. The kernel takes one log per distinct count and hands
 fsum that term once per cell holding the count: the same terms as one log
-per cell, so the same sum. A cube's entropies come from decomp.decompose.
+per cell, so the same sum. A cube's entropies and measure come from
+decomp.decompose: decompose(cube).profile() and decompose(cube).total.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
-
-if TYPE_CHECKING:
-    from .cube import ContingencyCube
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 
 class ZeroTotal(ValueError):
@@ -87,12 +85,6 @@ class EntropyProfile(NamedTuple):
 SUBSETS = (("G",), ("O",), ("T",), ("G", "O"), ("G", "T"), ("O", "T"), ("G", "O", "T"))
 
 
-def entropy_profile(cube: ContingencyCube, base: float = 2.0) -> EntropyProfile:
-    """All seven marginal entropies of the full population, as decompose() finds them."""
-    from .decomp import decompose  # decomp imports this module
-    return decompose(cube, base).profile()
-
-
 def ternary_information(profile: EntropyProfile) -> float:
     """Signed three-way measure from a profile. Negative means synergy."""
     return (
@@ -100,9 +92,3 @@ def ternary_information(profile: EntropyProfile) -> float:
         - profile.h_go - profile.h_gt - profile.h_ot
         + profile.h_got
     )
-
-
-def cube_ternary_information(cube: ContingencyCube, base: float = 2.0) -> float:
-    """The cube's signed measure: the total of its decompose()."""
-    from .decomp import decompose  # decomp imports this module
-    return decompose(cube, base).total

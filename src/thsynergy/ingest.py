@@ -1,9 +1,10 @@
-"""Firm-register ingestion: CSV parsing and categorical classification.
+"""Firm-register ingestion: one checking, classifying scan of a CSV.
 
 Raw rows carry a municipality code, a two-digit NACE activity code, an
-employee count, turnover in NOK and a foreign ownership share. Classification
-turns each row into the three categorical coordinates used downstream
-(municipality, size class, technology group) plus an ownership flag.
+employee count, turnover in NOK and a foreign ownership share. The scan
+turns each accepted row into a firm triple (cell, foreign, turnover): the
+three categorical coordinates used downstream (municipality, size class,
+technology group), an ownership flag and the turnover.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import math
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
-from enum import Enum
 from functools import cached_property
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TextIO
@@ -43,11 +43,6 @@ class UnmappedNace(ValueError):
         self.nace2 = nace2
         self.reason = f"NACE code {nace2:02d} has no technology group mapping"
         super().__init__(self.reason)
-
-
-class Ownership(str, Enum):
-    DOMESTIC = "domestic"
-    FOREIGN = "foreign"
 
 
 # --- default classification tables -----------------------------------------
@@ -177,35 +172,6 @@ def _check_ranges(nace2: int, employees: int, turnover: float, share: float) -> 
         raise ValueError("foreign_share must be a fraction in [0, 1]")
 
 
-class _FirmFields(NamedTuple):
-    firm_id: str
-    municipality_code: str
-    nace2: int
-    employees: int
-    turnover: float
-    foreign_share: float
-
-
-class FirmRecord(_Validated, _FirmFields):
-    """One validated register row, units as in the source data (NOK, headcount)."""
-
-    __slots__ = ()
-
-    def _validated(self):
-        _check_ranges(self.nace2, self.employees, self.turnover, self.foreign_share)
-        return self
-
-
-class ClassifiedFirm(NamedTuple):
-    """A firm reduced to its three categorical coordinates plus ownership."""
-
-    municipality: str
-    size_class: str
-    tech_group: int
-    ownership: Ownership
-    turnover: float
-
-
 # --- CSV parsing ------------------------------------------------------------
 
 CANONICAL_COLUMNS = (
@@ -216,7 +182,8 @@ CANONICAL_COLUMNS = (
     "turnover_nok",
     "foreign_share",
 )
-_REQUIRED = CANONICAL_COLUMNS[1:]  # firm_id may be absent
+# firm_id may be absent; no check reads it, but a present one counts in the row width and the duplicate check
+_REQUIRED = CANONICAL_COLUMNS[1:]
 
 
 _BATCH_CHARS = 16384  # size hint of each readlines() batch: 64 KiB kept peak RSS 0.2 MB higher
@@ -283,8 +250,8 @@ def _read_header(reader) -> tuple[tuple, int]:
     return positions, max(p for p in positions if p is not None) + 1
 
 
-def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> FirmRecord:
-    """Check one data row and return its FirmRecord, whose firm_id is "row-<line>" without that column.
+def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple[str, int, int, float, float]:
+    """Check one data row and return its (municipality, nace2, employees, turnover, share).
 
     Raises MalformedRow naming the line and the first defect found.
     """
@@ -292,7 +259,7 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> FirmR
         raise MalformedRow(line, "blank row")
     if len(row) < width:
         raise MalformedRow(line, f"expected at least {width} fields, got {len(row)}")
-    id_at, muni_at, nace_at, employees_at, turnover_at, share_at = positions
+    _, muni_at, nace_at, employees_at, turnover_at, share_at = positions
     values = []
     for at, name, convert, kind in ((nace_at, "nace2", int, "an integer"),
                                     (employees_at, "employees", int, "an integer"),
@@ -303,52 +270,14 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> FirmR
             values.append(convert(text))
         except ValueError:
             raise MalformedRow(line, f"{name} {text!r} is not {kind}") from None
-    firm_id = row[id_at].strip() if id_at is not None else f"row-{line}"
     try:
-        record = FirmRecord(firm_id, row[muni_at].strip(), *values)  # its validation is the one range check
+        _check_ranges(*values)
     except ValueError as exc:
         raise MalformedRow(line, str(exc)) from None
-    if not record.municipality_code:
+    municipality = row[muni_at].strip()
+    if not municipality:
         raise MalformedRow(line, "municipality_code is empty")
-    return record
-
-
-def parse_firm_records(source) -> list[FirmRecord]:
-    """Parse a UTF-8 CSV stream into FirmRecords, strictly.
-
-    source is bytes, a binary stream or a text stream positioned at the
-    header, which must use the canonical column names. Any defect aborts
-    the whole parse with a MalformedRow on its line, the header's included:
-    a field the csv module cannot read and a byte that is not UTF-8 among
-    them. Rows are never silently dropped, so the returned list length
-    always equals the data row count.
-    """
-    out = []
-    with _text_lines(source) as lines:
-        reader = csv.reader(lines)
-        try:
-            positions, width = _read_header(reader)
-            for row in reader:
-                out.append(_parse_row(row, reader.line_num, positions, width))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise MalformedRow(*_reader_defect(reader.line_num, exc)) from None
-    return out
-
-
-def classify(record: FirmRecord, config: ClassificationConfig | None = None) -> ClassifiedFirm:
-    """Map one FirmRecord to its categorical coordinates.
-
-    Raises UnmappedNace when the two-digit code has no technology group in
-    the configured map.
-    """
-    cell, foreign = (config or ClassificationConfig()).categorize(
-        record.municipality_code, record.nace2, record.employees, record.foreign_share)
-    return ClassifiedFirm(*cell, Ownership.FOREIGN if foreign else Ownership.DOMESTIC, record.turnover)
-
-
-def classify_all(records: Iterable[FirmRecord], config: ClassificationConfig | None = None) -> list[ClassifiedFirm]:
-    config = config or ClassificationConfig()
-    return [classify(r, config) for r in records]
+    return (municipality, *values)
 
 
 # Distinct texts per memo. Past it a memo learns only a text that is its own value, as an unpadded
@@ -401,7 +330,7 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
                 if not known:
                     line = reader.line_num
                     try:
-                        _, municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
+                        municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
                         cell = categorize(municipality, nace2, employees, share)[0]
                     except (MalformedRow, UnmappedNace) as exc:
                         issues.append((line, exc.reason))

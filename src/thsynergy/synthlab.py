@@ -16,7 +16,7 @@ from typing import IO, NamedTuple, Sequence
 from .cube import DIMS
 from .decomp import RegionReport, _build_report, _decompose_terms, _split_term
 from .infotheory import SUBSETS, _plugin_entropy
-from .ingest import ClassifiedFirm, Ownership, _Validated
+from .ingest import _Validated
 
 _INT64_MAX = 2**63 - 1
 
@@ -100,13 +100,13 @@ def _draw(params: SynthParams) -> tuple:
     return g_idx, o_idx, t_idx, turnover, rank
 
 
-def generate(params: SynthParams) -> list[ClassifiedFirm]:
-    """Draw a deterministic synthetic population for the given parameters."""
+def generate(params: SynthParams) -> list[tuple[tuple, bool, float]]:
+    """Draw a deterministic synthetic population for the given parameters: each firm's
+    (cell, foreign, turnover) triple, as cube.Tally.add takes it, in firm order."""
     *indices, turnovers, ranks = _draw(params)
     cells = zip(*(map(label, idx.tolist()) for label, idx in zip(_LABELS, indices)))
     k = foreign_count(params.n_firms, params.foreign_share_target)
-    return [ClassifiedFirm(*cell, Ownership.FOREIGN if rank < k else Ownership.DOMESTIC, turnover)
-            for cell, turnover, rank in zip(cells, turnovers.tolist(), ranks.tolist())]
+    return [(cell, rank < k, turnover) for cell, turnover, rank in zip(cells, turnovers.tolist(), ranks.tolist())]
 
 
 class SweepPoint(NamedTuple):

@@ -13,8 +13,8 @@ import oracles
 from conftest import cube_from_tensors
 from thsynergy.cube import marginalize
 from thsynergy.decomp import decompose, efficiency_ratio, split_entropy, synergy_share
-from thsynergy.infotheory import cube_ternary_information, entropy_profile, ternary_information
-from thsynergy.ingest import ClassificationConfig, FirmRecord, classify
+from thsynergy.infotheory import ternary_information
+from thsynergy.ingest import ClassificationConfig
 from thsynergy.stats import chi_square_homogeneity, chi_square_survival
 from thsynergy.synthlab import SynthParams, sweep_foreign_share
 
@@ -34,7 +34,7 @@ def test_criterion_1_ternary_oracle_agreement():
     for _ in range(1000):
         nat, forn = oracles.random_split_tensors(rng, max_axis=4, max_total=200)
         cube = cube_from_tensors(nat, forn)
-        got = cube_ternary_information(cube)
+        got = decompose(cube).total
         want = oracles.ternary_dense((nat + forn) / cube.total)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= tol
@@ -53,8 +53,8 @@ def test_criterion_2_signed_extremes():
         for o in range(2):
             xor[g, o, g ^ o] = 1
     ident[0, 0, 0] = ident[1, 1, 1] = 1
-    t_xor = cube_ternary_information(cube_from_tensors(xor, np.zeros_like(xor)))
-    t_ident = cube_ternary_information(cube_from_tensors(ident, np.zeros_like(ident)))
+    t_xor = decompose(cube_from_tensors(xor, np.zeros_like(xor))).total
+    t_ident = decompose(cube_from_tensors(ident, np.zeros_like(ident))).total
     assert abs(t_xor - (-1.0)) <= tol
     assert abs(t_ident - 1.0) <= tol
     _ok(2, "parity cube -1.0 and identical-triple cube +1.0")
@@ -162,18 +162,17 @@ def test_criterion_4_reference_aggregates():
 # --- criterion 5: classification tables -------------------------------------
 
 def test_criterion_5_classification_tables():
+    config = ClassificationConfig()
     spot = {1: 1, 5: 2, 39: 2, 41: 3, 45: 4, 58: 5, 64: 6, 68: 7, 69: 8, 84: 9, 90: 10, 99: 10}
     for code, group in spot.items():
-        record = FirmRecord("F", "1504", code, 10, 1.0, 0.0)
-        assert classify(record).tech_group == group
+        (_, _, tech_group), _ = config.categorize("1504", code, 10, 0.0)
+        assert tech_group == group
 
-    config = ClassificationConfig()
     labels = config.size_class_labels
     assert labels == ("0", "1-4", "5-9", "10-19", "20-49", "50-99", "100-249", "250+")
     hits = {label: 0 for label in labels}
     for employees in range(0, 1001):
-        record = FirmRecord("F", "1504", 30, employees, 1.0, 0.0)
-        assigned = classify(record).size_class
+        (_, assigned, _), _ = config.categorize("1504", 30, employees, 0.0)
         assert assigned in hits  # exactly one bin, a known one
         hits[assigned] += 1
     assert sum(hits.values()) == 1001
@@ -241,7 +240,7 @@ def test_criterion_8_invariance_suite():
         nat_p = nat[p0][:, p1][:, :, p2]
         forn_p = forn[p0][:, p1][:, :, p2]
         permuted = cube_from_tensors(nat_p, forn_p)
-        a, b = entropy_profile(cube), entropy_profile(permuted)
+        a, b = decompose(cube).profile(), decompose(permuted).profile()
         for field in ("h_g", "h_o", "h_t", "h_go", "h_gt", "h_ot", "h_got"):
             assert abs(getattr(a, field) - getattr(b, field)) <= tol
         assert abs(ternary_information(a) - ternary_information(b)) <= tol
@@ -255,7 +254,7 @@ def test_criterion_8_invariance_suite():
         k = int(rng.integers(2, 7))
         cube = cube_from_tensors(nat, forn)
         scaled = cube_from_tensors(nat * k, forn * k)
-        assert entropy_profile(scaled) == entropy_profile(cube)
+        assert decompose(scaled).profile() == decompose(cube).profile()
         assert decompose(scaled) == decompose(cube)
 
     rng = np.random.default_rng(4444)

@@ -457,6 +457,23 @@ def test_buffered_stdout_on_a_full_device_exits_3(tmp_path):
     assert (result.returncode, result.stderr) == (3, DISK_FULL)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["validate", "--help"]],
+                         ids=["version", "help", "validate-help"])
+def test_help_and_version_on_a_full_device_exit_3(argv, unbuffered):
+    # argparse drops the OSError of its own write: unbuffered that exited 0 and lost the text, and
+    # buffered the interpreter's flush at exit printed "Exception ignored" and exited 120
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": src}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        result = subprocess.run([sys.executable, "-m", "thsynergy.cli", *argv],
+                                env=env, stdout=full, stderr=subprocess.PIPE, encoding="utf-8")
+    assert (result.returncode, result.stderr) == (3, DISK_FULL)
+
+
 # --- start-up -----------------------------------------------------------------
 
 DEMO_CSV = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"

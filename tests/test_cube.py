@@ -5,33 +5,36 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cube_from_tensors
+from conftest import cube_from_tensors, tally_of
 from thsynergy.cube import (
     ContingencyCube,
     EmptyDataset,
     Tally,
-    build_cube,
     marginalize,
     normalize_dims,
     split_marginals,
 )
 from thsynergy.decomp import decompose, split_entropy
 from thsynergy.infotheory import SUBSETS
-from thsynergy.ingest import ClassifiedFirm, Ownership
 from thsynergy.stats import ownership_tech_table
 
 
-def firm(g="1504", o="20-49", t=2, ownership=Ownership.DOMESTIC, turnover=1000.0):
-    return ClassifiedFirm(g, o, t, ownership, turnover)
+def firm(g="1504", o="20-49", t=2, foreign=False, turnover=1000.0):
+    """A firm as Tally.add takes it: (cell, foreign, turnover)."""
+    return (g, o, t), foreign, turnover
+
+
+def cube_of(firms):
+    return tally_of(firms).cube()
 
 
 def small_cube():
-    return build_cube([
+    return cube_of([
         firm("a", "0", 1),
         firm("a", "0", 1),
-        firm("a", "1-4", 2, Ownership.FOREIGN),
+        firm("a", "1-4", 2, True),
         firm("b", "0", 2),
-        firm("b", "1-4", 1, Ownership.FOREIGN),
+        firm("b", "1-4", 1, True),
     ])
 
 
@@ -52,18 +55,18 @@ def test_build_axes_sorted_and_data_driven():
 
 def test_build_empty_raises():
     with pytest.raises(EmptyDataset):
-        build_cube([])
+        cube_of([])
 
 
 def test_build_order_independent():
-    firms = [firm("a", "0", 1), firm("b", "1-4", 2, Ownership.FOREIGN), firm("a", "5-9", 1)]
+    firms = [firm("a", "0", 1), firm("b", "1-4", 2, True), firm("a", "5-9", 1)]
     for perm in itertools.permutations(firms):
-        assert build_cube(list(perm)) == build_cube(firms)
+        assert cube_of(list(perm)) == cube_of(firms)
 
 
 def test_combined_adds_both_groups():
     # the ownership-blind view adds the two groups cell by cell: here one cell of two firms
-    cube = build_cube([firm("a", "0", 1), firm("a", "0", 1, Ownership.FOREIGN)])
+    cube = cube_of([firm("a", "0", 1), firm("a", "0", 1, True)])
     assert (cube.domestic, cube.foreign) == ({("a", "0", 1): 1}, {("a", "0", 1): 1})
     assert split_entropy(cube.domestic, cube.foreign, cube.total).total == 0.0
 
@@ -147,8 +150,8 @@ def split_cubes(draw):
 
 
 @given(split_cubes())
-@example(build_cube([firm("a", "0", 1)]))
-@example(build_cube([firm("a", "0", 1, Ownership.FOREIGN), firm("a", "0", 1, Ownership.FOREIGN)]))
+@example(cube_of([firm("a", "0", 1)]))
+@example(cube_of([firm("a", "0", 1, True), firm("a", "0", 1, True)]))
 def test_split_marginals_equal_marginalize(cube):
     yielded = list(split_marginals(cube))
     assert sorted(tuple(m.axes) for m in yielded) == sorted(SUBSETS)

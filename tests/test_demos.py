@@ -40,8 +40,12 @@ def test_readme_quick_start_sweep_writes_the_readme_csv(tmp_path, capsys):
 def test_readme_library_example_reads_a_file_with_a_byte_order_mark(tmp_path, monkeypatch):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     code = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
-    (tmp_path / "firms.csv").write_bytes(b"\xef\xbb\xbf" + (ROOT / "demos" / "data" / "firms_demo.csv").read_bytes())
+    # firm_id moved last, so that a byte order mark left on the header would hide a required column
+    demo = (ROOT / "demos" / "data" / "firms_demo.csv").read_text(encoding="utf-8")
+    rows = [line.split(",") for line in demo.splitlines()]
+    text = "".join(",".join([*fields[1:], fields[0]]) + "\n" for fields in rows)
+    (tmp_path / "firms.csv").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     exec(code, namespace)
-    assert namespace["records"][0].firm_id == "F001"
+    assert (namespace["rows"], namespace["issues"], namespace["report"].firm_count) == (30, [], 30)

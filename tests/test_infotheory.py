@@ -11,8 +11,6 @@ from thsynergy.infotheory import (
     EntropyProfile,
     ZeroTotal,
     _plugin_entropy,
-    cube_ternary_information,
-    entropy_profile,
     shannon_entropy,
     ternary_information,
 )
@@ -118,25 +116,25 @@ def test_plugin_entropy_equals_per_cell_fsum_exactly(case, base):
 
 def test_profile_xor():
     cube = cube_from_tensors(*xor_tensors())
-    profile = entropy_profile(cube)
+    profile = decompose(cube).profile()
     assert profile == EntropyProfile(1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0)
 
 
 def test_ternary_xor_is_minus_one():
     cube = cube_from_tensors(*xor_tensors())
-    assert cube_ternary_information(cube) == -1.0
+    assert decompose(cube).total == -1.0
 
 
 def test_ternary_identical_triple_is_plus_one():
     cube = cube_from_tensors(*identical_triple_tensors())
-    assert cube_ternary_information(cube) == 1.0
+    assert decompose(cube).total == 1.0
 
 
 def test_ternary_single_cell_is_zero():
     nat = np.zeros((1, 1, 1), dtype=int)
     nat[0, 0, 0] = 7
     cube = cube_from_tensors(nat, np.zeros_like(nat))
-    profile = entropy_profile(cube)
+    profile = decompose(cube).profile()
     assert profile == EntropyProfile(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert ternary_information(profile) == 0.0
 
@@ -144,7 +142,7 @@ def test_ternary_single_cell_is_zero():
 def test_ternary_uniform_independent_cube_is_zero():
     nat = np.ones((2, 2, 2), dtype=int)
     cube = cube_from_tensors(nat, np.zeros_like(nat))
-    assert cube_ternary_information(cube) == 0.0
+    assert decompose(cube).total == 0.0
 
 
 def test_profile_matches_dense_oracle():
@@ -154,10 +152,10 @@ def test_profile_matches_dense_oracle():
         cube = cube_from_tensors(nat, forn)
         total = cube.total
         joint = (nat + forn) / total
-        got = cube_ternary_information(cube)
+        got = decompose(cube).total
         want = oracles.ternary_dense(joint)
         assert got == pytest.approx(want, abs=1e-12)
-        profile = entropy_profile(cube)
+        profile = decompose(cube).profile()
         assert profile.h_got == pytest.approx(oracles.entropy_dense(joint), abs=1e-12)
         assert profile.h_g == pytest.approx(oracles.entropy_dense(joint.sum(axis=(1, 2))), abs=1e-12)
 
@@ -167,7 +165,7 @@ def test_profile_invariants_on_random_cubes():
     for _ in range(100):
         nat, forn = oracles.random_split_tensors(rng)
         cube = cube_from_tensors(nat, forn)
-        p = entropy_profile(cube)
+        p = decompose(cube).profile()
         values = [p.h_g, p.h_o, p.h_t, p.h_go, p.h_gt, p.h_ot, p.h_got]
         assert all(v >= 0.0 for v in values)
         # joint entropy dominates every pair, every pair dominates its parts
@@ -186,7 +184,7 @@ def test_replication_leaves_profile_unchanged():
         nat, forn = oracles.random_split_tensors(rng)
         cube = cube_from_tensors(nat, forn)
         scaled = cube_from_tensors(nat * k, forn * k)
-        assert entropy_profile(scaled) == entropy_profile(cube)
+        assert decompose(scaled).profile() == decompose(cube).profile()
 
 
 def test_relabeling_leaves_measure_unchanged():
@@ -196,7 +194,7 @@ def test_relabeling_leaves_measure_unchanged():
         cube = cube_from_tensors(nat, forn)
         # reverse one axis: same joint distribution, different sort order
         flipped = cube_from_tensors(nat[::-1], forn[::-1])
-        assert cube_ternary_information(flipped) == cube_ternary_information(cube)
+        assert decompose(flipped).total == decompose(cube).total
         # == on a decomposition compares its sums only, so compare the split terms too
         got, expected = decompose(flipped), decompose(cube)
         assert got == expected and got.terms == expected.terms
@@ -206,7 +204,7 @@ def test_profile_log_base_conversion():
     rng = np.random.default_rng(41)
     nat, forn = oracles.random_split_tensors(rng)
     cube = cube_from_tensors(nat, forn)
-    bits = entropy_profile(cube)
-    nats = entropy_profile(cube, base=math.e)
+    bits = decompose(cube).profile()
+    nats = decompose(cube, base=math.e).profile()
     assert nats.h_got == pytest.approx(bits.h_got * math.log(2), rel=1e-14)
     assert nats.h_g == pytest.approx(bits.h_g * math.log(2), rel=1e-14)

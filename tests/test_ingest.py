@@ -6,23 +6,19 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from test_onepass import _adapter_document
+from conftest import row_by_row
+from test_onepass import _reference_document
 import thsynergy.ingest
 from thsynergy.cli import main
-from thsynergy.cube import ContingencyCube
+from thsynergy.cube import ContingencyCube, Tally
 from thsynergy.ingest import (
     CANONICAL_COLUMNS,
     DEFAULT_SIZE_BIN_EDGES,
     ClassificationConfig,
-    FirmRecord,
     MalformedRow,
     MissingColumn,
-    Ownership,
     UnmappedNace,
-    classify,
-    classify_all,
     default_nace_map,
-    parse_firm_records,
     parse_share,
     size_labels,
     validate_firm_csv,
@@ -40,25 +36,35 @@ def csv_bytes(*rows: str, header: str = HEADER) -> bytes:
     return ("\n".join([header, *rows]) + "\n").encode("utf-8")
 
 
+def scan(source, config: ClassificationConfig | None = None):
+    """validate_firm_csv's (rows, issues) and the (cell, foreign, turnover) firms it passes to add."""
+    firms = []
+    rows, issues = validate_firm_csv(source, config, add=lambda *firm: firms.append(firm))
+    return rows, issues, firms
+
+
 # --- parsing ----------------------------------------------------------------
 
 def test_parse_single_row():
-    records = parse_firm_records(csv_bytes("F1,1504,30,120,5000000,0.0"))
-    assert records == [FirmRecord("F1", "1504", 30, 120, 5000000.0, 0.0)]
+    assert _parse_row(["F1", "1504", "30", "120", "5000000", "0.0"], 2, tuple(range(6)), 6) == (
+        "1504", 30, 120, 5000000.0, 0.0)
+    assert scan(csv_bytes("F1,1504,30,120,5000000,0.0")) == (1, [], [(("1504", "100-249", 2), False, 5000000.0)])
 
 
 def test_parse_preserves_row_count_and_order():
-    records = parse_firm_records(csv_bytes(
+    rows, issues, firms = scan(csv_bytes(
         "F1,1504,30,120,5000000,0.0",
         "F2,5001,62,3,900000,0.5",
         "F3,1504,68,0,100000,0.2",
     ))
-    assert [r.firm_id for r in records] == ["F1", "F2", "F3"]
+    assert (rows, issues) == (3, [])
+    assert [turnover for _, _, turnover in firms] == [5000000.0, 900000.0, 100000.0]
 
 
 def test_parse_accepts_binary_stream():
     stream = io.BytesIO(csv_bytes("F1,1504,30,120,5000000,0.0"))
-    assert len(parse_firm_records(stream)) == 1
+    rows, issues, firms = scan(stream)
+    assert (rows, issues, len(firms)) == (1, [], 1)
 
 
 def test_parse_column_order_irrelevant():
@@ -66,27 +72,29 @@ def test_parse_column_order_irrelevant():
         "0.0,120,30,1504,F1,5000000",
         header="foreign_share,employees,nace2,municipality_code,firm_id,turnover_nok",
     )
-    assert parse_firm_records(data)[0] == FirmRecord("F1", "1504", 30, 120, 5000000.0, 0.0)
+    assert scan(data) == scan(csv_bytes("F1,1504,30,120,5000000,0.0"))
 
 
 def test_parse_firm_id_optional():
     data = csv_bytes("1504,30,120,5000000,0.0",
                      header="municipality_code,nace2,employees,turnover_nok,foreign_share")
-    records = parse_firm_records(data)
-    assert records[0].firm_id == "row-2"
+    assert scan(data) == scan(csv_bytes("F1,1504,30,120,5000000,0.0"))
 
 
 def test_parse_missing_column_lists_names():
     data = csv_bytes("F1,1504,30", header="firm_id,municipality_code,nace2")
     with pytest.raises(MissingColumn) as err:
-        parse_firm_records(data)
+        _read_header(csv.reader(io.StringIO(data.decode("utf-8"))))
     assert "employees" in str(err.value)
     assert "turnover_nok" in str(err.value)
+    assert validate_firm_csv(data) == (0, [(1, err.value.reason)])
 
 
 def test_parse_empty_input_raises_missing_column():
     with pytest.raises(MissingColumn):
-        parse_firm_records(b"")
+        _read_header(csv.reader([]))
+    rows, issues = validate_firm_csv(b"")
+    assert (rows, [line for line, _ in issues]) == (0, [1])
 
 
 @pytest.mark.parametrize("row,fragment", [
@@ -101,22 +109,19 @@ def test_parse_empty_input_raises_missing_column():
     ("F1,1504,100,120,5000000,0.0", "nace2"),
 ])
 def test_parse_rejects_malformed_rows(row, fragment):
-    with pytest.raises(MalformedRow) as err:
-        parse_firm_records(csv_bytes("F0,1504,30,1,1000,0.0", row))
-    assert err.value.line_no == 3
-    assert fragment in err.value.reason
+    rows, issues, firms = scan(csv_bytes("F0,1504,30,1,1000,0.0", row))
+    assert (rows, len(firms), [line for line, _ in issues]) == (2, 1, [3])
+    assert fragment in issues[0][1]
 
 
 def test_parse_rejects_short_row():
-    with pytest.raises(MalformedRow):
-        parse_firm_records(csv_bytes("F1,1504,30"))
+    assert validate_firm_csv(csv_bytes("F1,1504,30")) == (1, [(2, "expected at least 6 fields, got 3")])
 
 
 def test_parse_never_skips_bad_rows():
-    # strictness: a single defect aborts, nothing is returned
-    data = csv_bytes("F1,1504,30,1,1000,0.0", "bad row,,,,,")
-    with pytest.raises(MalformedRow):
-        parse_firm_records(data)
+    # a bad row is counted and reported, never dropped in silence, and never reaches add
+    rows, issues, firms = scan(csv_bytes("F1,1504,30,1,1000,0.0", "bad row,,,,,"))
+    assert (rows, [line for line, _ in issues], len(firms)) == (2, [3], 1)
 
 
 @pytest.mark.parametrize("data, line", [
@@ -125,36 +130,42 @@ def test_parse_never_skips_bad_rows():
     (csv_bytes("F0,1504,30,1,1000,0.0").replace(b"firm_id", b"firm\xffid"), 1),
 ], ids=["field-over-csv-limit", "byte-in-row", "byte-in-header"])
 def test_parse_raises_malformed_row_where_the_scan_reports(data, line):
-    # neither the csv module's Error nor a decoder error counting from its chunk escapes
-    with pytest.raises(MalformedRow) as err:
-        parse_firm_records(data)
-    assert err.value.line_no == line
-    assert (err.value.line_no, err.value.reason) == validate_firm_csv(data)[1][-1]
+    # neither the csv module's Error nor a decoder error counting from its chunk escapes: the defect
+    # ends the scan with one issue on its line, and the rows before it are kept
+    rows, issues, firms = scan(data)
+    assert [at for at, _ in issues] == [line]
+    assert len(firms) == rows == max(line - 2, 0)
 
 
 def test_parse_deterministic():
     data = csv_bytes("F1,1504,30,120,5000000,0.0", "F2,5001,62,3,900000,0.5")
-    assert parse_firm_records(data) == parse_firm_records(data)
+    assert scan(data) == scan(data)
 
 
 def test_parse_range_checks_each_row_once(monkeypatch):
-    calls = []
+    # each row that goes through _parse_row is range-checked once, on the values it returns
+    checked, parsed = [], []
 
-    def counted(*values):
-        calls.append(values)
+    def check(*values):
+        checked.append(values)
         return _check_ranges(*values)
 
-    monkeypatch.setattr(thsynergy.ingest, "_check_ranges", counted)
+    def parse(*args):
+        parsed.append(_parse_row(*args))
+        return parsed[-1]
+
+    monkeypatch.setattr(thsynergy.ingest, "_check_ranges", check)
+    monkeypatch.setattr(thsynergy.ingest, "_parse_row", parse)
     with open(DEMO_CSV, "rb") as fh:
-        records = parse_firm_records(fh)
-    assert len(records) == 30
-    assert calls == [(r.nace2, r.employees, r.turnover, r.foreign_share) for r in records]
+        assert validate_firm_csv(fh) == (30, [])
+    assert parsed and checked == [values[1:] for values in parsed]
 
 
 # --- classification ---------------------------------------------------------
 
-def make_record(nace2=30, employees=10, share=0.0):
-    return FirmRecord("F", "1504", nace2, employees, 1000.0, share)
+def categorize(nace2=30, employees=10, share=0.0, config=None):
+    """((municipality, size class, tech group), foreign) of one firm."""
+    return (config or ClassificationConfig()).categorize("1504", nace2, employees, share)
 
 
 @pytest.mark.parametrize("nace2,group", [
@@ -170,13 +181,13 @@ def make_record(nace2=30, employees=10, share=0.0):
     (90, 10), (99, 10),
 ])
 def test_nace_to_tech_group(nace2, group):
-    assert classify(make_record(nace2=nace2)).tech_group == group
+    assert categorize(nace2=nace2)[0][2] == group
 
 
 @pytest.mark.parametrize("nace2", [4, 40, 44, 57, 67, 83, 89])
 def test_unmapped_nace_codes_raise(nace2):
     with pytest.raises(UnmappedNace) as err:
-        classify(make_record(nace2=nace2))
+        categorize(nace2=nace2)
     assert err.value.nace2 == nace2
 
 
@@ -199,40 +210,34 @@ def test_nace_map_covers_everything_else():
     (250, "250+"), (1000, "250+"),
 ])
 def test_size_bins_half_open(employees, label):
-    assert classify(make_record(employees=employees)).size_class == label
+    assert categorize(employees=employees)[0][1] == label
 
 
 def test_size_bins_partition():
     labels = ClassificationConfig().size_class_labels
     assert labels == ("0", "1-4", "5-9", "10-19", "20-49", "50-99", "100-249", "250+")
-    seen = [classify(make_record(employees=n)).size_class for n in range(0, 1001)]
+    seen = [categorize(employees=n)[0][1] for n in range(0, 1001)]
     assert set(seen) == set(labels)
 
 
 def test_custom_size_edges():
     config = ClassificationConfig(size_bin_edges=(0, 10, 100))
     assert config.size_class_labels == ("0-9", "10-99", "100+")
-    assert classify(make_record(employees=9), config).size_class == "0-9"
-    assert classify(make_record(employees=10), config).size_class == "10-99"
+    assert categorize(employees=9, config=config)[0][1] == "0-9"
+    assert categorize(employees=10, config=config)[0][1] == "10-99"
 
 
 def test_ownership_cutoff_inclusive():
-    assert classify(make_record(share=0.20)).ownership is Ownership.FOREIGN
-    assert classify(make_record(share=0.19999999)).ownership is Ownership.DOMESTIC
-    assert classify(make_record(share=1.0)).ownership is Ownership.FOREIGN
-    assert classify(make_record(share=0.0)).ownership is Ownership.DOMESTIC
+    assert categorize(share=0.20)[1] is True
+    assert categorize(share=0.19999999)[1] is False
+    assert categorize(share=1.0)[1] is True
+    assert categorize(share=0.0)[1] is False
 
 
 def test_custom_cutoff():
     config = ClassificationConfig(foreign_cutoff=0.5)
-    assert classify(make_record(share=0.3), config).ownership is Ownership.DOMESTIC
-    assert classify(make_record(share=0.5), config).ownership is Ownership.FOREIGN
-
-
-def test_classify_all_order_preserved():
-    records = [make_record(nace2=30), make_record(nace2=68)]
-    firms = classify_all(records)
-    assert [f.tech_group for f in firms] == [2, 7]
+    assert categorize(share=0.3, config=config)[1] is False
+    assert categorize(share=0.5, config=config)[1] is True
 
 
 @pytest.mark.parametrize("text,value", [("0.2", 0.2), ("20%", 0.2), (" 35 % ".replace(" ", ""), 0.35), ("1", 1.0)])
@@ -262,35 +267,33 @@ def test_size_labels_helper():
     assert size_labels((0, 1, 5)) == ("0", "1-4", "5+")
 
 
-# --- record invariants ------------------------------------------------------
+# --- firm value checks ------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
     {"nace2": 0}, {"nace2": 100},
     {"employees": -1},
     {"turnover": -0.5},
-    {"foreign_share": -0.1}, {"foreign_share": 1.1},
+    {"share": -0.1}, {"share": 1.1},
 ])
 def test_firm_record_invariants(kwargs):
-    base = dict(firm_id="F", municipality_code="1504", nace2=30,
-                employees=1, turnover=1.0, foreign_share=0.0)
+    base = dict(nace2=30, employees=1, turnover=1.0, share=0.0)
+    _check_ranges(**base)
     base.update(kwargs)
     with pytest.raises(ValueError):
-        FirmRecord(**base)
+        _check_ranges(**base)
 
 
 # --- validated types: every route to an instance runs the checks -------------
 
-_RECORD = dict(firm_id="F", municipality_code="1504", nace2=30, employees=1, turnover=1.0, foreign_share=0.0)
 _CUBE = dict(axes={"G": ("a",), "O": ("0",), "T": (1,)}, domestic={("a", "0", 1): 2}, foreign={}, total=2)
 
 
 @pytest.mark.parametrize("cls, good, bad, message", [
     (ClassificationConfig, {}, {"foreign_cutoff": 0.0}, r"foreign_cutoff must be in \(0, 1\]"),
     (ClassificationConfig, {}, {"size_bin_edges": (0, 5, 5)}, "size_bin_edges must be strictly increasing"),
-    (FirmRecord, _RECORD, {"nace2": 100}, "nace2 100 outside 01-99"),
     (ContingencyCube, _CUBE, {"total": 3}, "cell counts sum to 2, total says 3"),
     (SynthParams, {}, {"coupling": 1.5}, r"coupling must be in \[0, 1\]"),
-], ids=["config-cutoff", "config-edges", "record", "cube", "synth"])
+], ids=["config-cutoff", "config-edges", "cube", "synth"])
 @pytest.mark.parametrize("route", ["positional", "keyword", "_replace", "_make"])
 def test_validated_type_rejects_a_bad_value_on_every_route(cls, good, bad, message, route):
     valid = cls(**good)
@@ -362,7 +365,8 @@ def test_validate_leaves_a_callers_text_stream_unchecked():
     assert validate_firm_csv(text) == (1, [])
 
 
-@pytest.mark.parametrize("reader", [validate_firm_csv, parse_firm_records], ids=["validate", "parse"])
+@pytest.mark.parametrize("reader", [validate_firm_csv, lambda source: validate_firm_csv(source, add=Tally().add)],
+                         ids=["validate", "tally"])
 @pytest.mark.parametrize("data", [
     csv_bytes("F1,1504,30,120,5000000,0.0"),
     csv_bytes("F1,1504", header="firm_id,municipality_code"),
@@ -372,10 +376,7 @@ def test_validate_leaves_a_callers_text_stream_unchecked():
 ], ids=["read-to-end", "header-defect", "row-defect", "not-utf8", "csv-error"])
 def test_readers_leave_a_callers_binary_stream_open(reader, data):
     stream = io.BytesIO(data)
-    try:
-        reader(stream)
-    except MalformedRow:  # the strict parser's way of reporting a defect
-        pass
+    reader(stream)
     assert not stream.closed
     stream.seek(0)
     assert stream.read() == data
@@ -402,23 +403,6 @@ FIELD_TEXTS = {
     "foreign_share": ["0", "0.2", "1", "-0.0", "1e-1", "0_5", "nan", "inf", "20%", " 0.5 ",
                       "1.0000000001", "+0.2", "0.19999999999999998", "0.3", ""],
 }
-
-
-def _row_by_row(data: bytes, config: ClassificationConfig):
-    """The scan's (rows, issues) and add() calls from _parse_row and categorize on every row."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    positions, width = _read_header(reader)
-    rows, issues, calls = 0, [], []
-    for row in reader:
-        rows += 1
-        try:
-            _, municipality, nace2, employees, turnover, share = _parse_row(row, reader.line_num, positions, width)
-            cell, foreign = config.categorize(municipality, nace2, employees, share)
-        except (MalformedRow, UnmappedNace) as exc:
-            issues.append((reader.line_num, exc.reason))
-            continue
-        calls.append((cell, foreign, turnover))
-    return rows, issues, calls
 
 
 @st.composite
@@ -452,7 +436,7 @@ def test_memoized_scan_equals_row_by_row_checks(rows, order, cutoff, edges):
     config = ClassificationConfig(foreign_cutoff=cutoff, size_bin_edges=edges)
     calls = []
     rows_seen, issues = validate_firm_csv(data, config=config, add=lambda *call: calls.append(call))
-    expected_rows, expected_issues, expected_calls = _row_by_row(data, config)
+    expected_rows, expected_issues, expected_calls = row_by_row(data, config)
     assert (rows_seen, issues) == (expected_rows, expected_issues)
     assert repr(calls) == repr(expected_calls)  # repr tells -0.0 from 0.0
 
@@ -465,7 +449,7 @@ def test_compute_past_the_memo_limit_equals_adapter_route(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["compute", str(path)]) == 0
     out = capsys.readouterr().out
-    expected = _adapter_document(path, ClassificationConfig(), "2", json.loads(out)["manifest"])
+    expected = _reference_document(path, ClassificationConfig(), "2", json.loads(out)["manifest"])
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
@@ -514,7 +498,7 @@ def test_parse_row_returns_what_int_and_float_return(texts):
     except MalformedRow as exc:
         got = exc.reason
     raw = {}
-    for at, (name, convert) in enumerate(NUMERIC_FIELDS, start=2):
+    for at, (name, convert) in enumerate(NUMERIC_FIELDS, start=1):
         try:
             raw[name] = convert(texts[name])
         except ValueError:
@@ -525,7 +509,7 @@ def test_parse_row_returns_what_int_and_float_return(texts):
         values = tuple(raw[name] for name, _ in NUMERIC_FIELDS)
         try:
             _check_ranges(*values)
-            expected = ("F1", "0301", *values)
+            expected = ("0301", *values)
         except ValueError as exc:
             expected = str(exc)
         assert repr(got) == repr(expected)

@@ -10,8 +10,10 @@ turnover sums moved from running sums in firm order to one math.fsum per
 ownership group, which moved r_ratio by at most 6.7e-16; t_ratio and the
 violation counts stayed byte-identical, and so did the compute digests,
 whose demo turnovers are whole NOK. One property test checks that the
-command's document equals the one assembled from the public step-by-step
-adapters; another, that it does not depend on the order of the rows.
+command's document equals the one assembled step by step from the
+unmemoized row-by-row checks (conftest.row_by_row) through a Tally,
+cube_report and ownership_tech_table; another, that it does not depend on
+the order of the rows.
 """
 import hashlib
 import json
@@ -21,19 +23,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 import pytest
 
+from conftest import row_by_row, tally_of
 from thsynergy.cli import _LOG_BASES, main
-from thsynergy.cube import build_cube
-from thsynergy.decomp import region_report
-from thsynergy.infotheory import entropy_profile
-from thsynergy.ingest import (
-    CANONICAL_COLUMNS,
-    ClassificationConfig,
-    classify_all,
-    default_nace_map,
-    parse_firm_records,
-    parse_share,
-    validate_firm_csv,
-)
+from thsynergy.decomp import cube_report, decompose
+from thsynergy.ingest import CANONICAL_COLUMNS, ClassificationConfig, default_nace_map, parse_share, validate_firm_csv
 from thsynergy.stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
 
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
@@ -115,7 +108,7 @@ def test_validate_listing_is_pinned(tmp_path, capsys):
     assert lines[1:] == [f"  line {line}: {message}" for line, message in MIXED_ISSUES]
 
 
-# --- one pass versus the step-by-step adapters --------------------------------
+# --- one pass versus the step-by-step reference ------------------------------
 
 MAPPED_NACE = sorted(default_nace_map())
 
@@ -132,11 +125,13 @@ rows_strategy = st.lists(
 )
 
 
-def _adapter_document(path: Path, config: ClassificationConfig, log_base: str, manifest: dict) -> dict:
+def _reference_document(path: Path, config: ClassificationConfig, log_base: str, manifest: dict) -> dict:
+    """The compute document of a defect-free file, from row_by_row's firms, one step at a time."""
     base = _LOG_BASES[log_base]
-    with open(path, "rb") as fh:
-        firms = classify_all(parse_firm_records(fh), config)
-    cube = build_cube(firms)
+    rows, issues, firms = row_by_row(path.read_bytes(), config)
+    assert rows and not issues
+    tally = tally_of(firms)
+    cube = tally.cube()
     categories, table = ownership_tech_table(cube)
     try:
         chi = chi_square_homogeneity(table)
@@ -147,8 +142,8 @@ def _adapter_document(path: Path, config: ClassificationConfig, log_base: str, m
     return {
         "schema_version": 1,
         "log_base": log_base,
-        "report": region_report(firms, base=base).to_dict(),
-        "entropy": entropy_profile(cube, base=base)._asdict(),
+        "report": cube_report(cube, tally, base=base).to_dict(),
+        "entropy": decompose(cube, base=base).profile()._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,
         "manifest": manifest,
     }
@@ -186,7 +181,7 @@ def test_compute_document_equals_adapter_route(tmp_path, capsys, rows, order, cu
     out = capsys.readouterr().out
     document = json.loads(out)
     config = ClassificationConfig(foreign_cutoff=parse_share(cutoff))
-    expected = _adapter_document(path, config, log_base, document["manifest"])
+    expected = _reference_document(path, config, log_base, document["manifest"])
     assert out == json.dumps(expected, indent=2) + "\n"
     turnover = document["report"]["turnover"]
     assert turnover["total"] == turnover["domestic"] + turnover["foreign"]

@@ -33,3 +33,9 @@ def test_unknown_attribute_raises_attribute_error():
         thsynergy.no_such_name
     assert not hasattr(thsynergy, "marginalise")
     assert not hasattr(thsynergy, "load_config")  # the classification settings are flags only
+    # the record-object route and the profile adapters: rows reach a report through validate_firm_csv,
+    # Tally and cube_report only, and a cube's entropies come from decompose
+    for gone in ("parse_firm_records", "FirmRecord", "classify", "classify_all", "ClassifiedFirm", "Ownership",
+                 "build_cube", "region_report", "entropy_profile", "cube_ternary_information"):
+        assert not hasattr(thsynergy, gone) and gone not in thsynergy.__all__
+    assert not hasattr(thsynergy.Tally, "add_firms")

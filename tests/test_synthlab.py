@@ -2,9 +2,8 @@ import io
 
 import pytest
 
-from thsynergy.cube import build_cube
-from thsynergy.decomp import decompose, region_report
-from thsynergy.ingest import Ownership
+from conftest import report_of, tally_of
+from thsynergy.decomp import decompose
 from thsynergy.synthlab import SynthParams, SweepCurve, SweepPoint, foreign_count, generate, sweep_foreign_share
 
 
@@ -35,7 +34,16 @@ def test_foreign_count_rounds_half_up(n, share, want):
 
 def test_generate_hits_foreign_target():
     firms = generate(SynthParams(n_firms=500, foreign_share_target=0.088, seed=3))
-    assert sum(1 for f in firms if f.ownership is Ownership.FOREIGN) == 44
+    assert sum(foreign for _, foreign, _ in firms) == 44
+
+
+def test_generate_returns_the_triples_tally_add_takes():
+    firms = generate(SynthParams(n_firms=50, foreign_share_target=0.3, seed=5))
+    assert all(len(cell) == 3 and type(foreign) is bool and type(turnover) is float
+               for cell, foreign, turnover in firms)
+    tally = tally_of(firms)
+    assert tally.cube().total == 50
+    assert [len(turnovers) for turnovers in tally.turnovers] == [35, 15]
 
 
 def test_population_invariant_under_share():
@@ -43,45 +51,44 @@ def test_population_invariant_under_share():
     base = SynthParams(n_firms=300, seed=9, foreign_share_target=0.1)
     low = generate(base)
     high = generate(base._replace(foreign_share_target=0.6))
-    assert [(f.municipality, f.size_class, f.tech_group, f.turnover) for f in low] == \
-           [(f.municipality, f.size_class, f.tech_group, f.turnover) for f in high]
+    assert [(cell, turnover) for cell, _, turnover in low] == [(cell, turnover) for cell, _, turnover in high]
 
 
 def test_foreign_sets_nested_across_shares():
     base = SynthParams(n_firms=300, seed=9)
     low = generate(base._replace(foreign_share_target=0.2))
     high = generate(base._replace(foreign_share_target=0.5))
-    low_idx = {i for i, f in enumerate(low) if f.ownership is Ownership.FOREIGN}
-    high_idx = {i for i, f in enumerate(high) if f.ownership is Ownership.FOREIGN}
+    low_idx = {i for i, (_, foreign, _) in enumerate(low) if foreign}
+    high_idx = {i for i, (_, foreign, _) in enumerate(high) if foreign}
     assert low_idx <= high_idx
 
 
 def test_full_coupling_ties_labels_to_municipality():
     params = SynthParams(n_firms=500, coupling=1.0, n_size_classes=5, n_tech_groups=7, seed=13)
-    for f in generate(params):
-        g = int(f.municipality[1:])
-        assert f.size_class == f"s{g % 5}"
-        assert f.tech_group == g % 7 + 1
+    for (municipality, size_class, tech_group), _, _ in generate(params):
+        g = int(municipality[1:])
+        assert size_class == f"s{g % 5}"
+        assert tech_group == g % 7 + 1
 
 
 def test_zero_coupling_labels_vary_within_municipality():
     params = SynthParams(n_firms=2000, coupling=0.0, seed=13)
     firms = generate(params)
     by_g: dict = {}
-    for f in firms:
-        by_g.setdefault(f.municipality, set()).add(f.size_class)
+    for (municipality, size_class, _), _, _ in firms:
+        by_g.setdefault(municipality, set()).add(size_class)
     assert max(len(v) for v in by_g.values()) > 1
 
 
 def test_turnover_uniform_law_bounds():
     firms = generate(SynthParams(n_firms=1000, seed=21))
-    assert all(1e6 <= f.turnover < 1e9 for f in firms)
+    assert all(1e6 <= turnover < 1e9 for _, _, turnover in firms)
 
 
 def test_turnover_lognormal_law_positive():
     firms = generate(SynthParams(n_firms=1000, turnover_law="lognormal",
                                  lognormal_mu=10.0, lognormal_sigma=2.0, seed=21))
-    assert all(f.turnover > 0 for f in firms)
+    assert all(turnover > 0 for _, _, turnover in firms)
     assert firms != generate(SynthParams(n_firms=1000, seed=21))
 
 
@@ -191,8 +198,7 @@ def test_coupling_controls_signal_against_measured_noise_band():
     def t_for(coupling, seed):
         params = SynthParams(n_firms=2000, n_municipalities=10, n_size_classes=6,
                              n_tech_groups=8, coupling=coupling, seed=seed)
-        from thsynergy.infotheory import cube_ternary_information
-        return cube_ternary_information(build_cube(generate(params)))
+        return decompose(tally_of(generate(params)).cube()).total
 
     band = max(abs(t_for(0.0, seed)) for seed in range(100))
     assert band > 0.0
@@ -212,9 +218,9 @@ def test_sweep_decomposition_consistency():
         curve = sweep_foreign_share(params, [0.0, 0.3, 0.55, 1.0])
         for point in curve.points:
             firms = generate(params._replace(foreign_share_target=point.share))
-            expected = region_report(firms)
+            expected = report_of(firms)
             assert point.report == expected
-            assert point.report.synergy == decompose(build_cube(firms))
-            assert point.report.synergy.terms == decompose(build_cube(firms)).terms
+            assert point.report.synergy == decompose(tally_of(firms).cube())
+            assert point.report.synergy.terms == decompose(tally_of(firms).cube()).terms
             assert (point.turnover_share, point.synergy_share) == \
                    (expected.foreign_turnover_share, expected.foreign_synergy_share)
