@@ -7,10 +7,10 @@ Subcommands:
     sweep     synthetic foreign-share sweep written as CSV
     chisq     standalone 2 x k homogeneity test
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error (a
-closed or unwritable standard output included). main maps every OSError
-a subcommand raises to 3 and every ValueError to 2; a subcommand catches
-only what it reports otherwise.
+Exit codes: 0 success, 1 validation failure or out of memory, 2 usage
+error, 3 I/O error (a closed or unwritable standard output included). main
+maps every OSError a subcommand raises to 3, every ValueError to 2 and a
+MemoryError to 1; a subcommand catches only what it reports otherwise.
 
 Reports embed their run manifest without a timestamp so identical inputs
 and flags produce byte-identical output; the wall clock lives only in the
@@ -30,8 +30,6 @@ from .ingest import DEFAULT_SIZE_BIN_EDGES, ClassificationConfig, default_nace_m
 
 # Everything else is imported by the subcommand that runs it, so that `--version`,
 # `validate` and `chisq` load neither the cube, the decomposition nor json.
-
-_LOG_BASES = {"2": 2.0, "e": 2.718281828459045, "10": 10.0}
 
 
 class RunManifest(NamedTuple):
@@ -72,8 +70,10 @@ def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: di
 
     Each is written to a temporary file next to its target and then moved
     into place with os.replace, the output last, so a failed run never
-    leaves a partial output nor an output without its sidecar. The OSError
-    names the target that could not be written, never its temporary file.
+    leaves a partial output nor an output without its sidecar; when the
+    output cannot be moved into place, the sidecar placed before it is
+    removed. The OSError names the target that could not be written, never
+    its temporary file.
     """
     import json
     from datetime import datetime, timezone
@@ -83,16 +83,18 @@ def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: di
         payload.update(extra)
     writes = ((output_path + ".manifest.json", json.dumps(payload, indent=2) + "\n"), (output_path, text))
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
+    placed = []
     try:
         for temp, (path, content) in zip(temps, writes):
             with open(temp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(content)
         for temp, (path, _) in zip(temps, writes):
             os.replace(temp, path)
+            placed.append(path)
     except OSError as exc:
-        for temp in temps:
-            if os.path.exists(temp):
-                os.unlink(temp)
+        for leftover in temps + placed:
+            if os.path.exists(leftover):
+                os.unlink(leftover)
         raise OSError(exc.errno, exc.strerror, path) from None  # path: the target of the failed step
 
 
@@ -150,7 +152,7 @@ def cmd_compute(args) -> int:
 
     cube = tally.cube()
     try:
-        report = cube_report(cube, tally, base=_LOG_BASES[args.log_base])
+        report = cube_report(cube, tally)
     except OverflowError as exc:
         return _error(f"{args.input}: {exc}", 1)
     categories, table = ownership_tech_table(cube)
@@ -162,15 +164,15 @@ def cmd_compute(args) -> int:
     manifest = RunManifest(
         command="compute",
         inputs=(args.input,),
-        # both classification settings and the log base; the fixed NACE map stays in the hash,
-        # keyed by text as JSON keys it, so that hashes match those of earlier versions
+        # both classification settings; the fixed NACE map, keyed by text as JSON keys it, and the
+        # fixed log base stay in the hash, so that hashes match those of earlier versions
         config_hash=config_digest({**config._asdict(), "nace_map": {str(k): v for k, v in default_nace_map().items()},
-                                   "log_base": args.log_base}),
+                                   "log_base": "2"}),
         version=__version__,
     )
     document = {
         "schema_version": 1,
-        "log_base": args.log_base,
+        "log_base": "2",  # information is always in bits; the key stays for schema-1 readers
         "report": report.to_dict(),
         "entropy": report.synergy.profile()._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,
@@ -264,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp = sub.add_parser("compute", help="region report JSON from a firm CSV")
     p_comp.add_argument("input", help="firm CSV path")
     add_classification_flags(p_comp)
-    p_comp.add_argument("--log-base", choices=sorted(_LOG_BASES), default="2")
     p_comp.add_argument("--output", help="report path (stdout when omitted); a .manifest.json sidecar is written next to it")
     p_comp.set_defaults(func=cmd_compute)
 
@@ -319,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         return _error(exc, 3)
     except ValueError as exc:
         return _error(exc, 2)
+    except MemoryError as exc:  # numpy's carries the size it could not allocate; a bare one says nothing
+        return _error(f"out of memory: {exc}" if str(exc) else "out of memory", 1)
 
 
 def entry() -> None:

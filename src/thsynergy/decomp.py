@@ -41,8 +41,8 @@ class SplitEntropyTerm(NamedTuple):
     total: float
 
 
-def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float = 2.0) -> SplitEntropyTerm:
-    """Split one marginal's entropy by ownership group.
+def split_entropy(domestic: Mapping, foreign: Mapping, total: int) -> SplitEntropyTerm:
+    """Split one marginal's entropy in bits by ownership group.
 
     Arguments:
         domestic: cell -> count map for domestically owned firms.
@@ -50,7 +50,6 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
         total: full population size N. Both maps are scored against N, not
             against their own subtotals; counts must be non-negative and
             their sum must not exceed N (ValueError).
-        base: logarithm base (2, e or 10).
 
     The cross part is computed as the residual total - (domestic + foreign),
     which keeps the additivity identity exact in floating point and is
@@ -63,7 +62,7 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int, base: float =
     # foreign count, then the counts of cells only the foreign map holds
     combined = chain(map(add, domestic.values(), map(foreign.get, domestic, repeat(0))),
                      map(foreign.__getitem__, filterfalse(domestic.__contains__, foreign)))
-    return _split_term(*(_plugin_entropy(counts, total, base)
+    return _split_term(*(_plugin_entropy(counts, total)
                         for counts in (domestic.values(), foreign.values(), combined)))
 
 
@@ -96,10 +95,10 @@ class SynergyDecomposition(NamedTuple):
         return EntropyProfile(*(t.total for t in self.terms))
 
 
-def decompose(cube: ContingencyCube, base: float = 2.0) -> SynergyDecomposition:
+def decompose(cube: ContingencyCube) -> SynergyDecomposition:
     """Split the cube's signed measure into ownership contributions; each of the seven
     marginals is drawn once, from its smallest parent (cube.split_marginals)."""
-    terms = {normalize_dims(m.axes): split_entropy(m.domestic, m.foreign, m.total, base)
+    terms = {normalize_dims(m.axes): split_entropy(m.domestic, m.foreign, m.total)
              for m in split_marginals(cube)}
     return _decompose_terms(tuple(terms[dims] for dims in SUBSETS))
 
@@ -113,7 +112,7 @@ def _decompose_terms(terms: tuple[SplitEntropyTerm, ...]) -> SynergyDecompositio
     return SynergyDecomposition(total, domestic, foreign_only, cross, foreign_only + cross, terms)
 
 
-def subgroup_synergy(cube: ContingencyCube, foreign: bool, base: float = 2.0) -> float:
+def subgroup_synergy(cube: ContingencyCube, foreign: bool) -> float:
     """Signed measure of one ownership group, the foreign firms when foreign
     is true and the domestic ones otherwise, renormalized by its own size.
 
@@ -125,7 +124,7 @@ def subgroup_synergy(cube: ContingencyCube, foreign: bool, base: float = 2.0) ->
     subtotal = sum(counts.values())
     if subtotal == 0:
         raise EmptyDataset(f"no {'foreign' if foreign else 'domestic'} firms in cube")
-    return decompose(ContingencyCube(cube.axes, counts, {}, subtotal), base).total
+    return decompose(ContingencyCube(cube.axes, counts, {}, subtotal)).total
 
 
 # --- ratio arithmetic -------------------------------------------------------
@@ -180,6 +179,7 @@ class RegionReport(NamedTuple):
 
     def to_dict(self) -> dict:
         """Documented JSON shape, units annotated."""
+        # every pinned compute digest covers the information text, so its wording stays
         return {
             "units": {"information": "bits unless another log base was set", "turnover": "input currency (NOK)"},
             "firms": {"count": self.firm_count, "foreign": self.foreign_count},
@@ -204,14 +204,14 @@ class RegionReport(NamedTuple):
         }
 
 
-def cube_report(cube: ContingencyCube, tally: Tally, base: float = 2.0) -> RegionReport:
+def cube_report(cube: ContingencyCube, tally: Tally) -> RegionReport:
     """Region summary from a tally's cube and turnovers: one decomposition.
 
     Raises OverflowError when a turnover sum is not finite (tally.cube()
     raises EmptyDataset on a tally without firms). The foreign share of an
     all-foreign population is exactly 1.0.
     """
-    return _build_report(decompose(cube, base), *tally.turnovers)
+    return _build_report(decompose(cube), *tally.turnovers)
 
 
 def _build_report(dec: SynergyDecomposition, domestic: Collection[float], foreign: Collection[float]) -> RegionReport:

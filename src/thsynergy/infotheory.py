@@ -29,32 +29,30 @@ class ZeroTotal(ValueError):
     """Entropy requested against a non-positive total."""
 
 
-def _plugin_entropy(counts: Iterable[int], total: int, base: float = 2.0) -> float:
-    """The entropy kernel over counts in any order; 0 * log 0 is taken as 0. One log per
+def _plugin_entropy(counts: Iterable[int], total: int) -> float:
+    """The entropy kernel in bits over counts in any order; 0 * log 0 is taken as 0. One log per
     distinct count: its p log p term goes to fsum once per cell that holds it, so the sum is
     the per-cell one. An int total past 2**53 is not exact as a float, so there 1 and 1.0 can
     give different terms and each cell gets its own."""
     distinct = Counter(counts).items() if total <= 2**53 else zip(counts, repeat(1))
     terms = (repeat((p := c / total) * math.log2(p), cells) for c, cells in distinct if c)
     # 0.0 - keeps a one-cell population at 0.0 rather than -0.0
-    h = 0.0 - math.fsum(chain.from_iterable(terms))
-    return h if base == 2.0 else h / math.log2(base)
+    return 0.0 - math.fsum(chain.from_iterable(terms))
 
 
-def shannon_entropy(counts: Mapping, total: int, base: float = 2.0) -> float:
-    """Entropy of a count map against an externally supplied total.
+def shannon_entropy(counts: Mapping, total: int) -> float:
+    """Entropy in bits of a count map against an externally supplied total.
 
     Arguments:
         counts: map from hashable keys to counts >= 0.
         total: the denominator, usually the full population size. May exceed
             the sum of counts when scoring a subgroup against the whole, but
             not fall short of it (ValueError).
-        base: logarithm base, 2 (bits, default), e or 10.
     """
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
     _check_counts((counts.values(),), total)
-    return _plugin_entropy(counts.values(), total, base)
+    return _plugin_entropy(counts.values(), total)
 
 
 def _check_counts(groups: Iterable[Collection], total: float) -> None:
@@ -70,7 +68,7 @@ def _check_counts(groups: Iterable[Collection], total: float) -> None:
 
 
 class EntropyProfile(NamedTuple):
-    """The seven marginal entropies of a cube, in the configured log base."""
+    """The seven marginal entropies of a cube, in bits."""
 
     h_g: float
     h_o: float

@@ -25,10 +25,10 @@ def tally_of(firms: Iterable[tuple]) -> Tally:
     return tally
 
 
-def report_of(firms: Iterable[tuple], base: float = 2.0) -> RegionReport:
+def report_of(firms: Iterable[tuple]) -> RegionReport:
     """The region report of firm triples: their tally's cube through cube_report."""
     tally = tally_of(firms)
-    return cube_report(tally.cube(), tally, base)
+    return cube_report(tally.cube(), tally)
 
 
 def row_by_row(data: bytes, config: ClassificationConfig):

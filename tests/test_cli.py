@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import thsynergy.synthlab
 from thsynergy.cli import RunManifest, config_digest, main
 from thsynergy.infotheory import EntropyProfile
 from thsynergy.ingest import ClassificationConfig
@@ -169,19 +170,7 @@ def test_compute_cutoff_percent_equals_fraction(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_compute_log_base_flag(tmp_path, capsys):
-    path = write_csv(tmp_path, CLEAN_ROWS)
-    assert main(["compute", path]) == 0
-    bits = json.loads(capsys.readouterr().out)
-    assert main(["compute", path, "--log-base", "e"]) == 0
-    nats = json.loads(capsys.readouterr().out)
-    import math
-    assert nats["entropy"]["h_got"] == pytest.approx(bits["entropy"]["h_got"] * math.log(2), rel=1e-12)
-    assert nats["report"]["ratios"]["foreign_synergy_share"] == pytest.approx(
-        bits["report"]["ratios"]["foreign_synergy_share"], rel=1e-12)
-
-
-def test_compute_config_file(tmp_path, capsys):
+def test_compute_cutoff_above_every_share_leaves_no_foreign_firm(tmp_path, capsys):
     # the classification settings are given by flag; no firm's share reaches a 60% cutoff
     path = write_csv(tmp_path, CLEAN_ROWS)
     assert main(["compute", path, "--foreign-cutoff", "60%"]) == 0
@@ -262,10 +251,9 @@ def test_compute_overflowing_turnover_sum_writes_no_json(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("log_base", ["2", "e", "10"])
-def test_compute_one_cell_population_has_no_negative_zero(tmp_path, capsys, log_base):
+def test_compute_one_cell_population_has_no_negative_zero(tmp_path, capsys):
     path = write_csv(tmp_path, ["F1,1504,30,5,100,0.0", "F2,1504,30,5,200,0.5"])
-    assert main(["compute", path, "--log-base", log_base]) == 0
+    assert main(["compute", path]) == 0
     out = capsys.readouterr().out
     assert "-0.0" not in out
     assert set(json.loads(out)["entropy"].values()) == {0.0}
@@ -384,6 +372,17 @@ def test_unwritable_sidecar_leaves_no_partial_report(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "previous report\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["firms.csv", "report.json", "report.json.manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["compute", "sweep"])
+def test_unplaceable_output_leaves_no_sidecar(tmp_path, capsys, command):
+    # the sidecar is moved into place first; the output's move then fails on the directory
+    args = [write_csv(tmp_path, CLEAN_ROWS)] if command == "compute" else ["--firms", "50", "--shares", "0,1"]
+    (tmp_path / "out.txt").mkdir()
+    assert main([command, *args, "--output", str(tmp_path / "out.txt")]) == 3
+    assert str(tmp_path / "out.txt") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["firms.csv", "out.txt"] if command == "compute" else ["out.txt"])
+    assert not any((tmp_path / "out.txt").iterdir())
 
 
 @pytest.mark.parametrize("command", ["compute", "sweep"])
@@ -596,6 +595,36 @@ def test_sweep_zero_turnover_sum_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def exhausted(params, shares):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (400000000,) and data type int64")
+
+    monkeypatch.setattr(thsynergy.synthlab, "sweep_foreign_share", exhausted)
+    out = tmp_path / "c.csv"
+    assert main(["sweep", "--shares", "0,1", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 2.98 GiB for an array with shape "
+                                       "(400000000,) and data type int64\n")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
+def test_sweep_past_the_address_space_limit_exits_1(tmp_path):
+    # RLIMIT_AS is set in the child only; its first array, 400M int64 indices, cannot be allocated
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}  # its buffers per thread take address space
+    result = subprocess.run([sys.executable, "-m", "thsynergy.cli", "sweep", "--firms", "400000000",
+                             "--shares", "0,1", "--output", str(tmp_path / "c.csv")],
+                            env=env, preexec_fn=limit, capture_output=True, encoding="utf-8")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: out of memory") and result.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, field", [("--municipalities", "n_municipalities"),
                                          ("--size-classes", "n_size_classes"), ("--tech-groups", "n_tech_groups")])
 def test_sweep_category_count_past_int64_is_usage_error(tmp_path, capsys, flag, field):
@@ -665,6 +694,14 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_compute_log_base_flag_is_usage_error(tmp_path, capsys):
+    # information is always in bits
+    with pytest.raises(SystemExit) as err:
+        main(["compute", write_csv(tmp_path, CLEAN_ROWS), "--log-base", "e"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --log-base e" in capsys.readouterr().err
 
 
 def test_missing_required_flag_exits_2(tmp_path):

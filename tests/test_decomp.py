@@ -107,12 +107,6 @@ def test_split_rejects_a_negative_count(domestic, foreign):
         split_entropy(domestic, foreign, 2)
 
 
-def test_split_log_base():
-    bits = split_entropy({"a": 1}, {"a": 1}, 2)
-    nats = split_entropy({"a": 1}, {"a": 1}, 2, base=math.e)
-    assert nats.cross == pytest.approx(bits.cross * math.log(2), rel=1e-14)
-
-
 # --- decompose --------------------------------------------------------------
 
 def test_decompose_rejects_a_cube_with_a_negative_cell():
@@ -376,10 +370,3 @@ def test_region_report_json_shape():
         "foreign_synergy_share", "efficiency"}
     assert "NOK" in payload["units"]["turnover"]
     json.dumps(payload)  # serializable as-is
-
-
-def test_region_report_base_invariant_ratios():
-    bits = report_of(region_firms())
-    nats = report_of(region_firms(), base=math.e)
-    assert nats.foreign_synergy_share == pytest.approx(bits.foreign_synergy_share, rel=1e-12)
-    assert nats.synergy.total == pytest.approx(bits.synergy.total * math.log(2), rel=1e-12)

@@ -41,9 +41,8 @@ def test_entropy_point_mass():
     assert shannon_entropy({"a": 4}, 4) == 0.0
 
 
-@pytest.mark.parametrize("base", [2.0, math.e, 10.0])
-def test_entropy_point_mass_is_positive_zero(base):
-    assert math.copysign(1.0, shannon_entropy({"a": 4, "b": 0}, 4, base=base)) == 1.0
+def test_entropy_point_mass_is_positive_zero():
+    assert math.copysign(1.0, shannon_entropy({"a": 4, "b": 0}, 4)) == 1.0
 
 
 def test_entropy_zero_counts_contribute_nothing():
@@ -53,12 +52,6 @@ def test_entropy_zero_counts_contribute_nothing():
 def test_entropy_partial_mass_allowed():
     # subgroup scored against the full population total
     assert shannon_entropy({"a": 1}, 2) == 0.5
-
-
-def test_entropy_log_bases():
-    bits = shannon_entropy({"a": 1, "b": 3}, 4)
-    assert shannon_entropy({"a": 1, "b": 3}, 4, base=math.e) == pytest.approx(bits * math.log(2))
-    assert shannon_entropy({"a": 1, "b": 3}, 4, base=10) == pytest.approx(bits * math.log10(2))
 
 
 def test_entropy_rejects_zero_total():
@@ -84,10 +77,9 @@ def test_entropy_insertion_order_irrelevant():
     assert shannon_entropy(forward, 17) == shannon_entropy(backward, 17)
 
 
-def _per_cell_entropy(counts, total, base):
+def _per_cell_entropy(counts, total):
     """The kernel's reference: one p log p term per nonzero cell, summed by fsum."""
-    h = 0.0 - math.fsum([(c / total) * math.log2(c / total) for c in counts if c])
-    return h if base == 2.0 else h / math.log2(base)
+    return 0.0 - math.fsum([(c / total) * math.log2(c / total) for c in counts if c])
 
 
 @st.composite
@@ -101,15 +93,15 @@ def count_lists(draw):
     return counts, max(1, math.ceil(sum(counts))) + draw(st.sampled_from([0, 1, 2**53, 2**61 + 1]))
 
 
-@given(count_lists(), st.sampled_from([2.0, math.e, 10.0]))
-@example(([0, 0, 5], 5), 2.0)
-@example(([3, 3, 3, 0, 1], 10), math.e)
-@example(([1, 1.0], 2**53 + 1), 2.0)  # 1 / total and 1.0 / total differ here
-@example(([5.0, 5], 2**53 + 1), 10.0)
-def test_plugin_entropy_equals_per_cell_fsum_exactly(case, base):
+@given(count_lists())
+@example(([0, 0, 5], 5))
+@example(([3, 3, 3, 0, 1], 10))
+@example(([1, 1.0], 2**53 + 1))  # 1 / total and 1.0 / total differ here
+@example(([5.0, 5], 2**53 + 1))
+def test_plugin_entropy_equals_per_cell_fsum_exactly(case):
     counts, total = case
-    assert _plugin_entropy(counts, total, base) == _per_cell_entropy(counts, total, base)
-    assert _plugin_entropy(iter(counts), total, base) == _per_cell_entropy(counts, total, base)
+    assert _plugin_entropy(counts, total) == _per_cell_entropy(counts, total)
+    assert _plugin_entropy(iter(counts), total) == _per_cell_entropy(counts, total)
 
 
 # --- profile and ternary measure --------------------------------------------
@@ -198,13 +190,3 @@ def test_relabeling_leaves_measure_unchanged():
         # == on a decomposition compares its sums only, so compare the split terms too
         got, expected = decompose(flipped), decompose(cube)
         assert got == expected and got.terms == expected.terms
-
-
-def test_profile_log_base_conversion():
-    rng = np.random.default_rng(41)
-    nat, forn = oracles.random_split_tensors(rng)
-    cube = cube_from_tensors(nat, forn)
-    bits = decompose(cube).profile()
-    nats = decompose(cube, base=math.e).profile()
-    assert nats.h_got == pytest.approx(bits.h_got * math.log(2), rel=1e-14)
-    assert nats.h_g == pytest.approx(bits.h_g * math.log(2), rel=1e-14)

@@ -275,7 +275,7 @@ def test_size_labels_helper():
     {"turnover": -0.5},
     {"share": -0.1}, {"share": 1.1},
 ])
-def test_firm_record_invariants(kwargs):
+def test_check_ranges_rejects_out_of_range_values(kwargs):
     base = dict(nace2=30, employees=1, turnover=1.0, share=0.0)
     _check_ranges(**base)
     base.update(kwargs)
@@ -441,7 +441,7 @@ def test_memoized_scan_equals_row_by_row_checks(rows, order, cutoff, edges):
     assert repr(calls) == repr(expected_calls)  # repr tells -0.0 from 0.0
 
 
-def test_compute_past_the_memo_limit_equals_adapter_route(tmp_path, capsys):
+def test_compute_past_the_memo_limit_equals_row_by_row_route(tmp_path, capsys):
     # 5,000 distinct employee texts, more than a memo holds; the last 1,000 rows repeat the first
     lines = [HEADER] + [f"F{i},{('0301', '1504', '46')[i % 3]},{(30, 62, 68, 1, 99)[i % 5]},{i % 5000},"
                         f"{i * 7919 % 10**6},{(i % 10) / 10}" for i in range(6000)]
@@ -449,7 +449,7 @@ def test_compute_past_the_memo_limit_equals_adapter_route(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["compute", str(path)]) == 0
     out = capsys.readouterr().out
-    expected = _reference_document(path, ClassificationConfig(), "2", json.loads(out)["manifest"])
+    expected = _reference_document(path, ClassificationConfig(), json.loads(out)["manifest"])
     assert out == json.dumps(expected, indent=2) + "\n"
 
 

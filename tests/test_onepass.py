@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import pytest
 
 from conftest import row_by_row, tally_of
-from thsynergy.cli import _LOG_BASES, main
+from thsynergy.cli import main
 from thsynergy.decomp import cube_report, decompose
 from thsynergy.ingest import CANONICAL_COLUMNS, ClassificationConfig, default_nace_map, parse_share, validate_firm_csv
 from thsynergy.stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
@@ -33,13 +33,12 @@ DEMO = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
 
 GOLDEN = [
     ((), "9c21dbd6b5f8011c937d9b75f2d09bad7db52617104455bd520e34684bf22edb"),
-    (("--log-base", "e"), "25f9bf1fbfc377d7bac44f8719a6d7b42b9f766ac3e9443174ba07ab2fb26e24"),
     (("--foreign-cutoff", "50%"), "52d8a82e224a46bebf01263fca933806e67edf0eb70bd98ec956f0ed309557f7"),
 ]
 
 
 # ids name the flags, so that re-pinning a digest does not rename the test
-@pytest.mark.parametrize("flags, digest", GOLDEN, ids=["default", "log-base-e", "cutoff-50pct"])
+@pytest.mark.parametrize("flags, digest", GOLDEN, ids=["default", "cutoff-50pct"])
 def test_compute_demo_document_is_pinned(tmp_path, monkeypatch, capsys, flags, digest):
     shutil.copy(DEMO, tmp_path / "firms_demo.csv")
     monkeypatch.chdir(tmp_path)  # the manifest records the input path as given
@@ -47,7 +46,7 @@ def test_compute_demo_document_is_pinned(tmp_path, monkeypatch, capsys, flags, d
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
-def test_compute_demo_document_with_config_file_is_pinned(tmp_path, monkeypatch, capsys):
+def test_compute_demo_document_with_size_bins_is_pinned(tmp_path, monkeypatch, capsys):
     # the size bins enter the document through the size classes and the manifest's config hash
     shutil.copy(DEMO, tmp_path / "firms_demo.csv")
     monkeypatch.chdir(tmp_path)
@@ -125,9 +124,8 @@ rows_strategy = st.lists(
 )
 
 
-def _reference_document(path: Path, config: ClassificationConfig, log_base: str, manifest: dict) -> dict:
+def _reference_document(path: Path, config: ClassificationConfig, manifest: dict) -> dict:
     """The compute document of a defect-free file, from row_by_row's firms, one step at a time."""
-    base = _LOG_BASES[log_base]
     rows, issues, firms = row_by_row(path.read_bytes(), config)
     assert rows and not issues
     tally = tally_of(firms)
@@ -141,9 +139,9 @@ def _reference_document(path: Path, config: ClassificationConfig, log_base: str,
         chi_block = {"undefined_reason": str(exc)}
     return {
         "schema_version": 1,
-        "log_base": log_base,
-        "report": cube_report(cube, tally, base=base).to_dict(),
-        "entropy": decompose(cube, base=base).profile()._asdict(),
+        "log_base": "2",
+        "report": cube_report(cube, tally).to_dict(),
+        "entropy": decompose(cube).profile()._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,
         "manifest": manifest,
     }
@@ -152,16 +150,15 @@ def _reference_document(path: Path, config: ClassificationConfig, log_base: str,
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 # finite turnover sums whose foreign-to-domestic quotient overflows: the ratio is null
 @example(rows=[("0301", 1, 0, 0, 0.0), ("0301", 1, 0, 53, 1.0), ("0301", 1, 0, 2.9e-307, 0.0)],
-         order=list(CANONICAL_COLUMNS), cutoff="0.2", log_base="2")
+         order=list(CANONICAL_COLUMNS), cutoff="0.2")
 @example(rows=[("0301", 1, 0, 4.0, 0.2), ("0301", 1, 0, 2.2250738585072014e-308, 0.0)],
-         order=list(CANONICAL_COLUMNS), cutoff="0.2", log_base="10")
+         order=list(CANONICAL_COLUMNS), cutoff="0.2")
 @given(
     rows=rows_strategy,
     order=st.permutations(CANONICAL_COLUMNS),
     cutoff=st.sampled_from(["0.2", "50%", "1", "0.05"]),
-    log_base=st.sampled_from(sorted(_LOG_BASES)),
 )
-def test_compute_document_equals_adapter_route(tmp_path, capsys, rows, order, cutoff, log_base):
+def test_compute_document_equals_row_by_row_route(tmp_path, capsys, rows, order, cutoff):
     lines = [",".join(order)]
     for i, (municipality, nace2, employees, turnover, share) in enumerate(rows):
         values = {
@@ -177,11 +174,11 @@ def test_compute_document_equals_adapter_route(tmp_path, capsys, rows, order, cu
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     capsys.readouterr()
-    assert main(["compute", str(path), "--foreign-cutoff", cutoff, "--log-base", log_base]) == 0
+    assert main(["compute", str(path), "--foreign-cutoff", cutoff]) == 0
     out = capsys.readouterr().out
     document = json.loads(out)
     config = ClassificationConfig(foreign_cutoff=parse_share(cutoff))
-    expected = _reference_document(path, config, log_base, document["manifest"])
+    expected = _reference_document(path, config, document["manifest"])
     assert out == json.dumps(expected, indent=2) + "\n"
     turnover = document["report"]["turnover"]
     assert turnover["total"] == turnover["domestic"] + turnover["foreign"]
