@@ -19,7 +19,6 @@ parity = ContingencyCube(
         ("g1", "o1", 1): 1,
     },
     foreign={},
-    total=4,
 )
 
 profile = decompose(parity).profile()
@@ -35,7 +34,6 @@ aligned = ContingencyCube(
     axes={"G": ("g0", "g1"), "O": ("o0", "o1"), "T": (1, 2)},
     domestic={("g0", "o0", 1): 1, ("g1", "o1", 2): 1},
     foreign={},
-    total=2,
 )
 print("aligned cube (every dimension copies the others)")
 print(f"  signed measure: {ternary_information(decompose(aligned).profile())}  (pure redundancy)")
@@ -46,7 +44,6 @@ uniform = ContingencyCube(
     axes={"G": ("g0", "g1"), "O": ("o0", "o1"), "T": (1, 2)},
     domestic={(g, o, t): 1 for g in ("g0", "g1") for o in ("o0", "o1") for t in (1, 2)},
     foreign={},
-    total=8,
 )
 print("uniform independent cube")
 print(f"  signed measure: {ternary_information(decompose(uniform).profile())}")

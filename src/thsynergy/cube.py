@@ -5,15 +5,13 @@ decompositions can split every marginal. Cells are sparse maps keyed by
 (g, o, t) tuples; axis category lists are data driven and sorted, which makes
 cube construction independent of input row order. A marginal is a cube too:
 the same split maps over the axes it keeps, keyed by tuples of the kept
-coordinates (1-tuples for one axis), with the parent's total.
+coordinates (1-tuples for one axis).
 """
 from __future__ import annotations
 
 from array import array
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
-
-from .ingest import _Validated
 
 DIMS = ("G", "O", "T")  # geography, organization (size), technology
 Cell = tuple
@@ -23,29 +21,22 @@ class EmptyDataset(ValueError):
     """No firms to build a cube from."""
 
 
-class _CubeFields(NamedTuple):
-    axes: dict[str, tuple]
-    domestic: dict[Cell, int]
-    foreign: dict[Cell, int]
-    total: int
-
-
-class ContingencyCube(_Validated, _CubeFields):
+class ContingencyCube(NamedTuple):
     """Immutable-by-convention sparse cube. Do not mutate the dicts.
 
     axes maps each dimension letter the cube keeps (all of G, O and T for a
     built cube, fewer for a marginal) to its sorted category tuple; domestic
-    and foreign map cells, tuples of coordinates in G, O, T order, to counts;
-    total is the firm count and must equal the sum of both maps (ValueError).
+    and foreign map cells, tuples of coordinates in G, O, T order, to counts.
     """
 
-    __slots__ = ()
+    axes: dict[str, tuple]
+    domestic: dict[Cell, int]
+    foreign: dict[Cell, int]
 
-    def _validated(self):
-        check = sum(self.domestic.values()) + sum(self.foreign.values())
-        if check != self.total:
-            raise ValueError(f"cell counts sum to {check}, total says {self.total!r}")
-        return self
+    @property
+    def total(self) -> int:
+        """The firm count: the sum of both maps."""
+        return sum(self.domestic.values()) + sum(self.foreign.values())
 
 
 class Tally:
@@ -72,14 +63,13 @@ class Tally:
 
     def cube(self) -> ContingencyCube:
         """The cube of all firms added; axes hold the observed values, sorted."""
-        total = sum(self.domestic.values()) + sum(self.foreign.values())
-        if not total:
+        if not (self.domestic or self.foreign):
             raise EmptyDataset("no firms")
         axes = {}
         for i, dim in enumerate(DIMS):
             coord = itemgetter(i)
             axes[dim] = tuple(sorted(set(map(coord, self.domestic)).union(map(coord, self.foreign))))
-        return ContingencyCube(axes=axes, domestic=self.domestic, foreign=self.foreign, total=total)
+        return ContingencyCube(axes=axes, domestic=self.domestic, foreign=self.foreign)
 
 
 def normalize_dims(dims: Iterable[str]) -> tuple[str, ...]:
@@ -104,9 +94,9 @@ def _sum_by(counts: Mapping[Cell, int], key) -> dict:
 
 def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> ContingencyCube:
     """The marginal of a cube, or of a marginal, on a non-empty subset of its dimensions: a cube
-    over the kept axes whose cells are tuples of the kept coordinates (1-tuples for one axis),
-    with the source's total. Asking for the cube's own dimensions returns the cube itself;
-    asking for one it lacks raises ValueError.
+    over the kept axes whose cells are tuples of the kept coordinates (1-tuples for one axis).
+    Asking for the cube's own dimensions returns the cube itself; asking for one it lacks
+    raises ValueError.
     """
     kept, own = normalize_dims(dims), normalize_dims(cube.axes)
     if kept == own:
@@ -118,7 +108,7 @@ def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> ContingencyCube:
     domestic, foreign = _sum_by(cube.domestic, key), _sum_by(cube.foreign, key)
     if len(kept) == 1:  # itemgetter of one index returns the bare coordinate; cells are 1-tuples
         domestic, foreign = ({(k,): v for k, v in counts.items()} for counts in (domestic, foreign))
-    return ContingencyCube({d: cube.axes[d] for d in kept}, domestic, foreign, cube.total)
+    return ContingencyCube({d: cube.axes[d] for d in kept}, domestic, foreign)
 
 
 def split_marginals(cube: ContingencyCube) -> Iterator[ContingencyCube]:

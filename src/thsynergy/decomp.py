@@ -97,8 +97,10 @@ class SynergyDecomposition(NamedTuple):
 
 def decompose(cube: ContingencyCube) -> SynergyDecomposition:
     """Split the cube's signed measure into ownership contributions; each of the seven
-    marginals is drawn once, from its smallest parent (cube.split_marginals)."""
-    terms = {normalize_dims(m.axes): split_entropy(m.domestic, m.foreign, m.total)
+    marginals is drawn once, from its smallest parent (cube.split_marginals), and scored
+    against the cube's total."""
+    total = cube.total
+    terms = {normalize_dims(m.axes): split_entropy(m.domestic, m.foreign, total)
              for m in split_marginals(cube)}
     return _decompose_terms(tuple(terms[dims] for dims in SUBSETS))
 
@@ -120,11 +122,10 @@ def subgroup_synergy(cube: ContingencyCube, foreign: bool) -> float:
     population denominator; this instead treats the chosen group as a
     population of its own, so its value is NOT a term of decompose().
     """
-    counts = cube.foreign if foreign else cube.domestic
-    subtotal = sum(counts.values())
-    if subtotal == 0:
+    group = ContingencyCube(cube.axes, cube.foreign if foreign else cube.domestic, {})
+    if group.total == 0:
         raise EmptyDataset(f"no {'foreign' if foreign else 'domestic'} firms in cube")
-    return decompose(ContingencyCube(cube.axes, counts, {}, subtotal)).total
+    return decompose(group).total
 
 
 # --- ratio arithmetic -------------------------------------------------------

@@ -45,9 +45,7 @@ class SynthParams(_Validated, _SynthFields):
     __slots__ = ()
 
     def _validated(self):
-        if self.n_firms < 1:
-            raise ValueError("n_firms must be at least 1")
-        for name in ("n_municipalities", "n_size_classes", "n_tech_groups"):
+        for name in ("n_firms", "n_municipalities", "n_size_classes", "n_tech_groups"):
             count = getattr(self, name)
             if count < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -63,6 +61,8 @@ class SynthParams(_Validated, _SynthFields):
             raise ValueError("lognormal_mu and lognormal_sigma must be finite")
         if self.lognormal_sigma < 0:
             raise ValueError("lognormal_sigma must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         return self
 
 
@@ -72,10 +72,10 @@ def foreign_count(n_firms: int, share: float) -> int:
 
 
 def _draw(params: SynthParams) -> tuple:
-    """Numpy arrays in firm order: the municipality, size class and tech group
-    indices (labeled by _LABELS), the turnover and the labeling rank. None
-    depends on the foreign share: at a given share, a firm is foreign when
-    its rank is below foreign_count(n_firms, share).
+    """Numpy arrays in labeling order: the municipality, size class and tech
+    group indices (labeled by _LABELS) and the turnover. None depends on the
+    foreign share: at a given share, the first foreign_count(n_firms, share)
+    firms are foreign.
     """
     import numpy as np  # numpy loads only for generate and sweep
 
@@ -96,17 +96,18 @@ def _draw(params: SynthParams) -> tuple:
     o_idx = np.where(coupled, g_idx % params.n_size_classes, o_free)
     t_idx = np.where(coupled, g_idx % params.n_tech_groups, t_free)
 
-    rank = np.argsort(rng_label.permutation(n))  # the inverse permutation
-    return g_idx, o_idx, t_idx, turnover, rank
+    order = rng_label.permutation(n)
+    return g_idx[order], o_idx[order], t_idx[order], turnover[order]
 
 
 def generate(params: SynthParams) -> list[tuple[tuple, bool, float]]:
     """Draw a deterministic synthetic population for the given parameters: each firm's
-    (cell, foreign, turnover) triple, as cube.Tally.add takes it, in firm order."""
-    *indices, turnovers, ranks = _draw(params)
+    (cell, foreign, turnover) triple, as cube.Tally.add takes it, in labeling order: the
+    first foreign_count(n_firms, foreign_share_target) firms are foreign."""
+    *indices, turnovers = _draw(params)
     cells = zip(*(map(label, idx.tolist()) for label, idx in zip(_LABELS, indices)))
     k = foreign_count(params.n_firms, params.foreign_share_target)
-    return [(cell, rank < k, turnover) for cell, turnover, rank in zip(cells, turnovers.tolist(), ranks.tolist())]
+    return [(cell, i < k, turnover) for i, (cell, turnover) in enumerate(zip(cells, turnovers.tolist()))]
 
 
 class SweepPoint(NamedTuple):
@@ -154,8 +155,8 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     """Evaluate the share -> (turnover share, synergy share) curve.
 
     shares must be strictly increasing within [0, 1]. The population is
-    drawn once and each firm coded by its cell in every dimension subset; a
-    point counts, per cell, the firms ranked below the foreign boundary.
+    drawn once in labeling order and each firm coded by its cell in every
+    dimension subset; a point at k foreign firms counts, per cell, the first k.
     """
     if not shares:
         raise ValueError("shares must not be empty")
@@ -164,9 +165,8 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     if any(b <= a for a, b in zip(shares, shares[1:])):
         raise ValueError("shares must be strictly increasing")
     import numpy as np  # numpy loads only for generate and sweep
-    *indices, turnovers, ranks = _draw(params)
-    by_rank = memoryview(turnovers[np.argsort(ranks)])  # at share k, by_rank[:k] is foreign
-    del turnovers  # freed, so that the sweep's peak RSS holds one turnover array, not two
+    *indices, turnovers = _draw(params)
+    turnovers = memoryview(turnovers)  # its slices are views that fsum reads as Python floats
     n = params.n_firms
     # code each axis by the categories present, so subset codes stay bounded by them
     axes = [np.unique(idx, return_inverse=True) for idx in indices]
@@ -184,11 +184,10 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     points = []
     for share in shares:
         k = foreign_count(n, share)
-        foreign = ranks < k
         terms = []
         for cell, counts, h_total in subsets:
-            foreign_counts = np.bincount(cell[foreign], minlength=len(counts))
+            foreign_counts = np.bincount(cell[:k], minlength=len(counts))
             terms.append(_split_term(entropy(counts - foreign_counts), entropy(foreign_counts), h_total))
-        report = _build_report(_decompose_terms(tuple(terms)), by_rank[k:], by_rank[:k])
+        report = _build_report(_decompose_terms(tuple(terms)), turnovers[k:], turnovers[:k])
         points.append(SweepPoint(float(share), report.foreign_turnover_share, report.foreign_synergy_share, report))
     return SweepCurve(params=params, points=tuple(points))

@@ -71,5 +71,4 @@ def cube_from_tensors(nat: np.ndarray, forn: np.ndarray) -> ContingencyCube:
         "O": tuple(f"o{j}" for j in range(shape[1])),
         "T": tuple(k + 1 for k in range(shape[2])),
     }
-    total = int(nat.sum() + forn.sum())
-    return ContingencyCube(axes=axes, domestic=domestic, foreign=foreign, total=total)
+    return ContingencyCube(axes=axes, domestic=domestic, foreign=foreign)

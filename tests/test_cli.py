@@ -157,7 +157,7 @@ def test_compute_cutoff_flag_changes_classification(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     assert main(["compute", path, "--foreign-cutoff", "60%"]) == 0
     document = json.loads(capsys.readouterr().out)
-    # only the 0.5 share stays foreign at a 0.6 cutoff? no: 0.5 < 0.6, none qualify
+    # no firm's share reaches a 60% cutoff
     assert document["report"]["firms"]["foreign"] == 0
 
 
@@ -168,13 +168,6 @@ def test_compute_cutoff_percent_equals_fraction(tmp_path):
     assert main(["compute", path, "--foreign-cutoff", "25%", "--output", str(out1)]) == 0
     assert main(["compute", path, "--foreign-cutoff", "0.25", "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_compute_cutoff_above_every_share_leaves_no_foreign_firm(tmp_path, capsys):
-    # the classification settings are given by flag; no firm's share reaches a 60% cutoff
-    path = write_csv(tmp_path, CLEAN_ROWS)
-    assert main(["compute", path, "--foreign-cutoff", "60%"]) == 0
-    assert json.loads(capsys.readouterr().out)["report"]["firms"]["foreign"] == 0
 
 
 def test_compute_all_domestic_turnover_sums_are_floats(tmp_path, capsys):
@@ -631,6 +624,17 @@ def test_sweep_category_count_past_int64_is_usage_error(tmp_path, capsys, flag, 
     out = tmp_path / "c.csv"
     assert main(["sweep", flag, str(2**63), "--shares", "0,1", "--output", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {field} must be at most {2**63 - 1}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be non-negative"),
+    (["--firms", str(10**20)], f"n_firms must be at most {2**63 - 1}"),
+])
+def test_sweep_setting_out_of_range_is_usage_error_naming_it(tmp_path, capsys, flags, message):
+    out = tmp_path / "c.csv"
+    assert main(["sweep", *flags, "--shares", "0,1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
-"""Each demo script runs to completion in a fresh interpreter and prints something,
+"""Each demo script runs to completion in a fresh interpreter and prints its pinned output,
 the README's quick-start sweep writes the CSV that the README shows, and the
 README's Library example runs."""
+import hashlib
 import os
 import re
 import subprocess
@@ -13,19 +14,25 @@ from thsynergy.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# sha256 of each demo's standard output; a change to any printed figure must re-pin it here
+DEMO_STDOUT_SHA256 = {
+    "01_entropy_and_synergy": "efd3850b7a49bb00c6d88019ad7e0262bd7263ea4401446b53b1d9bdb8d49fc7",
+    "02_ownership_decomposition": "6b826ffc1cca86546c5fdb3e9c811608f4287b276ba4fef4620d3f6e1c3ada40",
+    "03_csv_to_report": "fff375a7dc1b9bf9e5e85caf7a000b442a34c5e3bcc6780ec2709249992bcce1",
+    "04_foreign_share_sweep": "66b0257192e58e2b039958376115ade18ce00143169563a73105c110573a9a98",
+}
 
 
 def test_all_four_demos_are_found():
-    assert len(DEMOS) == 4
+    assert [demo.stem for demo in DEMOS] == list(DEMO_STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(tmp_path, demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, encoding="utf-8", timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+    assert hashlib.sha256(result.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo.stem]
 
 
 def test_readme_quick_start_sweep_writes_the_readme_csv(tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_ownership_tech_table_skips_groups_no_firm_uses():
     # a hand-built cube may list a technology group that no cell uses; it gets no column
     cube = ContingencyCube(axes={"G": ("a", "b"), "O": ("0",), "T": (1, 2, 3)},
                            domestic={("a", "0", 1): 2, ("b", "0", 3): 1},
-                           foreign={("a", "0", 1): 1, ("b", "0", 3): 2}, total=6)
+                           foreign={("a", "0", 1): 1, ("b", "0", 3): 2})
     assert cube.axes["T"] == (1, 2, 3)
     categories, table = ownership_tech_table(cube)
     assert categories == (1, 3)

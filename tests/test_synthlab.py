@@ -37,6 +37,13 @@ def test_generate_hits_foreign_target():
     assert sum(foreign for _, foreign, _ in firms) == 44
 
 
+@pytest.mark.parametrize("share", [0.0, 0.088, 0.25, 0.5, 0.9, 1.0])
+def test_generate_lists_the_foreign_firms_first(share):
+    firms = generate(SynthParams(n_firms=500, foreign_share_target=share, seed=3))
+    k = foreign_count(500, share)
+    assert [foreign for _, foreign, _ in firms] == [True] * k + [False] * (500 - k)
+
+
 def test_generate_returns_the_triples_tally_add_takes():
     firms = generate(SynthParams(n_firms=50, foreign_share_target=0.3, seed=5))
     assert all(len(cell) == 3 and type(foreign) is bool and type(turnover) is float
@@ -99,9 +106,11 @@ def test_turnover_lognormal_law_positive():
     {"foreign_share_target": 1.2},
     {"turnover_law": "pareto"},
     {"n_tech_groups": 0},
+    {"seed": -1},
+    {"n_firms": 10**20},
 ])
 def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):  # the message names the field
         SynthParams(**kwargs)
 
 
