@@ -13,9 +13,8 @@ import csv
 import math
 from typing import IO, NamedTuple, Sequence
 
-from .cube import DIMS
 from .decomp import RegionReport, _build_report, _decompose_terms, _split_term
-from .infotheory import SUBSETS, _plugin_entropy
+from .infotheory import _plugin_entropy
 from .ingest import _Validated
 
 _INT64_MAX = 2**63 - 1
@@ -86,18 +85,20 @@ def _draw(params: SynthParams) -> tuple:
     n = params.n_firms
     g_idx = rng_pop.integers(0, params.n_municipalities, n)
     coupled = rng_pop.random(n) < params.coupling
-    o_free = rng_pop.integers(0, params.n_size_classes, n)
-    t_free = rng_pop.integers(0, params.n_tech_groups, n)
+    o_idx = rng_pop.integers(0, params.n_size_classes, n)
+    t_idx = rng_pop.integers(0, params.n_tech_groups, n)
     if params.turnover_law == "uniform":
         turnover = rng_pop.uniform(1e6, 1e9, n)
     else:
         turnover = rng_pop.lognormal(params.lognormal_mu, params.lognormal_sigma, n)
 
-    o_idx = np.where(coupled, g_idx % params.n_size_classes, o_free)
-    t_idx = np.where(coupled, g_idx % params.n_tech_groups, t_free)
-
+    np.copyto(o_idx, g_idx % params.n_size_classes, where=coupled)  # coupled labels over the free draws
+    np.copyto(t_idx, g_idx % params.n_tech_groups, where=coupled)
+    del coupled
     order = rng_label.permutation(n)
-    return g_idx[order], o_idx[order], t_idx[order], turnover[order]
+    for column in (g_idx, o_idx, t_idx, turnover):
+        column[:] = column[order]  # one reordered copy alive at a time
+    return g_idx, o_idx, t_idx, turnover
 
 
 def generate(params: SynthParams) -> list[tuple[tuple, bool, float]]:
@@ -154,9 +155,9 @@ class SweepCurve(NamedTuple):
 def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCurve:
     """Evaluate the share -> (turnover share, synergy share) curve.
 
-    shares must be strictly increasing within [0, 1]. The population is
-    drawn once in labeling order and each firm coded by its cell in every
-    dimension subset; a point at k foreign firms counts, per cell, the first k.
+    shares must be strictly increasing within [0, 1]. The population is drawn once
+    in labeling order and each firm coded once, by its GOT cell. A point at k foreign
+    firms counts firms k_prev..k-1 into the last point's foreign cell counts.
     """
     if not shares:
         raise ValueError("shares must not be empty")
@@ -165,28 +166,37 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     if any(b <= a for a, b in zip(shares, shares[1:])):
         raise ValueError("shares must be strictly increasing")
     import numpy as np  # numpy loads only for generate and sweep
-    *indices, turnovers = _draw(params)
+    g, o, t, turnovers = _draw(params)
     turnovers = memoryview(turnovers)  # its slices are views that fsum reads as Python floats
     n = params.n_firms
-    # code each axis by the categories present, so subset codes stay bounded by them
-    axes = [np.unique(idx, return_inverse=True) for idx in indices]
+    # code each axis by the categories present, then GO and GOT keys two axes at a time, below n**2
+    g = np.unique(g, return_inverse=True)[1]
+    o_present, o = np.unique(o, return_inverse=True)
+    t_present, t = np.unique(t, return_inverse=True)
+    o += g * len(o_present)
+    go_keys, g = np.unique(o, return_inverse=True)
+    t += g * len(t_present)
+    got_keys, cell = np.unique(t, return_inverse=True)
+    del g, o, t
+    cell_go, cell_t = np.divmod(got_keys, len(t_present))  # each occupied GOT cell's coordinates
+    cell_g, cell_o = np.divmod(go_keys[cell_go], len(o_present))
+    with_t = (np.unique(a * len(t_present) + cell_t, return_inverse=True)[1] for a in (cell_g, cell_o))
+    cells_of = (cell_g, cell_o, cell_t, cell_go, *with_t, np.arange(len(got_keys)))  # in SUBSETS order
 
+    def sums(cell_of, counts):  # a subset's cell counts from GOT cell counts, exact below 2**53
+        return np.bincount(cell_of, weights=counts).astype(np.int64)
     def entropy(counts) -> float:
         return _plugin_entropy(counts[counts > 0].tolist(), n)
 
-    subsets = []  # per subset: each firm's cell, the cell counts and their entropy
-    for dims in SUBSETS:
-        present, coords = zip(*(axes[DIMS.index(d)] for d in dims))
-        cell = np.unique(np.ravel_multi_index(coords, [len(p) for p in present]), return_inverse=True)[1]
-        counts = np.bincount(cell)
-        subsets.append((cell, counts, entropy(counts)))
-
-    points = []
-    for share in shares:
-        k = foreign_count(n, share)
+    cell_counts = np.bincount(cell)
+    subsets = [(cell_of, (counts := sums(cell_of, cell_counts)), entropy(counts)) for cell_of in cells_of]
+    ks = [foreign_count(n, share) for share in shares]
+    points, foreign_cells = [], np.zeros_like(cell_counts)
+    for share, k_prev, k in zip(shares, [0, *ks], ks):
+        foreign_cells += np.bincount(cell[k_prev:k], minlength=len(foreign_cells))
         terms = []
-        for cell, counts, h_total in subsets:
-            foreign_counts = np.bincount(cell[:k], minlength=len(counts))
+        for cell_of, counts, h_total in subsets:
+            foreign_counts = sums(cell_of, foreign_cells)
             terms.append(_split_term(entropy(counts - foreign_counts), entropy(foreign_counts), h_total))
         report = _build_report(_decompose_terms(tuple(terms)), turnovers[k:], turnovers[:k])
         points.append(SweepPoint(float(share), report.foreign_turnover_share, report.foreign_synergy_share, report))

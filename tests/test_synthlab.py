@@ -1,6 +1,8 @@
 import io
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import report_of, tally_of
 from thsynergy.decomp import decompose
@@ -216,20 +218,51 @@ def test_coupling_controls_signal_against_measured_noise_band():
     assert abs(t_for(1.0, 1234)) >= 5.0 * band  # coupled signal clears it
 
 
-def test_sweep_decomposition_consistency():
-    # each point's whole report (decomposition, order-free turnover sums,
-    # counts, ratios) and its seven split entropies equal those built from a
-    # population generated at that share; the second parameter set has
-    # two-digit labels (m10 sorts before m2) and lognormal turnover
-    wide = SynthParams(n_firms=300, n_municipalities=14, n_size_classes=11, n_tech_groups=12,
-                       coupling=0.4, turnover_law="lognormal", seed=7)
-    for params in (sweep_params(), wide):
-        curve = sweep_foreign_share(params, [0.0, 0.3, 0.55, 1.0])
-        for point in curve.points:
-            firms = generate(params._replace(foreign_share_target=point.share))
-            expected = report_of(firms)
-            assert point.report == expected
-            assert point.report.synergy == decompose(tally_of(firms).cube())
-            assert point.report.synergy.terms == decompose(tally_of(firms).cube()).terms
-            assert (point.turnover_share, point.synergy_share) == \
-                   (expected.foreign_turnover_share, expected.foreign_synergy_share)
+@st.composite
+def sweep_cases(draw):
+    # category counts up to 10**12 give more categories than firms
+    categories = st.one_of(st.integers(1, 15), st.integers(1, 10**12))
+    params = SynthParams(n_firms=draw(st.integers(1, 200)), n_municipalities=draw(categories),
+                         n_size_classes=draw(categories), n_tech_groups=draw(categories),
+                         coupling=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+                         turnover_law=draw(st.sampled_from(["uniform", "lognormal"])),
+                         seed=draw(st.integers(0, 2**32)))
+    # with few firms, neighbouring shares often round to the same foreign count: a point that
+    # turns no firm foreign
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8, unique=True).map(sorted))
+    return params, shares
+
+
+@given(sweep_cases())
+@example((sweep_params(), [0.0, 0.3, 0.55, 1.0]))
+# two-digit labels (m10 sorts before m2) and lognormal turnover
+@example((SynthParams(n_firms=300, n_municipalities=14, n_size_classes=11, n_tech_groups=12,
+                      coupling=0.4, turnover_law="lognormal", seed=7), [0.0, 0.3, 0.55, 1.0]))
+@example((SynthParams(n_firms=200, seed=3), [0.0, 0.5, 0.502, 1.0]))  # 100 foreign firms twice
+@settings(deadline=None)
+def test_sweep_decomposition_consistency(case):
+    # each point's whole report (decomposition with its seven split entropies, order-free
+    # turnover sums, counts, ratios) equals the one built from a population generated at
+    # that share, bit for bit: repr round-trips every float and tells -0.0 from 0.0
+    params, shares = case
+    curve = sweep_foreign_share(params, shares)
+    for point in curve.points:
+        expected = report_of(generate(params._replace(foreign_share_target=point.share)))
+        assert repr(point.report) == repr(expected)
+        assert (point.turnover_share, point.synergy_share) == \
+               (expected.foreign_turnover_share, expected.foreign_synergy_share)
+
+
+def test_sweep_peak_memory_per_firm():
+    # numpy reports its buffers to tracemalloc; coding every firm in each of the seven
+    # subsets peaks near 157 bytes a firm here, one GOT cell code per firm near 76
+    params = SynthParams(n_firms=50_000, n_municipalities=356)
+    shares = [i / 10 for i in range(11)]
+    sweep_foreign_share(params._replace(n_firms=100), shares)  # lazy imports before tracing
+    tracemalloc.start()
+    try:
+        sweep_foreign_share(params, shares)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / params.n_firms <= 120
