@@ -11,7 +11,7 @@ from thsynergy import ContingencyCube, decompose, ternary_information
 # coordinates. Any single dimension looks uniform, any pair looks uniform,
 # only the triple has structure.
 parity = ContingencyCube(
-    axes={"G": ("g0", "g1"), "O": ("o0", "o1"), "T": (1, 2)},
+    dims=("G", "O", "T"),
     domestic={
         ("g0", "o0", 1): 1,
         ("g0", "o1", 2): 1,
@@ -31,7 +31,7 @@ print()
 
 # The opposite extreme: all three coordinates always agree.
 aligned = ContingencyCube(
-    axes={"G": ("g0", "g1"), "O": ("o0", "o1"), "T": (1, 2)},
+    dims=("G", "O", "T"),
     domestic={("g0", "o0", 1): 1, ("g1", "o1", 2): 1},
     foreign={},
 )
@@ -41,7 +41,7 @@ print()
 
 # Independence sits exactly at zero: a uniform cube factorizes.
 uniform = ContingencyCube(
-    axes={"G": ("g0", "g1"), "O": ("o0", "o1"), "T": (1, 2)},
+    dims=("G", "O", "T"),
     domestic={(g, o, t): 1 for g in ("g0", "g1") for o in ("o0", "o1") for t in (1, 2)},
     foreign={},
 )

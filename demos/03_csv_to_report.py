@@ -1,10 +1,10 @@
 """End to end: firm CSV in, region report out.
 
-Mirrors what `thsynergy compute` does, step by step on one scan, one cube:
-the scan checks and classifies every row and hands each accepted firm to a
-tally, the tally builds the cube, the cube is decomposed into the report,
-and the domestic-vs-foreign chi-square over technology groups comes from
-the same cube.
+Mirrors what `thsynergy compute` does, step by step on one scan, one tally:
+the scan checks and classifies every row and hands each accepted firm to the
+tally, the report decomposes the tally's cube and sums its turnovers, and the
+domestic-vs-foreign chi-square over technology groups comes from the same
+cube.
 """
 import json
 from pathlib import Path
@@ -27,8 +27,7 @@ print(f"validation: {rows} rows, {len(issues)} issues")
 for line, message in issues:
     print(f"  line {line}: {message}")
 
-cube = tally.cube()
-report = cube_report(cube, tally)
+report = cube_report(tally)
 print()
 print("region report")
 print(json.dumps(report.to_dict(), indent=2))
@@ -38,7 +37,7 @@ print()
 print(f"entropies (bits): triple {profile.h_got:.4f}, "
       f"pairs {profile.h_go:.4f}/{profile.h_gt:.4f}/{profile.h_ot:.4f}")
 
-categories, table = ownership_tech_table(cube)
+categories, table = ownership_tech_table(tally.cube())
 try:
     chi = chi_square_homogeneity(table)
     print()

@@ -150,12 +150,11 @@ def cmd_compute(args) -> int:
     if not rows:
         return _error(f"{args.input}: no data rows", 1)
 
-    cube = tally.cube()
     try:
-        report = cube_report(cube, tally)
+        report = cube_report(tally)
     except OverflowError as exc:
         return _error(f"{args.input}: {exc}", 1)
-    categories, table = ownership_tech_table(cube)
+    categories, table = ownership_tech_table(tally.cube())
     try:
         chi_block: dict = {"categories": list(categories), **chi_square_homogeneity(table)._asdict()}
     except DegenerateTable as exc:

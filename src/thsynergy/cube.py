@@ -2,10 +2,10 @@
 
 Counts are kept separately for domestic and foreign ownership so downstream
 decompositions can split every marginal. Cells are sparse maps keyed by
-(g, o, t) tuples; axis category lists are data driven and sorted, which makes
-cube construction independent of input row order. A marginal is a cube too:
-the same split maps over the axes it keeps, keyed by tuples of the kept
-coordinates (1-tuples for one axis).
+(g, o, t) tuples, and a cube is its cells: the categories of an axis are the
+coordinates its cells hold, so nothing else is stored. A marginal is a cube
+too: the same split maps over the dimensions it keeps, keyed by tuples of the
+kept coordinates (1-tuples for one axis).
 """
 from __future__ import annotations
 
@@ -24,12 +24,12 @@ class EmptyDataset(ValueError):
 class ContingencyCube(NamedTuple):
     """Immutable-by-convention sparse cube. Do not mutate the dicts.
 
-    axes maps each dimension letter the cube keeps (all of G, O and T for a
-    built cube, fewer for a marginal) to its sorted category tuple; domestic
-    and foreign map cells, tuples of coordinates in G, O, T order, to counts.
+    dims names the dimensions the cube keeps, in G, O, T order (all three for
+    a built cube, fewer for a marginal); domestic and foreign map cells,
+    tuples of coordinates in dims order, to counts.
     """
 
-    axes: dict[str, tuple]
+    dims: tuple[str, ...]
     domestic: dict[Cell, int]
     foreign: dict[Cell, int]
 
@@ -46,8 +46,8 @@ class Tally:
     (True for foreign) and its turnover. ingest.validate_firm_csv passes
     each accepted row's triple to add, and synthlab.generate returns them.
     turnovers holds the domestic and the foreign turnovers, indexed by the
-    flag; decomp._build_report sums them. The cube shares the tally's count
-    maps: take it after the last add.
+    flag; decomp.cube_report(tally) sums them beside the cube's counts. The
+    cube shares the tally's count maps: take it after the last add.
     """
 
     def __init__(self):
@@ -62,14 +62,10 @@ class Tally:
         counts[cell] = counts.get(cell, 0) + 1
 
     def cube(self) -> ContingencyCube:
-        """The cube of all firms added; axes hold the observed values, sorted."""
+        """The G, O, T cube of all firms added, sharing the tally's maps; EmptyDataset if none."""
         if not (self.domestic or self.foreign):
             raise EmptyDataset("no firms")
-        axes = {}
-        for i, dim in enumerate(DIMS):
-            coord = itemgetter(i)
-            axes[dim] = tuple(sorted(set(map(coord, self.domestic)).union(map(coord, self.foreign))))
-        return ContingencyCube(axes=axes, domestic=self.domestic, foreign=self.foreign)
+        return ContingencyCube(DIMS, self.domestic, self.foreign)
 
 
 def normalize_dims(dims: Iterable[str]) -> tuple[str, ...]:
@@ -94,11 +90,11 @@ def _sum_by(counts: Mapping[Cell, int], key) -> dict:
 
 def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> ContingencyCube:
     """The marginal of a cube, or of a marginal, on a non-empty subset of its dimensions: a cube
-    over the kept axes whose cells are tuples of the kept coordinates (1-tuples for one axis).
+    over the kept dimensions whose cells are tuples of the kept coordinates (1-tuples for one axis).
     Asking for the cube's own dimensions returns the cube itself; asking for one it lacks
     raises ValueError.
     """
-    kept, own = normalize_dims(dims), normalize_dims(cube.axes)
+    kept, own = normalize_dims(dims), cube.dims
     if kept == own:
         return cube
     missing = set(kept) - set(own)
@@ -108,7 +104,7 @@ def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> ContingencyCube:
     domestic, foreign = _sum_by(cube.domestic, key), _sum_by(cube.foreign, key)
     if len(kept) == 1:  # itemgetter of one index returns the bare coordinate; cells are 1-tuples
         domestic, foreign = ({(k,): v for k, v in counts.items()} for counts in (domestic, foreign))
-    return ContingencyCube({d: cube.axes[d] for d in kept}, domestic, foreign)
+    return ContingencyCube(kept, domestic, foreign)
 
 
 def split_marginals(cube: ContingencyCube) -> Iterator[ContingencyCube]:

@@ -24,7 +24,7 @@ from itertools import chain, filterfalse, repeat
 from operator import add
 from typing import Collection, Mapping, NamedTuple
 
-from .cube import ContingencyCube, EmptyDataset, Tally, normalize_dims, split_marginals
+from .cube import ContingencyCube, EmptyDataset, Tally, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _check_counts, _plugin_entropy, ternary_information, ZeroTotal
 
 
@@ -100,7 +100,7 @@ def decompose(cube: ContingencyCube) -> SynergyDecomposition:
     marginals is drawn once, from its smallest parent (cube.split_marginals), and scored
     against the cube's total."""
     total = cube.total
-    terms = {normalize_dims(m.axes): split_entropy(m.domestic, m.foreign, total)
+    terms = {m.dims: split_entropy(m.domestic, m.foreign, total)
              for m in split_marginals(cube)}
     return _decompose_terms(tuple(terms[dims] for dims in SUBSETS))
 
@@ -122,7 +122,7 @@ def subgroup_synergy(cube: ContingencyCube, foreign: bool) -> float:
     population denominator; this instead treats the chosen group as a
     population of its own, so its value is NOT a term of decompose().
     """
-    group = ContingencyCube(cube.axes, cube.foreign if foreign else cube.domestic, {})
+    group = ContingencyCube(cube.dims, cube.foreign if foreign else cube.domestic, {})
     if group.total == 0:
         raise EmptyDataset(f"no {'foreign' if foreign else 'domestic'} firms in cube")
     return decompose(group).total
@@ -205,14 +205,14 @@ class RegionReport(NamedTuple):
         }
 
 
-def cube_report(cube: ContingencyCube, tally: Tally) -> RegionReport:
-    """Region summary from a tally's cube and turnovers: one decomposition.
+def cube_report(tally: Tally) -> RegionReport:
+    """Region summary of a tally: its cube's decomposition and its turnover sums, of the same firms.
 
-    Raises OverflowError when a turnover sum is not finite (tally.cube()
-    raises EmptyDataset on a tally without firms). The foreign share of an
-    all-foreign population is exactly 1.0.
+    Raises EmptyDataset on a tally without firms and OverflowError when a
+    turnover sum is not finite. The foreign share of an all-foreign
+    population is exactly 1.0.
     """
-    return _build_report(decompose(cube), *tally.turnovers)
+    return _build_report(decompose(tally.cube()), *tally.turnovers)
 
 
 def _build_report(dec: SynergyDecomposition, domestic: Collection[float], foreign: Collection[float]) -> RegionReport:

@@ -121,7 +121,10 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
         for row_total, obs in ((row_totals[0], top[j]), (row_totals[1], bottom[j])):
             # dividing before multiplying keeps large finite margins from overflowing
             expected = row_total * (col / grand)
-            if expected == 0:  # positive margins whose product underflows
+            if expected == 0:  # positive margins whose product underflows, or col / grand with an inf grand
+                if math.isinf(grand):
+                    rows = " and ".join(f"row {i}" for i, t in enumerate(row_totals) if math.isinf(t))
+                    raise DegenerateTable(f"total of {rows} overflows" if rows else "grand total overflows")
                 raise DegenerateTable(f"expected count in column {j} underflows to zero")
             diff = obs - expected
             statistic += diff * (diff / expected)
@@ -134,14 +137,15 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
 def ownership_tech_table(cube: ContingencyCube) -> tuple[tuple, list[list[int]]]:
     """Domestic vs foreign counts over the occupied technology groups.
 
-    Returns (categories, [domestic_row, foreign_row]) in axis order, ready
-    for chi_square_homogeneity. Columns always have positive totals: a group
-    that the T axis lists but no firm falls in gets no column. ValueError on
-    a cube without a T axis.
+    Returns (categories, [domestic_row, foreign_row]) ready for
+    chi_square_homogeneity. The categories are the T groups of the cube's
+    cells whose total is positive, sorted, so every firm is in a column and
+    every column has a positive total. ValueError on a cube without T.
     """
     from .cube import marginalize  # the chi-square test alone needs no cube
 
     marginal = marginalize(cube, "T")
     domestic, foreign = marginal.domestic, marginal.foreign
-    categories = tuple(t for t in marginal.axes["T"] if domestic.get((t,), 0) + foreign.get((t,), 0) > 0)
+    categories = tuple(sorted(t for (t,) in domestic.keys() | foreign.keys()
+                              if domestic.get((t,), 0) + foreign.get((t,), 0) > 0))
     return categories, [[counts.get((t,), 0) for t in categories] for counts in (domestic, foreign)]

@@ -26,9 +26,8 @@ def tally_of(firms: Iterable[tuple]) -> Tally:
 
 
 def report_of(firms: Iterable[tuple]) -> RegionReport:
-    """The region report of firm triples: their tally's cube through cube_report."""
-    tally = tally_of(firms)
-    return cube_report(tally.cube(), tally)
+    """The region report of firm triples, through their tally."""
+    return cube_report(tally_of(firms))
 
 
 def row_by_row(data: bytes, config: ClassificationConfig):
@@ -66,9 +65,4 @@ def cube_from_tensors(nat: np.ndarray, forn: np.ndarray) -> ContingencyCube:
             domestic[cell] = int(nat[idx])
         if forn[idx]:
             foreign[cell] = int(forn[idx])
-    axes = {
-        "G": tuple(f"g{i}" for i in range(shape[0])),
-        "O": tuple(f"o{j}" for j in range(shape[1])),
-        "T": tuple(k + 1 for k in range(shape[2])),
-    }
-    return ContingencyCube(axes=axes, domestic=domestic, foreign=foreign)
+    return ContingencyCube(("G", "O", "T"), domestic, foreign)

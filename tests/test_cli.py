@@ -684,6 +684,10 @@ def test_chisq_large_finite_statistic(capsys):
     ("inf,1;2,3", "counts must be finite"),
     ("1e308,1e308;1e308,1e308", "statistic is not finite"),  # the margins overflow
     ("0,1;1e-320,0", "expected count in column 0 underflows to zero"),
+    # an overflowing total makes col / grand zero: the overflow is named, not an underflow
+    ("1e308,1e308;1e308,1", "total of row 0 overflows"),
+    ("1e308,1;1e308,1e308", "total of row 1 overflows"),
+    ("1.7e308,0;0,1.7e308", "grand total overflows"),  # each row total is finite
 ])
 def test_chisq_non_finite_is_validation_failure(capsys, table, message):
     assert main(["chisq", table]) == 1

@@ -49,21 +49,15 @@ def test_build_counts_and_total():
 
 
 def test_cube_total_is_the_sum_of_its_cells():
-    assert ContingencyCube._fields == ("axes", "domestic", "foreign")
-    hand_built = ContingencyCube({"G": ("a", "b"), "O": ("0",), "T": (1, 2)},
-                                 {("a", "0", 1): 3, ("b", "0", 2): 1}, {("a", "0", 2): 2})
+    assert ContingencyCube._fields == ("dims", "domestic", "foreign")
+    hand_built = ContingencyCube(("G", "O", "T"), {("a", "0", 1): 3, ("b", "0", 2): 1}, {("a", "0", 2): 2})
     assert hand_built.total == 6
     for cube in (hand_built, small_cube()):
         for marginal in split_marginals(cube):
             assert marginal.total == sum(marginal.domestic.values()) + sum(marginal.foreign.values()) == cube.total
     # one domestic firm in each of G a and b: G carries no information about O or T
-    two_cells = ContingencyCube({"G": ("a", "b"), "O": ("0",), "T": (1,)}, {("a", "0", 1): 1, ("b", "0", 1): 1}, {})
+    two_cells = ContingencyCube(("G", "O", "T"), {("a", "0", 1): 1, ("b", "0", 1): 1}, {})
     assert decompose(two_cells).total == 0.0
-
-
-def test_build_axes_sorted_and_data_driven():
-    cube = small_cube()
-    assert cube.axes == {"G": ("a", "b"), "O": ("0", "1-4"), "T": (1, 2)}
 
 
 def test_build_empty_raises():
@@ -115,8 +109,7 @@ def test_marginal_totals_preserved_every_subset():
 
 def test_marginal_dims_canonical_order():
     cube = small_cube()
-    assert tuple(marginalize(cube, ("T", "G")).axes) == ("G", "T")
-    assert marginalize(cube, ("T", "G")).axes == {"G": ("a", "b"), "T": (1, 2)}
+    assert marginalize(cube, ("T", "G")).dims == ("G", "T")
     assert marginalize(cube, ("T", "G")) == marginalize(cube, ("G", "T"))
 
 
@@ -167,10 +160,10 @@ def split_cubes(draw):
 @example(cube_of([firm("a", "0", 1, True), firm("a", "0", 1, True)]))
 def test_split_marginals_equal_marginalize(cube):
     yielded = list(split_marginals(cube))
-    assert sorted(tuple(m.axes) for m in yielded) == sorted(SUBSETS)
+    assert sorted(m.dims for m in yielded) == sorted(SUBSETS)
     assert yielded[0] is cube  # not copied
     for m in yielded:
-        assert m == marginalize(cube, m.axes)
+        assert m == marginalize(cube, m.dims)
 
 
 @given(split_cubes())
@@ -181,6 +174,18 @@ def test_marginal_of_a_marginal_is_the_marginal_of_the_cube(cube):
         for inner in SUBSETS:
             if set(inner) <= set(outer):
                 assert marginalize(marginal, inner) == marginalize(cube, inner)
+
+
+# cells inserted in T order 3, 1, 2, and so walked in that order
+@example(ContingencyCube(("G", "O", "T"), {("a", "0", 3): 2, ("b", "0", 1): 1},
+                         {("a", "1-4", 2): 1, ("b", "0", 3): 4}))
+@given(split_cubes())
+def test_ownership_tech_table_lists_every_firm(cube):
+    categories, (domestic_row, foreign_row) = ownership_tech_table(cube)
+    assert categories == tuple(sorted(set(categories)))
+    assert sum(domestic_row) == sum(cube.domestic.values())
+    assert sum(foreign_row) == sum(cube.foreign.values())
+    assert sum(domestic_row) + sum(foreign_row) == cube.total
 
 
 def test_marginal_consistent_with_dense_sums():

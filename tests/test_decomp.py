@@ -111,7 +111,7 @@ def test_split_rejects_a_negative_count(domestic, foreign):
 
 def test_decompose_rejects_a_cube_with_a_negative_cell():
     # the cells sum to a positive total; the first marginal, the cube itself, is refused
-    cube = ContingencyCube({"G": ("a", "b"), "O": ("0",), "T": (1,)}, {("a", "0", 1): 3, ("b", "0", 1): -1}, {})
+    cube = ContingencyCube(("G", "O", "T"), {("a", "0", 1): 3, ("b", "0", 1): -1}, {})
     with pytest.raises(ValueError, match="^counts must be non-negative$"):
         decompose(cube)
 

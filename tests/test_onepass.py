@@ -140,7 +140,7 @@ def _reference_document(path: Path, config: ClassificationConfig, manifest: dict
     return {
         "schema_version": 1,
         "log_base": "2",
-        "report": cube_report(cube, tally).to_dict(),
+        "report": cube_report(tally).to_dict(),
         "entropy": decompose(cube).profile()._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,
         "manifest": manifest,

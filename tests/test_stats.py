@@ -153,11 +153,9 @@ def test_ownership_tech_table_all_domestic_degenerates():
 
 
 def test_ownership_tech_table_skips_groups_no_firm_uses():
-    # a hand-built cube may list a technology group that no cell uses; it gets no column
-    cube = ContingencyCube(axes={"G": ("a", "b"), "O": ("0",), "T": (1, 2, 3)},
-                           domestic={("a", "0", 1): 2, ("b", "0", 3): 1},
+    # a hand-built cube may hold a technology group whose cells count no firm; it gets no column
+    cube = ContingencyCube(("G", "O", "T"), domestic={("a", "0", 1): 2, ("b", "0", 3): 1, ("a", "0", 2): 0},
                            foreign={("a", "0", 1): 1, ("b", "0", 3): 2})
-    assert cube.axes["T"] == (1, 2, 3)
     categories, table = ownership_tech_table(cube)
     assert categories == (1, 3)
     assert table == [[2, 1], [1, 2]]
