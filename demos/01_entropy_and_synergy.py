@@ -7,16 +7,27 @@ repeat each other.
 """
 from thsynergy import ContingencyCube, decompose, ternary_information
 
-# A parity population: the technology group is the XOR of the other two
-# coordinates. Any single dimension looks uniform, any pair looks uniform,
-# only the triple has structure.
+# Two categories per axis. A cell is one int: coordinates (g, o, t) are the
+# digits (g * 2 + o) * 2 + t, and the cube's shape gives each radix (G, the
+# leading digit, needs none).
+SHAPE = (None, 2, 2)
+
+
+def cell(g, o, t):
+    return (g * 2 + o) * 2 + t
+
+
+# A parity population: the technology coordinate is the XOR of the other two.
+# Any single dimension looks uniform, any pair looks uniform, only the triple
+# has structure.
 parity = ContingencyCube(
     dims=("G", "O", "T"),
+    shape=SHAPE,
     domestic={
-        ("g0", "o0", 1): 1,
-        ("g0", "o1", 2): 1,
-        ("g1", "o0", 2): 1,
-        ("g1", "o1", 1): 1,
+        cell(0, 0, 0): 1,
+        cell(0, 1, 1): 1,
+        cell(1, 0, 1): 1,
+        cell(1, 1, 0): 1,
     },
     foreign={},
 )
@@ -32,7 +43,8 @@ print()
 # The opposite extreme: all three coordinates always agree.
 aligned = ContingencyCube(
     dims=("G", "O", "T"),
-    domestic={("g0", "o0", 1): 1, ("g1", "o1", 2): 1},
+    shape=SHAPE,
+    domestic={cell(0, 0, 0): 1, cell(1, 1, 1): 1},
     foreign={},
 )
 print("aligned cube (every dimension copies the others)")
@@ -42,7 +54,8 @@ print()
 # Independence sits exactly at zero: a uniform cube factorizes.
 uniform = ContingencyCube(
     dims=("G", "O", "T"),
-    domestic={(g, o, t): 1 for g in ("g0", "g1") for o in ("o0", "o1") for t in (1, 2)},
+    shape=SHAPE,
+    domestic={cell(g, o, t): 1 for g in (0, 1) for o in (0, 1) for t in (0, 1)},
     foreign={},
 )
 print("uniform independent cube")

@@ -12,16 +12,20 @@ from thsynergy import Tally, decompose, marginalize, split_entropy, subgroup_syn
 
 # A toy region: domestic firms concentrated in two municipality/size/tech
 # niches, foreign firms bridging a third combination. Each firm is a
-# ((municipality, size class, tech group), foreign, turnover) triple.
-tally = Tally()
-for cell, foreign, turnover, count in [
-    (("west", "1-4", 2), False, 8e6, 6),
-    (("east", "20-49", 5), False, 30e6, 6),
-    (("west", "20-49", 5), True, 90e6, 3),
-    (("east", "1-4", 2), True, 12e6, 3),
+# (cell, foreign, turnover) triple. A cell is one int: municipality g, size
+# class o and tech group t + 1 are the digits (g * 2 + o) * 10 + t of a cube
+# of shape (None, 2, 10), two size classes and the ten tech groups.
+WEST, EAST = 0, 1
+SMALL, MEDIUM = 0, 1  # 1-4 and 20-49 employees
+tally = Tally((None, 2, 10))
+for (g, o, t), foreign, turnover, count in [
+    ((WEST, SMALL, 1), False, 8e6, 6),
+    ((EAST, MEDIUM, 4), False, 30e6, 6),
+    ((WEST, MEDIUM, 4), True, 90e6, 3),
+    ((EAST, SMALL, 1), True, 12e6, 3),
 ]:
     for _ in range(count):
-        tally.add(cell, foreign, turnover)
+        tally.add((g * 2 + o) * 10 + t, foreign, turnover)
 
 cube = tally.cube()
 dec = decompose(cube)

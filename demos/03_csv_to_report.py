@@ -10,6 +10,7 @@ import json
 from pathlib import Path
 
 from thsynergy import (
+    ClassificationConfig,
     DegenerateTable,
     Tally,
     chi_square_homogeneity,
@@ -20,9 +21,10 @@ from thsynergy import (
 
 data_path = Path(__file__).parent / "data" / "firms_demo.csv"
 
-tally = Tally()
+config = ClassificationConfig()
+tally = Tally(config.cell_shape)  # the cells the scan codes under this config
 with open(data_path, "rb") as fh:
-    rows, issues = validate_firm_csv(fh, add=tally.add)
+    rows, issues = validate_firm_csv(fh, config, add=tally.add)
 print(f"validation: {rows} rows, {len(issues)} issues")
 for line, message in issues:
     print(f"  line {line}: {message}")

@@ -140,8 +140,8 @@ def cmd_compute(args) -> int:
     from .decomp import cube_report
     from .stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
 
-    tally = Tally()
     config = _load_effective_config(args)
+    tally = Tally(config.cell_shape)
     with open(args.input, "rb") as fh:
         rows, issues = validate_firm_csv(fh, config=config, add=tally.add)
     if issues:

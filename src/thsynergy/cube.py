@@ -1,20 +1,23 @@
 """Sparse three-way contingency cube over (municipality, size class, tech group).
 
 Counts are kept separately for domestic and foreign ownership so downstream
-decompositions can split every marginal. Cells are sparse maps keyed by
-(g, o, t) tuples, and a cube is its cells: the categories of an axis are the
-coordinates its cells hold, so nothing else is stored. A marginal is a cube
-too: the same split maps over the dimensions it keeps, keyed by tuples of the
-kept coordinates (1-tuples for one axis).
+decompositions can split every marginal. A cell is one int, its coordinates
+read as the digits of a mixed-radix number: in a cube of shape
+(None, n_o, n_t) the cell (g, o, t) is (g * n_o + o) * n_t + t. G is the most
+significant digit, so its radix is never needed and is None. A cube is its
+cells: the categories of an axis are the coordinates its cells hold, so
+nothing else is stored. A marginal is a cube too: the same split maps over
+the dimensions it keeps, coded the same way over their radices.
 """
 from __future__ import annotations
 
+import math
 from array import array
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import groupby, repeat
+from operator import add, floordiv, mod, mul
+from typing import Iterable, Iterator, NamedTuple
 
 DIMS = ("G", "O", "T")  # geography, organization (size), technology
-Cell = tuple
 
 
 class EmptyDataset(ValueError):
@@ -25,13 +28,14 @@ class ContingencyCube(NamedTuple):
     """Immutable-by-convention sparse cube. Do not mutate the dicts.
 
     dims names the dimensions the cube keeps, in G, O, T order (all three for
-    a built cube, fewer for a marginal); domestic and foreign map cells,
-    tuples of coordinates in dims order, to counts.
+    a built cube, fewer for a marginal); shape holds the radix of each, None
+    for G; domestic and foreign map int cells, coded over shape, to counts.
     """
 
     dims: tuple[str, ...]
-    domestic: dict[Cell, int]
-    foreign: dict[Cell, int]
+    shape: tuple[int | None, ...]
+    domestic: dict[int, int]
+    foreign: dict[int, int]
 
     @property
     def total(self) -> int:
@@ -42,21 +46,24 @@ class ContingencyCube(NamedTuple):
 class Tally:
     """Split cell counts and turnovers, built one firm at a time.
 
-    A firm is the triple add() takes: its (g, o, t) cell, its ownership flag
-    (True for foreign) and its turnover. ingest.validate_firm_csv passes
-    each accepted row's triple to add, and synthlab.generate returns them.
-    turnovers holds the domestic and the foreign turnovers, indexed by the
-    flag; decomp.cube_report(tally) sums them beside the cube's counts. The
-    cube shares the tally's count maps: take it after the last add.
+    A firm is the triple add() takes: its int cell, coded over the tally's
+    shape (None, n_o, n_t), its ownership flag (True for foreign) and its
+    turnover. ingest.validate_firm_csv passes each accepted row's triple to
+    add, coded over ClassificationConfig.cell_shape, and synthlab.generate
+    returns them, coded over SynthParams.cell_shape. turnovers holds the
+    domestic and the foreign turnovers, indexed by the flag;
+    decomp.cube_report(tally) sums them beside the cube's counts. The cube
+    shares the tally's count maps: take it after the last add.
     """
 
-    def __init__(self):
-        self.domestic: dict[Cell, int] = {}
-        self.foreign: dict[Cell, int] = {}
+    def __init__(self, shape: tuple[int | None, int, int]):
+        self.shape = tuple(shape)
+        self.domestic: dict[int, int] = {}
+        self.foreign: dict[int, int] = {}
         self.turnovers = (array("d"), array("d"))
         self._groups = ((self.domestic, self.turnovers[0].append), (self.foreign, self.turnovers[1].append))
 
-    def add(self, cell: Cell, foreign: bool, turnover: float) -> None:
+    def add(self, cell: int, foreign: bool, turnover: float) -> None:
         counts, append = self._groups[foreign]
         append(turnover)
         counts[cell] = counts.get(cell, 0) + 1
@@ -65,7 +72,7 @@ class Tally:
         """The G, O, T cube of all firms added, sharing the tally's maps; EmptyDataset if none."""
         if not (self.domestic or self.foreign):
             raise EmptyDataset("no firms")
-        return ContingencyCube(DIMS, self.domestic, self.foreign)
+        return ContingencyCube(DIMS, self.shape, self.domestic, self.foreign)
 
 
 def normalize_dims(dims: Iterable[str]) -> tuple[str, ...]:
@@ -79,20 +86,40 @@ def normalize_dims(dims: Iterable[str]) -> tuple[str, ...]:
     return tuple(d for d in DIMS if d in wanted)
 
 
-def _sum_by(counts: Mapping[Cell, int], key) -> dict:
-    """Counts summed by key(cell): one walk over the map, key applied in C by map()."""
-    out: dict = {}
+def _kept_digits(own: tuple[str, ...], shape: tuple, kept: tuple[str, ...]) -> list[tuple[int, int | None, int]]:
+    """How to read the kept digits of a cell over own: (divisor, modulus, multiplier) for each run
+    of adjacent kept dimensions, whose code is cell // divisor % modulus (no modulus for a leading
+    run) and whose place value in the kept cell is multiplier."""
+    runs, at = [], 0
+    for is_kept, run in groupby(own, kept.__contains__):
+        end = at + len(list(run))
+        if is_kept:
+            runs.append((math.prod(shape[end:]), math.prod(shape[at:end]) if at else None,
+                         math.prod(r for d, r in zip(own[end:], shape[end:]) if d in kept)))
+        at = end
+    return runs
+
+
+def _sum_by(counts: dict[int, int], runs: list[tuple[int, int | None, int]]) -> dict[int, int]:
+    """Counts summed by their kept code: one walk over the map, each digit run read in C by map()."""
+    parts = []
+    for divisor, modulus, multiplier in runs:
+        part = map(floordiv, counts, repeat(divisor)) if divisor != 1 else iter(counts)
+        if modulus is not None:
+            part = map(mod, part, repeat(modulus))
+        parts.append(map(mul, part, repeat(multiplier)) if multiplier != 1 else part)
+    keys = map(add, *parts) if len(parts) > 1 else parts[0]  # two runs at most: G and T
+    out: dict[int, int] = {}
     get = out.get
-    for kept, count in zip(map(key, counts), counts.values()):
+    for kept, count in zip(keys, counts.values()):
         out[kept] = get(kept, 0) + count
     return out
 
 
 def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> ContingencyCube:
     """The marginal of a cube, or of a marginal, on a non-empty subset of its dimensions: a cube
-    over the kept dimensions whose cells are tuples of the kept coordinates (1-tuples for one axis).
-    Asking for the cube's own dimensions returns the cube itself; asking for one it lacks
-    raises ValueError.
+    over the kept dimensions whose int cells are coded over the kept radices. Asking for the
+    cube's own dimensions returns the cube itself; asking for one it lacks raises ValueError.
     """
     kept, own = normalize_dims(dims), cube.dims
     if kept == own:
@@ -100,11 +127,9 @@ def marginalize(cube: ContingencyCube, dims: Iterable[str]) -> ContingencyCube:
     missing = set(kept) - set(own)
     if missing:
         raise ValueError(f"cube over {''.join(own)} has no dimension(s) {sorted(missing)}")
-    key = itemgetter(*(own.index(d) for d in kept))
-    domestic, foreign = _sum_by(cube.domestic, key), _sum_by(cube.foreign, key)
-    if len(kept) == 1:  # itemgetter of one index returns the bare coordinate; cells are 1-tuples
-        domestic, foreign = ({(k,): v for k, v in counts.items()} for counts in (domestic, foreign))
-    return ContingencyCube(kept, domestic, foreign)
+    runs = _kept_digits(own, cube.shape, kept)
+    shape = tuple(r for d, r in zip(own, cube.shape) if d in kept)
+    return ContingencyCube(kept, shape, _sum_by(cube.domestic, runs), _sum_by(cube.foreign, runs))
 
 
 def split_marginals(cube: ContingencyCube) -> Iterator[ContingencyCube]:

@@ -122,7 +122,7 @@ def subgroup_synergy(cube: ContingencyCube, foreign: bool) -> float:
     population denominator; this instead treats the chosen group as a
     population of its own, so its value is NOT a term of decompose().
     """
-    group = ContingencyCube(cube.dims, cube.foreign if foreign else cube.domestic, {})
+    group = ContingencyCube(cube.dims, cube.shape, cube.foreign if foreign else cube.domestic, {})
     if group.total == 0:
         raise EmptyDataset(f"no {'foreign' if foreign else 'domestic'} firms in cube")
     return decompose(group).total

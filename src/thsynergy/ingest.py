@@ -3,8 +3,8 @@
 Raw rows carry a municipality code, a two-digit NACE activity code, an
 employee count, turnover in NOK and a foreign ownership share. The scan
 turns each accepted row into a firm triple (cell, foreign, turnover): the
-three categorical coordinates used downstream (municipality, size class,
-technology group), an ownership flag and the turnover.
+int code of the three categorical coordinates used downstream (municipality,
+size class, technology group), an ownership flag and the turnover.
 """
 from __future__ import annotations
 
@@ -149,6 +149,12 @@ class ClassificationConfig(_Validated, _ClassificationFields):
     def size_class_labels(self) -> tuple[str, ...]:
         return size_labels(self.size_bin_edges)
 
+    @property
+    def cell_shape(self) -> tuple:
+        """The radices of a scanned firm's cell (see cube): G numbered in first-seen order, O the
+        size class index and T the technology group minus 1, of the ten groups."""
+        return None, len(self.size_bin_edges), len(_NACE_GROUP_RANGES)
+
     def categorize(self, municipality: str, nace2: int, employees: int, share: float) -> tuple[tuple, bool]:
         """Classify one firm: ((municipality, size class, tech group), is_foreign)."""
         group = _NACE_MAP.get(nace2)
@@ -280,37 +286,40 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple
     return (municipality, *values)
 
 
-# Distinct texts per memo. Past it a memo learns only a text that is its own value, as an unpadded
-# municipality is its label, which the cube keeps anyway; padded variants of a label stay bounded.
+# Distinct texts per memo. Past it a memo learns only a text that is its own label, as an unpadded
+# municipality is, which the scan numbers anyway; padded variants of a label stay bounded.
 _MEMO_LIMIT = 4096
 
 
 def validate_firm_csv(source, config: ClassificationConfig | None = None,
-                      add: Callable[[tuple, bool, float], None] | None = None,
+                      add: Callable[[int, bool, float], None] | None = None,
                       ) -> tuple[int, list[tuple[int, str]]]:
     """Check and classify every row in one pass, collecting every defect.
 
     Returns (data_row_count, issues), each issue (line_no, message). Each
     accepted row goes in file order to add(cell, foreign, turnover), cell
-    being its (municipality, size class, tech group). A header defect, a
-    record the csv module cannot read and a byte that is not UTF-8 end the
-    scan with an issue on their line; the rows before it are counted and
-    checked, and the record holding it is not counted. The input is read
+    being the int code of its (municipality, size class, tech group) over
+    config.cell_shape: (g * n_o + o) * n_t + t, with municipalities numbered
+    g = 0, 1, ... in the order their labels are first accepted. A header
+    defect, a record the csv module cannot read and a byte that is not UTF-8
+    end the scan with an issue on their line; the rows before it are counted
+    and checked, and the record holding it is not counted. The input is read
     once, never re-read. The header must use the canonical column names.
 
     Each field's classification is memoized per distinct text: the raw
-    municipality, nace2 and employees texts of an accepted row map to its
-    cell coordinates, since each of their checks reads that field alone. A
-    row whose three texts are all known and whose turnover and share convert
-    and lie in range is accepted from the memos. Every other row goes
-    through _parse_row and categorize, which name its defect or accept it
-    and teach the memos its texts, as far as _MEMO_LIMIT allows.
+    municipality, employees and nace2 texts of an accepted row map to their
+    shares of its cell code, g * n_o * n_t, o * n_t and t, since each of
+    their checks reads that field alone. A row whose three texts are all
+    known and whose turnover and share convert and lie in range is accepted
+    from the memos, its cell the sum of the three shares. Every other row
+    goes through _parse_row and categorize, which name its defect or accept
+    it and teach the memos its texts, as far as _MEMO_LIMIT allows.
     """
     config = config or ClassificationConfig()
     categorize, cutoff, inf = config.categorize, config.foreign_cutoff, math.inf
-    municipalities: dict[str, str] = {}
-    sizes: dict[str, str] = {}
-    groups: dict[str, int] = {}
+    _, n_o, n_t = config.cell_shape
+    municipalities, sizes, groups = {}, {}, {}  # raw text -> its share of the cell code
+    g_shares: dict[str, int] = {}  # each municipality label's share, in first-seen order
     issues: list[tuple[int, str]] = []
     rows = 0
     with _text_lines(source) as lines:
@@ -322,7 +331,7 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
             for row in reader:
                 rows += 1
                 try:
-                    cell = (municipalities[row[muni_at]], sizes[row[employees_at]], groups[row[nace_at]])
+                    cell = municipalities[row[muni_at]] + sizes[row[employees_at]] + groups[row[nace_at]]
                     turnover, share = float(row[turnover_at]), float(row[share_at])
                     known = len(row) >= width and 0.0 <= turnover < inf and 0.0 <= share <= 1.0
                 except (LookupError, ValueError):  # a new text, a short row or a failed conversion
@@ -331,13 +340,17 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
                     line = reader.line_num
                     try:
                         municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
-                        cell = categorize(municipality, nace2, employees, share)[0]
+                        labels = categorize(municipality, nace2, employees, share)[0]
                     except (MalformedRow, UnmappedNace) as exc:
                         issues.append((line, exc.reason))
                         continue
-                    for (memo, at), value in zip(memos, cell):
-                        if len(memo) < _MEMO_LIMIT or row[at] == value:
-                            memo[row[at]] = value
+                    municipality, size_class, group = labels
+                    parts = (g_shares.setdefault(municipality, len(g_shares) * n_o * n_t),
+                             config.size_class_labels.index(size_class) * n_t, group - 1)
+                    cell = sum(parts)
+                    for (memo, at), label, part in zip(memos, labels, parts):
+                        if len(memo) < _MEMO_LIMIT or row[at] == label:
+                            memo[row[at]] = part
                 if add is not None:
                     add(cell, share >= cutoff, turnover)
         except MalformedRow as exc:  # a header defect, MissingColumn included

@@ -113,6 +113,9 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
     if min(row_totals) <= 0:
         raise DegenerateTable("both row totals must be positive")
     grand = row_totals[0] + row_totals[1]
+    if math.isinf(grand):  # no expected count is finite and non-zero: name the total that overflows
+        rows = " and ".join(f"row {i}" for i, t in enumerate(row_totals) if math.isinf(t))
+        raise DegenerateTable(f"total of {rows} overflows" if rows else "grand total overflows")
     statistic = 0.0
     for j in range(k):
         col = top[j] + bottom[j]
@@ -121,14 +124,11 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
         for row_total, obs in ((row_totals[0], top[j]), (row_totals[1], bottom[j])):
             # dividing before multiplying keeps large finite margins from overflowing
             expected = row_total * (col / grand)
-            if expected == 0:  # positive margins whose product underflows, or col / grand with an inf grand
-                if math.isinf(grand):
-                    rows = " and ".join(f"row {i}" for i, t in enumerate(row_totals) if math.isinf(t))
-                    raise DegenerateTable(f"total of {rows} overflows" if rows else "grand total overflows")
+            if expected == 0:  # positive margins whose product underflows
                 raise DegenerateTable(f"expected count in column {j} underflows to zero")
             diff = obs - expected
             statistic += diff * (diff / expected)
-    if not math.isfinite(statistic):  # margins or a statistic that overflow
+    if not math.isfinite(statistic):  # a statistic that overflows
         raise DegenerateTable("statistic is not finite")
     dof = k - 1
     return ChiSquareResult(statistic=statistic, dof=dof, p_value=chi_square_survival(statistic, dof))
@@ -138,14 +138,14 @@ def ownership_tech_table(cube: ContingencyCube) -> tuple[tuple, list[list[int]]]
     """Domestic vs foreign counts over the occupied technology groups.
 
     Returns (categories, [domestic_row, foreign_row]) ready for
-    chi_square_homogeneity. The categories are the T groups of the cube's
-    cells whose total is positive, sorted, so every firm is in a column and
-    every column has a positive total. ValueError on a cube without T.
+    chi_square_homogeneity. The categories are the T groups, t + 1 for the
+    cube's T coordinates t, whose total is positive, sorted, so every firm is
+    in a column and every column has a positive total. ValueError on a cube
+    without T.
     """
     from .cube import marginalize  # the chi-square test alone needs no cube
 
     marginal = marginalize(cube, "T")
     domestic, foreign = marginal.domestic, marginal.foreign
-    categories = tuple(sorted(t for (t,) in domestic.keys() | foreign.keys()
-                              if domestic.get((t,), 0) + foreign.get((t,), 0) > 0))
-    return categories, [[counts.get((t,), 0) for t in categories] for counts in (domestic, foreign)]
+    columns = sorted(t for t in domestic.keys() | foreign.keys() if domestic.get(t, 0) + foreign.get(t, 0) > 0)
+    return tuple(t + 1 for t in columns), [[counts.get(t, 0) for t in columns] for counts in (domestic, foreign)]

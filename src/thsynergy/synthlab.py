@@ -19,9 +19,6 @@ from .ingest import _Validated
 
 _INT64_MAX = 2**63 - 1
 
-# the cube label of a drawn municipality, size class and tech group index
-_LABELS = (lambda g: f"m{g}", lambda o: f"s{o}", lambda t: t + 1)
-
 
 class _SynthFields(NamedTuple):
     n_firms: int = 500
@@ -64,6 +61,10 @@ class SynthParams(_Validated, _SynthFields):
             raise ValueError("seed must be non-negative")
         return self
 
+    @property
+    def cell_shape(self) -> tuple[None, int, int]:  # a generated cell's radices; its drawn indices are its digits
+        return None, self.n_size_classes, self.n_tech_groups
+
 
 def foreign_count(n_firms: int, share: float) -> int:
     """Number of foreign firms for a target share, ties rounded half up."""
@@ -71,10 +72,9 @@ def foreign_count(n_firms: int, share: float) -> int:
 
 
 def _draw(params: SynthParams) -> tuple:
-    """Numpy arrays in labeling order: the municipality, size class and tech
-    group indices (labeled by _LABELS) and the turnover. None depends on the
-    foreign share: at a given share, the first foreign_count(n_firms, share)
-    firms are foreign.
+    """Numpy arrays in labeling order: the municipality, size class and tech group indices and
+    the turnover. None depends on the foreign share: at a given share, the first
+    foreign_count(n_firms, share) firms are foreign.
     """
     import numpy as np  # numpy loads only for generate and sweep
 
@@ -101,13 +101,15 @@ def _draw(params: SynthParams) -> tuple:
     return g_idx, o_idx, t_idx, turnover
 
 
-def generate(params: SynthParams) -> list[tuple[tuple, bool, float]]:
+def generate(params: SynthParams) -> list[tuple[int, bool, float]]:
     """Draw a deterministic synthetic population for the given parameters: each firm's
-    (cell, foreign, turnover) triple, as cube.Tally.add takes it, in labeling order: the
-    first foreign_count(n_firms, foreign_share_target) firms are foreign."""
-    *indices, turnovers = _draw(params)
-    cells = zip(*(map(label, idx.tolist()) for label, idx in zip(_LABELS, indices)))
+    (cell, foreign, turnover) triple, as cube.Tally.add takes it over params.cell_shape, in
+    labeling order: the first foreign_count(n_firms, foreign_share_target) firms are foreign."""
+    g, o, t, turnovers = _draw(params)
+    _, n_o, n_t = params.cell_shape
+    g = g.astype(object) if params.n_municipalities * n_o * n_t > _INT64_MAX else g  # Python ints past int64
     k = foreign_count(params.n_firms, params.foreign_share_target)
+    cells = ((g * n_o + o) * n_t + t).tolist()
     return [(cell, i < k, turnover) for i, (cell, turnover) in enumerate(zip(cells, turnovers.tolist()))]
 
 
@@ -181,10 +183,10 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     cell_go, cell_t = np.divmod(got_keys, len(t_present))  # each occupied GOT cell's coordinates
     cell_g, cell_o = np.divmod(go_keys[cell_go], len(o_present))
     with_t = (np.unique(a * len(t_present) + cell_t, return_inverse=True)[1] for a in (cell_g, cell_o))
-    cells_of = (cell_g, cell_o, cell_t, cell_go, *with_t, np.arange(len(got_keys)))  # in SUBSETS order
+    cells_of = (cell_g, cell_o, cell_t, cell_go, *with_t, None)  # in SUBSETS order; GOT's are the cells
 
     def sums(cell_of, counts):  # a subset's cell counts from GOT cell counts, exact below 2**53
-        return np.bincount(cell_of, weights=counts).astype(np.int64)
+        return counts if cell_of is None else np.bincount(cell_of, weights=counts).astype(np.int64)
     def entropy(counts) -> float:
         return _plugin_entropy(counts[counts > 0].tolist(), n)
 
@@ -194,10 +196,8 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     points, foreign_cells = [], np.zeros_like(cell_counts)
     for share, k_prev, k in zip(shares, [0, *ks], ks):
         foreign_cells += np.bincount(cell[k_prev:k], minlength=len(foreign_cells))
-        terms = []
-        for cell_of, counts, h_total in subsets:
-            foreign_counts = sums(cell_of, foreign_cells)
-            terms.append(_split_term(entropy(counts - foreign_counts), entropy(foreign_counts), h_total))
-        report = _build_report(_decompose_terms(tuple(terms)), turnovers[k:], turnovers[:k])
+        foreign_counts = (sums(cell_of, foreign_cells) for cell_of, _, _ in subsets)
+        terms = tuple(_split_term(entropy(c - f), entropy(f), h) for (_, c, h), f in zip(subsets, foreign_counts))
+        report = _build_report(_decompose_terms(terms), turnovers[k:], turnovers[:k])
         points.append(SweepPoint(float(share), report.foreign_turnover_share, report.foreign_synergy_share, report))
     return SweepCurve(params=params, points=tuple(points))

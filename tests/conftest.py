@@ -1,5 +1,6 @@
-"""Shared helpers: dense oracle tensors as the package's cubes, firm triples
-as a tally, and the unmemoized row-by-row reference of the scan."""
+"""Shared helpers: dense oracle tensors and coordinate maps as the package's
+cubes, firm triples as a tally, and the unmemoized row-by-row reference of
+the scan."""
 from __future__ import annotations
 
 import csv
@@ -17,52 +18,56 @@ from thsynergy.decomp import RegionReport, cube_report
 from thsynergy.ingest import ClassificationConfig, MalformedRow, UnmappedNace, _parse_row, _read_header
 
 
-def tally_of(firms: Iterable[tuple]) -> Tally:
-    """A Tally fed (cell, foreign, turnover) triples, as generate() returns them."""
-    tally = Tally()
+def tally_of(firms: Iterable[tuple], shape: tuple) -> Tally:
+    """A Tally of the given cell shape fed (cell, foreign, turnover) triples, as generate() returns them."""
+    tally = Tally(shape)
     for firm in firms:
         tally.add(*firm)
     return tally
 
 
-def report_of(firms: Iterable[tuple]) -> RegionReport:
+def report_of(firms: Iterable[tuple], shape: tuple) -> RegionReport:
     """The region report of firm triples, through their tally."""
-    return cube_report(tally_of(firms))
+    return cube_report(tally_of(firms, shape))
+
+
+def cell_code(coordinates: tuple[int, int, int], shape: tuple) -> int:
+    """The int cell of (g, o, t) coordinates in a cube of shape (None, n_o, n_t)."""
+    (g, o, t), (_, n_o, n_t) = coordinates, shape
+    return (g * n_o + o) * n_t + t
+
+
+def coded_cube(domestic: dict, foreign: dict, shape: tuple = (None, 3, 3)) -> ContingencyCube:
+    """A G, O, T cube from maps of (g, o, t) coordinates to counts."""
+    return ContingencyCube(("G", "O", "T"), shape, *({cell_code(cell, shape): count for cell, count in counts.items()}
+                                                     for counts in (domestic, foreign)))
 
 
 def row_by_row(data: bytes, config: ClassificationConfig):
     """The scan's (rows, issues) and add() calls from _parse_row and categorize on every row,
-    without the memos. data is UTF-8 without a byte order mark, and every record is readable."""
+    without the memos; G numbers the accepted municipality labels in first-seen order. data is
+    UTF-8 without a byte order mark, and every record is readable."""
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     positions, width = _read_header(reader)
+    g_of, o_of = {}, {label: o for o, label in enumerate(config.size_class_labels)}
     rows, issues, calls = 0, [], []
     for row in reader:
         rows += 1
         try:
             municipality, nace2, employees, turnover, share = _parse_row(row, reader.line_num, positions, width)
-            cell, foreign = config.categorize(municipality, nace2, employees, share)
+            (municipality, size_class, group), foreign = config.categorize(municipality, nace2, employees, share)
         except (MalformedRow, UnmappedNace) as exc:
             issues.append((reader.line_num, exc.reason))
             continue
-        calls.append((cell, foreign, turnover))
+        coordinates = (g_of.setdefault(municipality, len(g_of)), o_of[size_class], group - 1)
+        calls.append((cell_code(coordinates, config.cell_shape), foreign, turnover))
     return rows, issues, calls
 
 
 def cube_from_tensors(nat: np.ndarray, forn: np.ndarray) -> ContingencyCube:
-    """Build a package cube from dense (domestic, foreign) count tensors.
-
-    Axis labels mirror production shapes: municipality and size class are
-    strings, technology group is a 1-based int.
-    """
-    nat = np.asarray(nat)
-    forn = np.asarray(forn)
-    shape = nat.shape
-    domestic: dict = {}
-    foreign: dict = {}
-    for idx in np.ndindex(shape):
-        cell = (f"g{idx[0]}", f"o{idx[1]}", idx[2] + 1)
-        if nat[idx]:
-            domestic[cell] = int(nat[idx])
-        if forn[idx]:
-            foreign[cell] = int(forn[idx])
-    return ContingencyCube(("G", "O", "T"), domestic, foreign)
+    """Build a package cube from dense (domestic, foreign) count tensors: the cell of the tensor
+    index (g, o, t) is the index's position in the flattened tensor, as in production cubes."""
+    nat, forn = np.asarray(nat), np.asarray(forn)
+    domestic, foreign = ({int(i): int(count) for i, count in enumerate(counts.ravel()) if count}
+                         for counts in (nat, forn))
+    return ContingencyCube(("G", "O", "T"), (None, *nat.shape[1:]), domestic, foreign)

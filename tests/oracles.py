@@ -152,3 +152,22 @@ def random_split_tensors(rng: np.random.Generator, max_axis: int = 4,
     counts = rng.multinomial(total, weights / weights.sum()).reshape(shape)
     forn = rng.binomial(counts, rng.random())
     return counts - forn, forn
+
+
+def coded_marginal_counts(cells: dict, shape: tuple, kept: tuple) -> dict:
+    """Counts of int G, O, T cells of shape (None, n_o, n_t) summed onto the kept dimensions,
+    from first principles: each cell is decoded into its (g, o, t) coordinates, the kept ones
+    are re-coded by Horner's rule over their radices, and one bincount over the distinct kept
+    codes sums the counts. Object arrays hold codes past int64 as Python ints."""
+    if not cells:
+        return {}
+    _, n_o, n_t = shape
+    codes = np.array(list(cells), dtype=object)
+    coordinates = {"G": codes // (n_o * n_t), "O": codes // n_t % n_o, "T": codes % n_t}
+    radices = {"O": n_o, "T": n_t}
+    kept_codes = coordinates[kept[0]]
+    for dim in kept[1:]:
+        kept_codes = kept_codes * radices[dim] + coordinates[dim]
+    distinct, inverse = np.unique(kept_codes, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), weights=np.array(list(cells.values()), dtype=float))
+    return {int(code): int(total) for code, total in zip(distinct, sums)}

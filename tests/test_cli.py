@@ -682,9 +682,9 @@ def test_chisq_large_finite_statistic(capsys):
 @pytest.mark.parametrize("table, message", [
     ("nan,1;2,3", "counts must be finite"),
     ("inf,1;2,3", "counts must be finite"),
-    ("1e308,1e308;1e308,1e308", "statistic is not finite"),  # the margins overflow
+    ("1e308,1e308;1e308,1e308", "total of row 0 and row 1 overflows"),
     ("0,1;1e-320,0", "expected count in column 0 underflows to zero"),
-    # an overflowing total makes col / grand zero: the overflow is named, not an underflow
+    # an overflowing total is named before any expected count is taken
     ("1e308,1e308;1e308,1", "total of row 0 overflows"),
     ("1e308,1;1e308,1e308", "total of row 1 overflows"),
     ("1.7e308,0;0,1.7e308", "grand total overflows"),  # each row total is finite

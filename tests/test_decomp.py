@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cube_from_tensors, report_of
+from conftest import cell_code, coded_cube, cube_from_tensors, report_of
 import thsynergy.cube
-from thsynergy.cube import ContingencyCube, EmptyDataset, marginalize
+from thsynergy.cube import EmptyDataset, marginalize
 from thsynergy.decomp import (
     decompose,
     efficiency_ratio,
@@ -18,9 +18,12 @@ from thsynergy.decomp import (
 from thsynergy.infotheory import ZeroTotal, ternary_information
 
 
+SHAPE = (None, 2, 2)  # two size classes and two tech groups
+
+
 def firm(g, o, t, foreign=False, turnover=1000.0):
     """A firm as Tally.add takes it: (cell, foreign, turnover)."""
-    return (g, o, t), foreign, turnover
+    return cell_code((g, o, t), SHAPE), foreign, turnover
 
 
 def mixed_xor_tensors():
@@ -111,7 +114,7 @@ def test_split_rejects_a_negative_count(domestic, foreign):
 
 def test_decompose_rejects_a_cube_with_a_negative_cell():
     # the cells sum to a positive total; the first marginal, the cube itself, is refused
-    cube = ContingencyCube(("G", "O", "T"), {("a", "0", 1): 3, ("b", "0", 1): -1}, {})
+    cube = coded_cube({(0, 0, 0): 3, (1, 0, 0): -1}, {})
     with pytest.raises(ValueError, match="^counts must be non-negative$"):
         decompose(cube)
 
@@ -289,15 +292,15 @@ def test_efficiency_ratio():
 
 def region_firms():
     return [
-        firm("a", "0", 1, turnover=100.0),
-        firm("a", "1-4", 2, turnover=200.0),
-        firm("b", "0", 2, turnover=300.0),
-        firm("b", "1-4", 1, True, turnover=400.0),
+        firm(0, 0, 0, turnover=100.0),
+        firm(0, 1, 1, turnover=200.0),
+        firm(1, 0, 1, turnover=300.0),
+        firm(1, 1, 0, True, turnover=400.0),
     ]
 
 
 def test_region_report_turnover_and_counts():
-    report = report_of(region_firms())
+    report = report_of(region_firms(), SHAPE)
     assert report.firm_count == 4
     assert report.foreign_count == 1
     assert report.turnover_total == 1000.0
@@ -308,7 +311,7 @@ def test_region_report_turnover_and_counts():
 
 
 def test_region_report_ratio_wiring():
-    report = report_of(region_firms())
+    report = report_of(region_firms(), SHAPE)
     dec = report.synergy
     assert report.foreign_synergy_share == pytest.approx(dec.foreign / dec.total)
     assert report.efficiency == pytest.approx(
@@ -316,8 +319,8 @@ def test_region_report_ratio_wiring():
 
 
 def test_region_report_all_domestic():
-    firms = [firm("a", "0", 1), firm("b", "1-4", 2)]
-    report = report_of(firms)
+    firms = [firm(0, 0, 0), firm(1, 1, 1)]
+    report = report_of(firms, SHAPE)
     assert report.synergy.total != 0.0
     assert report.synergy.foreign == 0.0
     assert report.foreign_turnover_share == 0.0
@@ -327,8 +330,8 @@ def test_region_report_all_domestic():
 
 
 def test_region_report_all_foreign():
-    firms = [firm("a", "0", 1, True), firm("b", "1-4", 2, True)]
-    report = report_of(firms)
+    firms = [firm(0, 0, 0, True), firm(1, 1, 1, True)]
+    report = report_of(firms, SHAPE)
     assert report.foreign_turnover_share == 1.0
     assert report.foreign_synergy_share == 1.0
     assert report.foreign_to_domestic_turnover is None
@@ -337,32 +340,32 @@ def test_region_report_all_foreign():
 
 def test_region_report_empty_raises():
     with pytest.raises(EmptyDataset):
-        report_of([])
+        report_of([], SHAPE)
 
 
 def test_region_report_overflowing_turnover_sum_raises():
     # the foreign sum overflows to inf, which would make the foreign turnover share inf / inf = NaN
-    firms = [firm("a", "0", 1, True, 1e308), firm("b", "0", 1, True, 1e308), firm("a", "1-4", 2, False, 1.0)]
+    firms = [firm(0, 0, 0, True, 1e308), firm(1, 0, 0, True, 1e308), firm(0, 1, 1, False, 1.0)]
     with pytest.raises(OverflowError, match="turnover sum is not finite"):
-        report_of(firms)
+        report_of(firms, SHAPE)
 
 
 def test_region_report_infinite_turnover_raises():
     # the scan refuses an infinite turnover, but a Tally fed by hand takes it
     with pytest.raises(OverflowError, match="turnover sum is not finite"):
-        report_of([firm("a", "0", 1, False, math.inf), firm("b", "0", 1, True, 1.0)])
+        report_of([firm(0, 0, 0, False, math.inf), firm(1, 0, 0, True, 1.0)], SHAPE)
 
 
 def test_region_report_undefined_synergy_share():
     # one firm: every entropy is zero, total measure is zero
-    report = report_of([firm("a", "0", 1)])
+    report = report_of([firm(0, 0, 0)], SHAPE)
     assert report.synergy.total == 0.0
     assert report.foreign_synergy_share is None
     assert report.efficiency is None
 
 
 def test_region_report_json_shape():
-    payload = report_of(region_firms()).to_dict()
+    payload = report_of(region_firms(), SHAPE).to_dict()
     assert set(payload) == {"units", "firms", "synergy", "turnover", "ratios"}
     assert set(payload["synergy"]) == {"total", "domestic", "foreign_only", "cross", "foreign"}
     assert set(payload["ratios"]) == {

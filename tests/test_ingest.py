@@ -1,16 +1,19 @@
 import csv
 import io
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from conftest import row_by_row
+from conftest import cell_code, row_by_row
 from test_onepass import _reference_document
 import thsynergy.ingest
 from thsynergy.cli import main
 from thsynergy.cube import Tally
+from thsynergy.decomp import cube_report
 from thsynergy.ingest import (
     CANONICAL_COLUMNS,
     DEFAULT_SIZE_BIN_EDGES,
@@ -48,7 +51,8 @@ def scan(source, config: ClassificationConfig | None = None):
 def test_parse_single_row():
     assert _parse_row(["F1", "1504", "30", "120", "5000000", "0.0"], 2, tuple(range(6)), 6) == (
         "1504", 30, 120, 5000000.0, 0.0)
-    assert scan(csv_bytes("F1,1504,30,120,5000000,0.0")) == (1, [], [(("1504", "100-249", 2), False, 5000000.0)])
+    # municipality 1504 is the first seen (g 0), 120 employees size class 100-249 (o 6), NACE 30 group 2 (t 1)
+    assert scan(csv_bytes("F1,1504,30,120,5000000,0.0")) == (1, [], [((0 * 8 + 6) * 10 + 1, False, 5000000.0)])
 
 
 def test_parse_preserves_row_count_and_order():
@@ -59,6 +63,9 @@ def test_parse_preserves_row_count_and_order():
     ))
     assert (rows, issues) == (3, [])
     assert [turnover for _, _, turnover in firms] == [5000000.0, 900000.0, 100000.0]
+    # G numbers municipalities in first-seen order: 1504 is 0 both times, 5001 is 1
+    shape = ClassificationConfig().cell_shape
+    assert [cell for cell, _, _ in firms] == [cell_code(c, shape) for c in ((0, 6, 1), (1, 1, 4), (0, 0, 6))]
 
 
 def test_parse_accepts_binary_stream():
@@ -361,7 +368,7 @@ def test_validate_leaves_a_callers_text_stream_unchecked():
     assert validate_firm_csv(text) == (1, [])
 
 
-@pytest.mark.parametrize("reader", [validate_firm_csv, lambda source: validate_firm_csv(source, add=Tally().add)],
+@pytest.mark.parametrize("reader", [validate_firm_csv, lambda source: validate_firm_csv(source, add=Tally(ClassificationConfig().cell_shape).add)],
                          ids=["validate", "tally"])
 @pytest.mark.parametrize("data", [
     csv_bytes("F1,1504,30,120,5000000,0.0"),
@@ -475,6 +482,46 @@ def test_memo_of_padded_municipalities_stops_growing_at_its_limit(monkeypatch):
     padded = [" " * left + "0301" + " " * right for left in range(1, 72) for right in range(72)][:5000]
     calls = _parse_row_calls(monkeypatch, padded + padded + ["0302", "0302"])
     assert calls == [*range(5000), *range(5000 + 4096, 10000), 10000]
+
+
+def test_memo_past_its_limit_numbers_each_label_once(monkeypatch):
+    # past _MEMO_LIMIT a padded spelling is never learned, but its label is numbered once, so
+    # every spelling lands on one G code; the unpadded one is its own label and is learned
+    codes = [f"{i:04d}" for i in range(5000)] + [" 9999", "9999", "9999\t", "9999", " 9999"]
+    calls, firms = [], []
+
+    def counted(row, *args):
+        calls.append(int(row[0][1:]))
+        return _parse_row(row, *args)
+
+    monkeypatch.setattr(thsynergy.ingest, "_parse_row", counted)
+    data = csv_bytes(*(f"F{i},{code},62,5,1000,0.1" for i, code in enumerate(codes)))
+    assert validate_firm_csv(data, add=lambda *firm: firms.append(firm)) == (len(codes), [])
+    _, n_o, n_t = ClassificationConfig().cell_shape
+    assert [cell // (n_o * n_t) for cell, _, _ in firms[5000:]] == [5000] * 5
+    assert calls == [*range(5000), 5000, 5001, 5002, 5004]
+
+
+def test_scan_and_report_peak_memory_per_cell():
+    # 20,000 rows over 500 municipalities, every size class and tech group: about 15,700 cells.
+    # Int cells peak near 125 bytes a cell here; (municipality, size label, group) tuple keys
+    # and tuple-keyed marginals peaked near 165-178
+    rng = random.Random(5)
+    employees, naces = (0, 3, 7, 15, 30, 70, 150, 400), (1, 20, 41, 47, 62, 64, 68, 70, 85, 90)
+    data = csv_bytes(*(f"F{i},{rng.randrange(500):04d},{rng.choice(naces)},{rng.choice(employees)},"
+                       f"{rng.randrange(10**6, 10**9)},{rng.choice((0.0, 0.1, 0.5, 1.0))}" for i in range(20_000)))
+    config = ClassificationConfig()
+    tally = Tally(config.cell_shape)
+    tracemalloc.start()
+    try:
+        validate_firm_csv(data, config, add=tally.add)
+        cube_report(tally)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = len(tally.domestic.keys() | tally.foreign.keys())
+    assert 15_000 <= cells <= 16_500
+    assert peak / cells <= 145
 
 
 # whitespace that int() and float() skip around a number, and a zero-width space that they do not

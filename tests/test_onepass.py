@@ -128,7 +128,7 @@ def _reference_document(path: Path, config: ClassificationConfig, manifest: dict
     """The compute document of a defect-free file, from row_by_row's firms, one step at a time."""
     rows, issues, firms = row_by_row(path.read_bytes(), config)
     assert rows and not issues
-    tally = tally_of(firms)
+    tally = tally_of(firms, config.cell_shape)
     cube = tally.cube()
     categories, table = ownership_tech_table(cube)
     try:
@@ -219,7 +219,7 @@ SWEEP_GOLDEN = [
       "--coupling", "0.8", "--turnover-law", "lognormal", "--mu", "17.0", "--sigma", "0.9",
       "--seed", "2013"),
      "742f4afb85fd9df015c0ae318dca06de19227cd6701319a44046bf384e4a244b", "106d2fb8442b1c56", 5),
-    # two-digit municipality and size labels, whose string order is not numeric order
+    # more than ten municipalities and size classes, so two-digit coordinates
     (("--size-classes", "12", "--municipalities", "40", "--turnover-law", "lognormal"),
      "0f10f81dbd993ca37d95fbd514ddc541b00ceae123b6b3d885d4d6f72d6b7b66", "54095fae222f499b", 2),
 ]

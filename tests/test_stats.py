@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cube_from_tensors
-from thsynergy.cube import ContingencyCube
+from conftest import coded_cube, cube_from_tensors
 from thsynergy.stats import (
     ChiSquareResult,
     DegenerateTable,
@@ -154,8 +153,7 @@ def test_ownership_tech_table_all_domestic_degenerates():
 
 def test_ownership_tech_table_skips_groups_no_firm_uses():
     # a hand-built cube may hold a technology group whose cells count no firm; it gets no column
-    cube = ContingencyCube(("G", "O", "T"), domestic={("a", "0", 1): 2, ("b", "0", 3): 1, ("a", "0", 2): 0},
-                           foreign={("a", "0", 1): 1, ("b", "0", 3): 2})
+    cube = coded_cube(domestic={(0, 0, 0): 2, (1, 0, 2): 1, (0, 0, 1): 0}, foreign={(0, 0, 0): 1, (1, 0, 2): 2})
     categories, table = ownership_tech_table(cube)
     assert categories == (1, 3)
     assert table == [[2, 1], [1, 2]]

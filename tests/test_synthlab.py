@@ -47,10 +47,11 @@ def test_generate_lists_the_foreign_firms_first(share):
 
 
 def test_generate_returns_the_triples_tally_add_takes():
-    firms = generate(SynthParams(n_firms=50, foreign_share_target=0.3, seed=5))
-    assert all(len(cell) == 3 and type(foreign) is bool and type(turnover) is float
+    params = SynthParams(n_firms=50, foreign_share_target=0.3, seed=5)
+    firms = generate(params)
+    assert all(type(cell) is int and type(foreign) is bool and type(turnover) is float
                for cell, foreign, turnover in firms)
-    tally = tally_of(firms)
+    tally = tally_of(firms, params.cell_shape)
     assert tally.cube().total == 50
     assert [len(turnovers) for turnovers in tally.turnovers] == [35, 15]
 
@@ -74,18 +75,17 @@ def test_foreign_sets_nested_across_shares():
 
 def test_full_coupling_ties_labels_to_municipality():
     params = SynthParams(n_firms=500, coupling=1.0, n_size_classes=5, n_tech_groups=7, seed=13)
-    for (municipality, size_class, tech_group), _, _ in generate(params):
-        g = int(municipality[1:])
-        assert size_class == f"s{g % 5}"
-        assert tech_group == g % 7 + 1
+    for cell, _, _ in generate(params):
+        g, (o, t) = cell // (5 * 7), divmod(cell % (5 * 7), 7)
+        assert (o, t) == (g % 5, g % 7)
 
 
 def test_zero_coupling_labels_vary_within_municipality():
     params = SynthParams(n_firms=2000, coupling=0.0, seed=13)
     firms = generate(params)
     by_g: dict = {}
-    for (municipality, size_class, _), _, _ in firms:
-        by_g.setdefault(municipality, set()).add(size_class)
+    for cell, _, _ in firms:
+        by_g.setdefault(cell // (8 * 10), set()).add(cell // 10 % 8)
     assert max(len(v) for v in by_g.values()) > 1
 
 
@@ -209,7 +209,7 @@ def test_coupling_controls_signal_against_measured_noise_band():
     def t_for(coupling, seed):
         params = SynthParams(n_firms=2000, n_municipalities=10, n_size_classes=6,
                              n_tech_groups=8, coupling=coupling, seed=seed)
-        return decompose(tally_of(generate(params)).cube()).total
+        return decompose(tally_of(generate(params), params.cell_shape).cube()).total
 
     band = max(abs(t_for(0.0, seed)) for seed in range(100))
     assert band > 0.0
@@ -235,7 +235,7 @@ def sweep_cases(draw):
 
 @given(sweep_cases())
 @example((sweep_params(), [0.0, 0.3, 0.55, 1.0]))
-# two-digit labels (m10 sorts before m2) and lognormal turnover
+# more than ten categories on every axis and lognormal turnover
 @example((SynthParams(n_firms=300, n_municipalities=14, n_size_classes=11, n_tech_groups=12,
                       coupling=0.4, turnover_law="lognormal", seed=7), [0.0, 0.3, 0.55, 1.0]))
 @example((SynthParams(n_firms=200, seed=3), [0.0, 0.5, 0.502, 1.0]))  # 100 foreign firms twice
@@ -247,7 +247,7 @@ def test_sweep_decomposition_consistency(case):
     params, shares = case
     curve = sweep_foreign_share(params, shares)
     for point in curve.points:
-        expected = report_of(generate(params._replace(foreign_share_target=point.share)))
+        expected = report_of(generate(params._replace(foreign_share_target=point.share)), params.cell_shape)
         assert repr(point.report) == repr(expected)
         assert (point.turnover_share, point.synergy_share) == \
                (expected.foreign_turnover_share, expected.foreign_synergy_share)
