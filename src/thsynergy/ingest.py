@@ -14,7 +14,6 @@ import math
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
-from functools import cached_property
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TextIO
 
@@ -76,23 +75,6 @@ DEFAULT_SIZE_BIN_EDGES = (0, 1, 5, 10, 20, 50, 100, 250)
 DEFAULT_FOREIGN_CUTOFF = 0.20
 
 
-def size_labels(edges: tuple[int, ...]) -> tuple[str, ...]:
-    """Human-readable labels for half-open employee bins.
-
-    Single-value bins get the bare number ("0"), middle bins "lo-hi" with an
-    inclusive upper end, and the unbounded top bin "lo+". Default edges yield
-    0, 1-4, 5-9, 10-19, 20-49, 50-99, 100-249 and 250+.
-    """
-    out = []
-    for i, lo in enumerate(edges):
-        if i + 1 < len(edges):
-            hi = edges[i + 1] - 1
-            out.append(str(lo) if hi == lo else f"{lo}-{hi}")
-        else:
-            out.append(f"{lo}+")
-    return tuple(out)
-
-
 def parse_share(text: str) -> float:
     """Parse an ownership share given as a fraction ("0.2") or percent ("20%")."""
     text = text.strip()
@@ -133,35 +115,34 @@ class ClassificationConfig(_Validated, _ClassificationFields):
     unbounded. The NACE -> technology group mapping is fixed (_NACE_MAP).
     """
 
-    # no __slots__: size_class_labels is cached in the instance __dict__
+    __slots__ = ()
 
     def _validated(self):
         if not 0.0 < self.foreign_cutoff <= 1.0:
             raise ValueError("foreign_cutoff must be in (0, 1]")
-        edges = tuple(int(e) for e in self.size_bin_edges)
+        edges = tuple(self.size_bin_edges)
+        if any(not isinstance(e, str) and e % 1 for e in edges):  # a fraction part, or nan from an infinity
+            raise ValueError("size_bin_edges must be whole numbers")
+        edges = tuple(map(int, edges))
         if not edges or edges[0] != 0:
             raise ValueError("size_bin_edges must start at 0")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ValueError("size_bin_edges must be strictly increasing")
         return tuple.__new__(type(self), (self.foreign_cutoff, edges))
 
-    @cached_property
-    def size_class_labels(self) -> tuple[str, ...]:
-        return size_labels(self.size_bin_edges)
-
     @property
     def cell_shape(self) -> tuple:
-        """The radices of a scanned firm's cell (see cube): G numbered in first-seen order, O the
-        size class index and T the technology group minus 1, of the ten groups."""
+        """The radices of a scanned firm's cell (see cube): G numbered in first-seen order, then
+        the O and T digits that categorize gives, of len(size_bin_edges) and ten values."""
         return None, len(self.size_bin_edges), len(_NACE_GROUP_RANGES)
 
-    def categorize(self, municipality: str, nace2: int, employees: int, share: float) -> tuple[tuple, bool]:
-        """Classify one firm: ((municipality, size class, tech group), is_foreign)."""
+    def categorize(self, nace2: int, employees: int) -> tuple[int, int]:
+        """One firm's O and T cell digits: its size class index, bisect_right(size_bin_edges,
+        employees) - 1, and its technology group minus 1. UnmappedNace if the code has no group."""
         group = _NACE_MAP.get(nace2)
         if group is None:
             raise UnmappedNace(nace2)
-        size_class = self.size_class_labels[bisect_right(self.size_bin_edges, employees) - 1]
-        return (municipality, size_class, group), share >= self.foreign_cutoff
+        return bisect_right(self.size_bin_edges, employees) - 1, group - 1
 
 
 def _check_ranges(nace2: int, employees: int, turnover: float, share: float) -> None:
@@ -286,8 +267,8 @@ def _parse_row(row: list[str], line: int, positions: tuple, width: int) -> tuple
     return (municipality, *values)
 
 
-# Distinct texts per memo. Past it a memo learns only a text that is its own label, as an unpadded
-# municipality is, which the scan numbers anyway; padded variants of a label stay bounded.
+# Distinct texts per memo. Past it only the municipality memo learns, and only a text that is its
+# own label, as an unpadded municipality is, which the scan numbers anyway; padded variants stay bounded.
 _MEMO_LIMIT = 4096
 
 
@@ -312,8 +293,8 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
     their checks reads that field alone. A row whose three texts are all
     known and whose turnover and share convert and lie in range is accepted
     from the memos, its cell the sum of the three shares. Every other row
-    goes through _parse_row and categorize, which name its defect or accept
-    it and teach the memos its texts, as far as _MEMO_LIMIT allows.
+    goes through _parse_row and categorize, which name its defect or give
+    its digits, and teaches the memos its texts, as far as _MEMO_LIMIT allows.
     """
     config = config or ClassificationConfig()
     categorize, cutoff, inf = config.categorize, config.foreign_cutoff, math.inf
@@ -340,16 +321,14 @@ def validate_firm_csv(source, config: ClassificationConfig | None = None,
                     line = reader.line_num
                     try:
                         municipality, nace2, employees, turnover, share = _parse_row(row, line, positions, width)
-                        labels = categorize(municipality, nace2, employees, share)[0]
+                        o, t = categorize(nace2, employees)
                     except (MalformedRow, UnmappedNace) as exc:
                         issues.append((line, exc.reason))
                         continue
-                    municipality, size_class, group = labels
-                    parts = (g_shares.setdefault(municipality, len(g_shares) * n_o * n_t),
-                             config.size_class_labels.index(size_class) * n_t, group - 1)
-                    cell = sum(parts)
-                    for (memo, at), label, part in zip(memos, labels, parts):
-                        if len(memo) < _MEMO_LIMIT or row[at] == label:
+                    g_share = g_shares.setdefault(municipality, len(g_shares) * n_o * n_t)
+                    cell = g_share + o * n_t + t
+                    for (memo, at), part in zip(memos, (g_share, o * n_t, t)):
+                        if len(memo) < _MEMO_LIMIT or memo is municipalities and row[at] == municipality:
                             memo[row[at]] = part
                 if add is not None:
                     add(cell, share >= cutoff, turnover)

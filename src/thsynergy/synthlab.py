@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from typing import IO, NamedTuple, Sequence
 
+from .cube import DIMS, _kept_digits
 from .decomp import RegionReport, _build_report, _decompose_terms, _split_term
-from .infotheory import _plugin_entropy
+from .infotheory import SUBSETS, _plugin_entropy
 from .ingest import _Validated
 
 _INT64_MAX = 2**63 - 1
@@ -41,6 +43,12 @@ class SynthParams(_Validated, _SynthFields):
     __slots__ = ()
 
     def _validated(self):
+        ints = {}  # the counts and the seed as Python ints, which do not overflow in the cell radices
+        for name in ("n_firms", "n_municipalities", "n_size_classes", "n_tech_groups", "seed"):
+            try:
+                ints[name] = operator.index(getattr(self, name))  # numpy ints pass, 2.5 and 2.0 do not
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         for name in ("n_firms", "n_municipalities", "n_size_classes", "n_tech_groups"):
             count = getattr(self, name)
             if count < 1:
@@ -59,7 +67,7 @@ class SynthParams(_Validated, _SynthFields):
             raise ValueError("lognormal_sigma must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        return self
+        return tuple.__new__(type(self), [ints.get(name, value) for name, value in zip(self._fields, self)])
 
     @property
     def cell_shape(self) -> tuple[None, int, int]:  # a generated cell's radices; its drawn indices are its digits
@@ -72,9 +80,9 @@ def foreign_count(n_firms: int, share: float) -> int:
 
 
 def _draw(params: SynthParams) -> tuple:
-    """Numpy arrays in labeling order: the municipality, size class and tech group indices and
-    the turnover. None depends on the foreign share: at a given share, the first
-    foreign_count(n_firms, share) firms are foreign.
+    """Numpy arrays in labeling order: each firm's cell, its drawn indices coded over params.cell_shape
+    (in an object array of Python ints past int64), and its turnover. Neither depends on the foreign
+    share: at a given share, the first foreign_count(n_firms, share) firms are foreign.
     """
     import numpy as np  # numpy loads only for generate and sweep
 
@@ -95,22 +103,21 @@ def _draw(params: SynthParams) -> tuple:
     np.copyto(o_idx, g_idx % params.n_size_classes, where=coupled)  # coupled labels over the free draws
     np.copyto(t_idx, g_idx % params.n_tech_groups, where=coupled)
     del coupled
+    _, n_o, n_t = params.cell_shape
+    g_idx = g_idx.astype(object) if params.n_municipalities * n_o * n_t > _INT64_MAX else g_idx  # Python ints
+    cells = (g_idx * n_o + o_idx) * n_t + t_idx
+    del g_idx, o_idx, t_idx
     order = rng_label.permutation(n)
-    for column in (g_idx, o_idx, t_idx, turnover):
-        column[:] = column[order]  # one reordered copy alive at a time
-    return g_idx, o_idx, t_idx, turnover
+    return cells[order], turnover[order]
 
 
 def generate(params: SynthParams) -> list[tuple[int, bool, float]]:
     """Draw a deterministic synthetic population for the given parameters: each firm's
     (cell, foreign, turnover) triple, as cube.Tally.add takes it over params.cell_shape, in
     labeling order: the first foreign_count(n_firms, foreign_share_target) firms are foreign."""
-    g, o, t, turnovers = _draw(params)
-    _, n_o, n_t = params.cell_shape
-    g = g.astype(object) if params.n_municipalities * n_o * n_t > _INT64_MAX else g  # Python ints past int64
+    cells, turnovers = _draw(params)
     k = foreign_count(params.n_firms, params.foreign_share_target)
-    cells = ((g * n_o + o) * n_t + t).tolist()
-    return [(cell, i < k, turnover) for i, (cell, turnover) in enumerate(zip(cells, turnovers.tolist()))]
+    return [(cell, i < k, turnover) for i, (cell, turnover) in enumerate(zip(cells.tolist(), turnovers.tolist()))]
 
 
 class SweepPoint(NamedTuple):
@@ -157,9 +164,9 @@ class SweepCurve(NamedTuple):
 def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCurve:
     """Evaluate the share -> (turnover share, synergy share) curve.
 
-    shares must be strictly increasing within [0, 1]. The population is drawn once
-    in labeling order and each firm coded once, by its GOT cell. A point at k foreign
-    firms counts firms k_prev..k-1 into the last point's foreign cell counts.
+    shares must be strictly increasing within [0, 1]. The population is drawn once, in labeling
+    order, and each occupied GOT cell read into the smaller subsets by cube._kept_digits. A point
+    at k foreign firms counts firms k_prev..k-1 into the last point's foreign cell counts.
     """
     if not shares:
         raise ValueError("shares must not be empty")
@@ -168,22 +175,16 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     if any(b <= a for a, b in zip(shares, shares[1:])):
         raise ValueError("shares must be strictly increasing")
     import numpy as np  # numpy loads only for generate and sweep
-    g, o, t, turnovers = _draw(params)
+    cells, turnovers = _draw(params)
     turnovers = memoryview(turnovers)  # its slices are views that fsum reads as Python floats
     n = params.n_firms
-    # code each axis by the categories present, then GO and GOT keys two axes at a time, below n**2
-    g = np.unique(g, return_inverse=True)[1]
-    o_present, o = np.unique(o, return_inverse=True)
-    t_present, t = np.unique(t, return_inverse=True)
-    o += g * len(o_present)
-    go_keys, g = np.unique(o, return_inverse=True)
-    t += g * len(t_present)
-    got_keys, cell = np.unique(t, return_inverse=True)
-    del g, o, t
-    cell_go, cell_t = np.divmod(got_keys, len(t_present))  # each occupied GOT cell's coordinates
-    cell_g, cell_o = np.divmod(go_keys[cell_go], len(o_present))
-    with_t = (np.unique(a * len(t_present) + cell_t, return_inverse=True)[1] for a in (cell_g, cell_o))
-    cells_of = (cell_g, cell_o, cell_t, cell_go, *with_t, None)  # in SUBSETS order; GOT's are the cells
+    occupied, cell = np.unique(cells, return_inverse=True)  # each firm's index among the occupied cells
+    del cells
+    # each occupied cell's code in a smaller subset, as marginalize reads it, then its index among them
+    runs_of = (_kept_digits(DIMS, params.cell_shape, dims) for dims in SUBSETS[:-1])  # the last is GOT
+    cells_of = [*(np.unique(sum((occupied // d if m is None else occupied // d % m) * k for d, m, k in runs),
+                            return_inverse=True)[1] for runs in runs_of), None]  # GOT's are the cells
+    del occupied
 
     def sums(cell_of, counts):  # a subset's cell counts from GOT cell counts, exact below 2**53
         return counts if cell_of is None else np.bincount(cell_of, weights=counts).astype(np.int64)
@@ -191,7 +192,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
         return _plugin_entropy(counts[counts > 0].tolist(), n)
 
     cell_counts = np.bincount(cell)
-    subsets = [(cell_of, (counts := sums(cell_of, cell_counts)), entropy(counts)) for cell_of in cells_of]
+    subsets = [(of, (counts := sums(of, cell_counts)), entropy(counts)) for of in cells_of]
     ks = [foreign_count(n, share) for share in shares]
     points, foreign_cells = [], np.zeros_like(cell_counts)
     for share, k_prev, k in zip(shares, [0, *ks], ks):

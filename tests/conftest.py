@@ -49,18 +49,18 @@ def row_by_row(data: bytes, config: ClassificationConfig):
     UTF-8 without a byte order mark, and every record is readable."""
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     positions, width = _read_header(reader)
-    g_of, o_of = {}, {label: o for o, label in enumerate(config.size_class_labels)}
+    g_of = {}
     rows, issues, calls = 0, [], []
     for row in reader:
         rows += 1
         try:
             municipality, nace2, employees, turnover, share = _parse_row(row, reader.line_num, positions, width)
-            (municipality, size_class, group), foreign = config.categorize(municipality, nace2, employees, share)
+            o, t = config.categorize(nace2, employees)
         except (MalformedRow, UnmappedNace) as exc:
             issues.append((reader.line_num, exc.reason))
             continue
-        coordinates = (g_of.setdefault(municipality, len(g_of)), o_of[size_class], group - 1)
-        calls.append((cell_code(coordinates, config.cell_shape), foreign, turnover))
+        coordinates = (g_of.setdefault(municipality, len(g_of)), o, t)
+        calls.append((cell_code(coordinates, config.cell_shape), share >= config.foreign_cutoff, turnover))
     return rows, issues, calls
 
 

@@ -165,14 +165,12 @@ def test_criterion_5_classification_tables():
     config = ClassificationConfig()
     spot = {1: 1, 5: 2, 39: 2, 41: 3, 45: 4, 58: 5, 64: 6, 68: 7, 69: 8, 84: 9, 90: 10, 99: 10}
     for code, group in spot.items():
-        (_, _, tech_group), _ = config.categorize("1504", code, 10, 0.0)
-        assert tech_group == group
+        assert config.categorize(code, 10)[1] == group - 1
 
-    labels = config.size_class_labels
-    assert labels == ("0", "1-4", "5-9", "10-19", "20-49", "50-99", "100-249", "250+")
-    hits = {label: 0 for label in labels}
+    assert config.size_bin_edges == (0, 1, 5, 10, 20, 50, 100, 250)
+    hits = {o: 0 for o in range(len(config.size_bin_edges))}
     for employees in range(0, 1001):
-        (_, assigned, _), _ = config.categorize("1504", 30, employees, 0.0)
+        assigned, _ = config.categorize(30, employees)
         assert assigned in hits  # exactly one bin, a known one
         hits[assigned] += 1
     assert sum(hits.values()) == 1001

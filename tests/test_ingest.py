@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -23,7 +24,6 @@ from thsynergy.ingest import (
     UnmappedNace,
     default_nace_map,
     parse_share,
-    size_labels,
     validate_firm_csv,
     _check_ranges,
     _parse_row,
@@ -170,9 +170,9 @@ def test_parse_range_checks_each_row_once(monkeypatch):
 
 # --- classification ---------------------------------------------------------
 
-def categorize(nace2=30, employees=10, share=0.0, config=None):
-    """((municipality, size class, tech group), foreign) of one firm."""
-    return (config or ClassificationConfig()).categorize("1504", nace2, employees, share)
+def categorize(nace2=30, employees=10, config=None):
+    """The (size class index, tech group - 1) cell digits of one firm."""
+    return (config or ClassificationConfig()).categorize(nace2, employees)
 
 
 @pytest.mark.parametrize("nace2,group", [
@@ -188,7 +188,7 @@ def categorize(nace2=30, employees=10, share=0.0, config=None):
     (90, 10), (99, 10),
 ])
 def test_nace_to_tech_group(nace2, group):
-    assert categorize(nace2=nace2)[0][2] == group
+    assert categorize(nace2=nace2)[1] == group - 1
 
 
 @pytest.mark.parametrize("nace2", [4, 40, 44, 57, 67, 83, 89])
@@ -206,6 +206,10 @@ def test_nace_map_covers_everything_else():
     assert set(mapped.values()) == set(range(1, 11))
 
 
+# the default bins, named by their inclusive employee ranges; a bin's O digit is its position here
+SIZE_CLASSES = ("0", "1-4", "5-9", "10-19", "20-49", "50-99", "100-249", "250+")
+
+
 @pytest.mark.parametrize("employees,label", [
     (0, "0"),
     (1, "1-4"), (4, "1-4"),
@@ -217,34 +221,38 @@ def test_nace_map_covers_everything_else():
     (250, "250+"), (1000, "250+"),
 ])
 def test_size_bins_half_open(employees, label):
-    assert categorize(employees=employees)[0][1] == label
+    assert categorize(employees=employees)[0] == SIZE_CLASSES.index(label)
 
 
 def test_size_bins_partition():
-    labels = ClassificationConfig().size_class_labels
-    assert labels == ("0", "1-4", "5-9", "10-19", "20-49", "50-99", "100-249", "250+")
-    seen = [categorize(employees=n)[0][1] for n in range(0, 1001)]
-    assert set(seen) == set(labels)
+    assert ClassificationConfig().cell_shape == (None, len(SIZE_CLASSES), 10)
+    seen = [categorize(employees=n)[0] for n in range(0, 1001)]
+    assert seen == sorted(seen) and set(seen) == set(range(len(SIZE_CLASSES)))
 
 
 def test_custom_size_edges():
     config = ClassificationConfig(size_bin_edges=(0, 10, 100))
-    assert config.size_class_labels == ("0-9", "10-99", "100+")
-    assert categorize(employees=9, config=config)[0][1] == "0-9"
-    assert categorize(employees=10, config=config)[0][1] == "10-99"
+    assert config.cell_shape == (None, 3, 10)
+    assert [categorize(employees=n, config=config)[0] for n in (0, 9, 10, 99, 100, 10**6)] == [0, 0, 1, 1, 2, 2]
+
+
+def ownership_flags(*shares: str, config: ClassificationConfig | None = None) -> list[bool]:
+    """The flags validate_firm_csv passes to add for one row per share, all rows accepted: the
+    first row goes through _parse_row and categorize, the rest through the memos."""
+    rows, issues, firms = scan(csv_bytes(*(f"F{i},1504,30,1,1000,{share}" for i, share in enumerate(shares))), config)
+    assert (rows, issues) == (len(shares), [])
+    return [foreign for _, foreign, _ in firms]
 
 
 def test_ownership_cutoff_inclusive():
-    assert categorize(share=0.20)[1] is True
-    assert categorize(share=0.19999999)[1] is False
-    assert categorize(share=1.0)[1] is True
-    assert categorize(share=0.0)[1] is False
+    assert ownership_flags("0.2", "0.19999999", "1.0", "0.0") == [True, False, True, False]
+    assert ownership_flags("0.0", "0.2") == [False, True]  # the flag at the cutoff from the memo-hit route too
 
 
 def test_custom_cutoff():
-    config = ClassificationConfig(foreign_cutoff=0.5)
-    assert categorize(share=0.3, config=config)[1] is False
-    assert categorize(share=0.5, config=config)[1] is True
+    assert ownership_flags("0.3", "0.5", config=ClassificationConfig(foreign_cutoff=0.5)) == [False, True]
+    assert ownership_flags("0.5", "0.3", config=ClassificationConfig(foreign_cutoff=0.5)) == [True, False]
+    assert ownership_flags("0.95", "0.85", config=ClassificationConfig(foreign_cutoff=0.9)) == [True, False]
 
 
 @pytest.mark.parametrize("text,value", [("0.2", 0.2), ("20%", 0.2), (" 35 % ".replace(" ", ""), 0.35), ("1", 1.0)])
@@ -264,14 +272,14 @@ def test_parse_share_rejects_out_of_range(text):
     {"size_bin_edges": (1, 5)},
     {"size_bin_edges": (0, 5, 5)},
     {"size_bin_edges": (0, 10, 5)},
+    {"size_bin_edges": (0, 10.7, 20.2)},  # not truncated to (0, 10, 20)
+    {"size_bin_edges": (0, math.inf)},
+    {"size_bin_edges": (0, math.nan)},
+    {"size_bin_edges": (0, "10.5")},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ClassificationConfig(**kwargs)
-
-
-def test_size_labels_helper():
-    assert size_labels((0, 1, 5)) == ("0", "1-4", "5+")
 
 
 # --- firm value checks ------------------------------------------------------
@@ -301,7 +309,7 @@ def test_check_ranges_rejects_out_of_range_values(kwargs):
 def test_validated_type_rejects_a_bad_value_on_every_route(cls, good, bad, message, route):
     valid = cls(**good)
     assert type(valid._replace()) is cls and valid._replace() == valid
-    assert hasattr(valid, "__dict__") == (cls is ClassificationConfig)  # its cached size_class_labels
+    assert not hasattr(valid, "__dict__")
     fields = valid._asdict() | bad
     build = {
         "positional": lambda: cls(*fields.values()),
@@ -320,7 +328,7 @@ def test_config_edges_become_a_tuple_of_ints_on_every_route():
                    ClassificationConfig._make((0.2, [0, 10, 50.0]))):
         assert config == expected and type(config.size_bin_edges) is tuple
         assert [type(e) for e in config.size_bin_edges] == [int, int, int]
-        assert config.size_class_labels == ("0-9", "10-49", "50+")
+        assert config.cell_shape == (None, 3, 10)
 
 
 # --- lenient validation scan ------------------------------------------------
@@ -383,13 +391,6 @@ def test_readers_leave_a_callers_binary_stream_open(reader, data):
     assert not stream.closed
     stream.seek(0)
     assert stream.read() == data
-
-
-def test_validate_respects_cutoff_config():
-    # classification runs during validation, so a config error would surface here
-    config = ClassificationConfig(foreign_cutoff=0.9)
-    rows, issues = validate_firm_csv(csv_bytes("F1,1504,30,1,1000,0.95"), config=config)
-    assert (rows, issues) == (1, [])
 
 
 # --- memoized scan versus the row-by-row checks -----------------------------
@@ -456,8 +457,8 @@ def test_compute_past_the_memo_limit_equals_row_by_row_route(tmp_path, capsys):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
-def _parse_row_calls(monkeypatch, codes):
-    """Indices of the rows, one per municipality text, that the scan sends through _parse_row."""
+def _parse_row_calls(monkeypatch, texts, row="F{i},{text},62,5,1000,0.1"):
+    """Indices of the rows, one per text put into row, that the scan sends through _parse_row."""
     calls = []
 
     def counted(row, *args):
@@ -465,8 +466,8 @@ def _parse_row_calls(monkeypatch, codes):
         return _parse_row(row, *args)
 
     monkeypatch.setattr(thsynergy.ingest, "_parse_row", counted)
-    rows, issues = validate_firm_csv(csv_bytes(*(f"F{i},{code},62,5,1000,0.1" for i, code in enumerate(codes))))
-    assert (rows, issues) == (len(codes), [])
+    rows, issues = validate_firm_csv(csv_bytes(*(row.format(i=i, text=text) for i, text in enumerate(texts))))
+    assert (rows, issues) == (len(texts), [])
     return calls
 
 
@@ -482,6 +483,13 @@ def test_memo_of_padded_municipalities_stops_growing_at_its_limit(monkeypatch):
     padded = [" " * left + "0301" + " " * right for left in range(1, 72) for right in range(72)][:5000]
     calls = _parse_row_calls(monkeypatch, padded + padded + ["0302", "0302"])
     assert calls == [*range(5000), *range(5000 + 4096, 10000), 10000]
+
+
+def test_memo_of_employees_stops_growing_at_its_limit(monkeypatch):
+    # 5,000 distinct employee texts fill their memo; past it no employee text is learned, not even
+    # "0", which spells its own size class range
+    calls = _parse_row_calls(monkeypatch, [*range(1, 5001), 0, 0], row="F{i},0301,62,{text},1000,0.1")
+    assert calls == list(range(5002))
 
 
 def test_memo_past_its_limit_numbers_each_label_once(monkeypatch):

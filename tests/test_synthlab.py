@@ -110,6 +110,11 @@ def test_turnover_lognormal_law_positive():
     {"n_tech_groups": 0},
     {"seed": -1},
     {"n_firms": 10**20},
+    {"n_size_classes": 2.5},
+    {"n_firms": 10.5},
+    {"n_municipalities": 30.0},
+    {"n_tech_groups": "10"},
+    {"seed": 1.5},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):  # the message names the field
@@ -253,9 +258,19 @@ def test_sweep_decomposition_consistency(case):
                (expected.foreign_turnover_share, expected.foreign_synergy_share)
 
 
+def test_params_accept_numpy_integers():
+    import numpy as np
+    params = SynthParams(n_firms=np.int64(50), n_municipalities=np.int64(10**12), n_size_classes=np.int32(3),
+                         n_tech_groups=np.int64(10**12), seed=np.uint8(4))
+    assert params == SynthParams(50, 10**12, 3, 10**12, seed=4)
+    assert [type(params[i]) for i in (0, 1, 2, 3, -1)] == [int] * 5  # no int64 overflow in the cell radices
+    assert all(0 <= cell < 10**12 * 3 * 10**12 for cell, _, _ in generate(params))
+
+
 def test_sweep_peak_memory_per_firm():
-    # numpy reports its buffers to tracemalloc; coding every firm in each of the seven
-    # subsets peaks near 157 bytes a firm here, one GOT cell code per firm near 76
+    # numpy reports its buffers to tracemalloc; coding every firm in each of the seven subsets
+    # peaked near 157 bytes a firm here, a GOT cell code per firm coded again over the categories
+    # present near 76, the drawn cell code per firm read into the subsets per occupied cell near 60
     params = SynthParams(n_firms=50_000, n_municipalities=356)
     shares = [i / 10 for i in range(11)]
     sweep_foreign_share(params._replace(n_firms=100), shares)  # lazy imports before tracing
@@ -265,4 +280,4 @@ def test_sweep_peak_memory_per_firm():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / params.n_firms <= 120
+    assert peak / params.n_firms <= 68
