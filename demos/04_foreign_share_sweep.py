@@ -28,8 +28,9 @@ print(f"{params.n_firms} firms, coupling {params.coupling}, seed {params.seed}")
 print()
 print(f"{'share':>6}  {'turnover share':>14}  {'synergy share':>13}")
 for point in curve.points:
-    synergy = "undefined" if point.synergy_share is None else f"{point.synergy_share:.4f}"
-    print(f"{point.share:>6.2f}  {point.turnover_share:>14.4f}  {synergy:>13}")
+    report = point.report
+    synergy = "undefined" if report.foreign_synergy_share is None else f"{report.foreign_synergy_share:.4f}"
+    print(f"{point.share:>6.2f}  {report.foreign_turnover_share:>14.4f}  {synergy:>13}")
 
 print()
 print(f"synergy share monotonicity violations: {curve.synergy_share_violations()}")

@@ -31,14 +31,17 @@ from .infotheory import SUBSETS, EntropyProfile, _check_counts, _plugin_entropy,
 class SplitEntropyTerm(NamedTuple):
     """One marginal entropy split by ownership, all against the full total.
 
-    domestic and foreign are each non-negative; cross is <= 0 and the three
-    sum exactly to total.
+    domestic and foreign are each non-negative; cross, derived as the residual
+    total - (domestic + foreign), is <= 0 and the three sum exactly to total.
     """
 
     domestic: float
     foreign: float
-    cross: float
     total: float
+
+    @property
+    def cross(self) -> float:
+        return self.total - (self.domestic + self.foreign)
 
 
 def split_entropy(domestic: Mapping, foreign: Mapping, total: int) -> SplitEntropyTerm:
@@ -62,13 +65,8 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int) -> SplitEntro
     # foreign count, then the counts of cells only the foreign map holds
     combined = chain(map(add, domestic.values(), map(foreign.get, domestic, repeat(0))),
                      map(foreign.__getitem__, filterfalse(domestic.__contains__, foreign)))
-    return _split_term(*(_plugin_entropy(counts, total)
-                        for counts in (domestic.values(), foreign.values(), combined)))
-
-
-def _split_term(h_domestic: float, h_foreign: float, h_total: float) -> SplitEntropyTerm:
-    """The split of h_total whose cross part is the residual (see split_entropy)."""
-    return SplitEntropyTerm(h_domestic, h_foreign, h_total - (h_domestic + h_foreign), h_total)
+    return SplitEntropyTerm(*(_plugin_entropy(counts, total)
+                              for counts in (domestic.values(), foreign.values(), combined)))
 
 
 class SynergyDecomposition(NamedTuple):
@@ -79,16 +77,32 @@ class SynergyDecomposition(NamedTuple):
     foreign_only  contribution carried by foreign cell counts alone
     cross     mixing term between the two groups
     foreign   foreign_only + cross, the combined foreign contribution
-    terms     the seven split entropies behind the sums, in SUBSETS order;
-              their totals are the cube's entropy profile
+    terms     the one stored field: the seven split entropies in SUBSETS order, whose
+              totals are the cube's entropy profile; each sum above is derived on read
+              as ternary_information over one part of them
     """
 
-    total: float
-    domestic: float
-    foreign_only: float
-    cross: float
-    foreign: float
-    terms: tuple[SplitEntropyTerm, ...] = ()
+    terms: tuple[SplitEntropyTerm, ...]
+
+    @property
+    def total(self) -> float:
+        return ternary_information(self.profile())
+
+    @property
+    def domestic(self) -> float:
+        return ternary_information(EntropyProfile(*(t.domestic for t in self.terms)))
+
+    @property
+    def foreign_only(self) -> float:
+        return ternary_information(EntropyProfile(*(t.foreign for t in self.terms)))
+
+    @property
+    def cross(self) -> float:
+        return ternary_information(EntropyProfile(*(t.cross for t in self.terms)))
+
+    @property
+    def foreign(self) -> float:
+        return self.foreign_only + self.cross
 
     def profile(self) -> EntropyProfile:
         """The seven marginal entropies of the whole population."""
@@ -102,16 +116,7 @@ def decompose(cube: ContingencyCube) -> SynergyDecomposition:
     total = cube.total
     terms = {m.dims: split_entropy(m.domestic, m.foreign, total)
              for m in split_marginals(cube)}
-    return _decompose_terms(tuple(terms[dims] for dims in SUBSETS))
-
-
-def _decompose_terms(terms: tuple[SplitEntropyTerm, ...]) -> SynergyDecomposition:
-    """The decomposition of seven split entropies given in SUBSETS order."""
-    total, domestic, foreign_only, cross = (
-        ternary_information(EntropyProfile(*(getattr(t, part) for t in terms)))
-        for part in ("total", "domestic", "foreign", "cross")
-    )
-    return SynergyDecomposition(total, domestic, foreign_only, cross, foreign_only + cross, terms)
+    return SynergyDecomposition(tuple(terms[dims] for dims in SUBSETS))
 
 
 def subgroup_synergy(cube: ContingencyCube, foreign: bool) -> float:
@@ -158,6 +163,8 @@ def efficiency_ratio(turnover_share: float, syn_share: float | None) -> float | 
 class RegionReport(NamedTuple):
     """Everything a region summary needs: decomposition, turnover, ratios.
 
+    Stored: the decomposition, each group's turnover sum and the firm counts.
+    The total turnover and every ratio are derived from them on read.
     Turnover figures are in the currency of the input data (NOK for the
     register this was built for). foreign_turnover_share is foreign turnover
     over all turnover; foreign_to_domestic_turnover is the same numerator
@@ -168,15 +175,31 @@ class RegionReport(NamedTuple):
     """
 
     synergy: SynergyDecomposition
-    turnover_total: float
     turnover_domestic: float
     turnover_foreign: float
-    foreign_turnover_share: float
-    foreign_to_domestic_turnover: float | None
-    foreign_synergy_share: float | None
-    efficiency: float | None
     firm_count: int
     foreign_count: int
+
+    @property
+    def turnover_total(self) -> float:
+        return self.turnover_domestic + self.turnover_foreign  # so the three sums add up exactly
+
+    @property
+    def foreign_turnover_share(self) -> float:
+        # zero total turnover means zero foreign turnover too; report share 0
+        return self.turnover_foreign / self.turnover_total if self.turnover_total > 0 else 0.0
+
+    @property
+    def foreign_to_domestic_turnover(self) -> float | None:
+        return _ratio(self.turnover_foreign, self.turnover_domestic)
+
+    @property
+    def foreign_synergy_share(self) -> float | None:
+        return synergy_share(self.synergy.total, self.synergy.foreign)
+
+    @property
+    def efficiency(self) -> float | None:
+        return efficiency_ratio(self.foreign_turnover_share, self.foreign_synergy_share)
 
     def to_dict(self) -> dict:
         """Documented JSON shape, units annotated."""
@@ -219,24 +242,9 @@ def _build_report(dec: SynergyDecomposition, domestic: Collection[float], foreig
     """Region summary from a decomposition and each ownership group's turnovers, the one place they
     are summed: each group once with math.fsum, whose sum does not depend on their order."""
     try:
-        turnover_domestic, turnover_foreign = math.fsum(domestic), math.fsum(foreign)
-        turnover_total = turnover_domestic + turnover_foreign  # so the three sums add up exactly
+        report = RegionReport(dec, math.fsum(domestic), math.fsum(foreign), len(domestic) + len(foreign), len(foreign))
+        if math.isfinite(report.turnover_total):  # not so for an inf turnover, which the library route can pass
+            return report
     except OverflowError:  # fsum's "intermediate overflow"
-        turnover_total = math.inf
-    if not math.isfinite(turnover_total):  # also an inf turnover, which the library route can pass
-        raise OverflowError("turnover sum is not finite")  # the one check, for every route to a report
-    # zero total turnover means zero foreign turnover too; report share 0
-    share = turnover_foreign / turnover_total if turnover_total > 0 else 0.0
-    syn_share = synergy_share(dec.total, dec.foreign)
-    return RegionReport(
-        synergy=dec,
-        turnover_total=turnover_total,
-        turnover_domestic=turnover_domestic,
-        turnover_foreign=turnover_foreign,
-        foreign_turnover_share=share,
-        foreign_to_domestic_turnover=_ratio(turnover_foreign, turnover_domestic),
-        foreign_synergy_share=syn_share,
-        efficiency=efficiency_ratio(share, syn_share),
-        firm_count=len(domestic) + len(foreign),
-        foreign_count=len(foreign),
-    )
+        pass
+    raise OverflowError("turnover sum is not finite")  # the one check, for every route to a report

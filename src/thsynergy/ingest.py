@@ -100,6 +100,13 @@ class _Validated:
     def _make(cls, fields):
         return cls(*fields)
 
+    def _check_numbers(self, *names):  # ValueError naming a field that, like "0.5" or None, no float compares with
+        for name in names:
+            try:
+                getattr(self, name) < 0.0
+            except TypeError:
+                raise ValueError(f"{name} must be a number") from None
+
 
 class _ClassificationFields(NamedTuple):
     foreign_cutoff: float = DEFAULT_FOREIGN_CUTOFF
@@ -118,12 +125,16 @@ class ClassificationConfig(_Validated, _ClassificationFields):
     __slots__ = ()
 
     def _validated(self):
+        self._check_numbers("foreign_cutoff")
         if not 0.0 < self.foreign_cutoff <= 1.0:
             raise ValueError("foreign_cutoff must be in (0, 1]")
-        edges = tuple(self.size_bin_edges)
-        if any(not isinstance(e, str) and e % 1 for e in edges):  # a fraction part, or nan from an infinity
-            raise ValueError("size_bin_edges must be whole numbers")
-        edges = tuple(map(int, edges))
+        try:
+            edges = tuple(self.size_bin_edges)
+            if any(not isinstance(e, str) and e % 1 for e in edges):  # a fraction part, or nan from an infinity
+                raise ValueError("size_bin_edges must be whole numbers")
+            edges = tuple(map(int, edges))
+        except TypeError:  # not a sequence, or an edge such as None
+            raise ValueError("size_bin_edges must be a sequence of whole numbers") from None
         if not edges or edges[0] != 0:
             raise ValueError("size_bin_edges must start at 0")
         if any(b <= a for a, b in zip(edges, edges[1:])):

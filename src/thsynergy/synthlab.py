@@ -15,7 +15,7 @@ import operator
 from typing import IO, NamedTuple, Sequence
 
 from .cube import DIMS, _kept_digits
-from .decomp import RegionReport, _build_report, _decompose_terms, _split_term
+from .decomp import RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report
 from .infotheory import SUBSETS, _plugin_entropy
 from .ingest import _Validated
 
@@ -55,6 +55,7 @@ class SynthParams(_Validated, _SynthFields):
                 raise ValueError(f"{name} must be at least 1")
             if count > _INT64_MAX:  # numpy draws and reduces the indices as int64
                 raise ValueError(f"{name} must be at most {_INT64_MAX}")
+        self._check_numbers("coupling", "foreign_share_target", "lognormal_mu", "lognormal_sigma")
         if not 0.0 <= self.coupling <= 1.0:
             raise ValueError("coupling must be in [0, 1]")
         if not 0.0 <= self.foreign_share_target <= 1.0:
@@ -122,14 +123,11 @@ def generate(params: SynthParams) -> list[tuple[int, bool, float]]:
 
 class SweepPoint(NamedTuple):
     share: float
-    turnover_share: float
-    synergy_share: float | None
     report: RegionReport
 
 
 class SweepCurve(NamedTuple):
-    params: SynthParams
-    points: tuple[SweepPoint, ...] = ()
+    points: tuple[SweepPoint, ...]
 
     def synergy_share_violations(self) -> int:
         """How often the synergy share strictly decreases along the curve.
@@ -138,15 +136,8 @@ class SweepCurve(NamedTuple):
         theorem, so the count is measured and reported rather than assumed.
         Pairs with an undefined share are skipped.
         """
-        count = 0
-        previous = None
-        for point in self.points:
-            if point.synergy_share is None:
-                continue
-            if previous is not None and point.synergy_share < previous:
-                count += 1
-            previous = point.synergy_share
-        return count
+        shares = [s for s in (point.report.foreign_synergy_share for point in self.points) if s is not None]
+        return sum(b < a for a, b in zip(shares, shares[1:]))
 
     def to_csv(self, fp: IO[str]) -> None:
         # column names are the on-disk contract; an undefined synergy share
@@ -154,10 +145,11 @@ class SweepCurve(NamedTuple):
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(["share", "r_ratio", "t_ratio"])
         for point in self.points:
+            synergy_share = point.report.foreign_synergy_share
             writer.writerow([
                 repr(point.share),
-                repr(point.turnover_share),
-                "" if point.synergy_share is None else repr(point.synergy_share),
+                repr(point.report.foreign_turnover_share),
+                "" if synergy_share is None else repr(synergy_share),
             ])
 
 
@@ -198,7 +190,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     for share, k_prev, k in zip(shares, [0, *ks], ks):
         foreign_cells += np.bincount(cell[k_prev:k], minlength=len(foreign_cells))
         foreign_counts = (sums(cell_of, foreign_cells) for cell_of, _, _ in subsets)
-        terms = tuple(_split_term(entropy(c - f), entropy(f), h) for (_, c, h), f in zip(subsets, foreign_counts))
-        report = _build_report(_decompose_terms(terms), turnovers[k:], turnovers[:k])
-        points.append(SweepPoint(float(share), report.foreign_turnover_share, report.foreign_synergy_share, report))
-    return SweepCurve(params=params, points=tuple(points))
+        terms = (SplitEntropyTerm(entropy(c - f), entropy(f), h) for (_, c, h), f in zip(subsets, foreign_counts))
+        report = _build_report(SynergyDecomposition(tuple(terms)), turnovers[k:], turnovers[:k])
+        points.append(SweepPoint(float(share), report))
+    return SweepCurve(tuple(points))

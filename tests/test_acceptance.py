@@ -211,8 +211,8 @@ def test_criterion_7_sweep_endpoints():
     first, last = curve.points[0], curve.points[-1]
     assert first.report.synergy.total != 0.0
     assert last.report.synergy.total != 0.0
-    assert (first.turnover_share, first.synergy_share) == (0.0, 0.0)
-    assert (last.turnover_share, last.synergy_share) == (1.0, 1.0)
+    assert (first.report.foreign_turnover_share, first.report.foreign_synergy_share) == (0.0, 0.0)
+    assert (last.report.foreign_turnover_share, last.report.foreign_synergy_share) == (1.0, 1.0)
 
     buffer_a, buffer_b = io.StringIO(), io.StringIO()
     curve.to_csv(buffer_a)

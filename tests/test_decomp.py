@@ -9,6 +9,9 @@ from conftest import cell_code, coded_cube, cube_from_tensors, report_of
 import thsynergy.cube
 from thsynergy.cube import EmptyDataset, marginalize
 from thsynergy.decomp import (
+    RegionReport,
+    SplitEntropyTerm,
+    SynergyDecomposition,
     decompose,
     efficiency_ratio,
     split_entropy,
@@ -16,6 +19,7 @@ from thsynergy.decomp import (
     synergy_share,
 )
 from thsynergy.infotheory import ZeroTotal, ternary_information
+from thsynergy.synthlab import SweepCurve, SweepPoint
 
 
 SHAPE = (None, 2, 2)  # two size classes and two tech groups
@@ -373,3 +377,43 @@ def test_region_report_json_shape():
         "foreign_synergy_share", "efficiency"}
     assert "NOK" in payload["units"]["turnover"]
     json.dumps(payload)  # serializable as-is
+
+
+# --- a result stores its inputs and derives the rest ---------------------------
+
+@pytest.mark.parametrize("cls, stored, derived", [
+    (SplitEntropyTerm, ("domestic", "foreign", "total"), ("cross",)),
+    (SynergyDecomposition, ("terms",), ("total", "domestic", "foreign_only", "cross", "foreign")),
+    (RegionReport, ("synergy", "turnover_domestic", "turnover_foreign", "firm_count", "foreign_count"),
+     ("turnover_total", "foreign_turnover_share", "foreign_to_domestic_turnover", "foreign_synergy_share",
+      "efficiency")),
+    (SweepPoint, ("share", "report"), ()),
+    (SweepCurve, ("points",), ()),
+], ids=["split-term", "decomposition", "report", "sweep-point", "sweep-curve"])
+def test_result_type_stores_its_inputs_and_derives_the_rest(cls, stored, derived):
+    assert cls._fields == stored
+    for name in derived:  # a read-only property, so no instance can hold a value of its own for it
+        assert type(vars(cls)[name]) is property and vars(cls)[name].fset is None
+
+
+def test_replaced_turnover_moves_every_derived_value():
+    report = report_of(region_firms(), SHAPE)
+    moved = report._replace(turnover_foreign=600.0)
+    assert (moved.turnover_total, moved.foreign_turnover_share) == (1200.0, 0.5)
+    assert moved.foreign_to_domestic_turnover == 1.0
+    assert moved.efficiency == efficiency_ratio(0.5, report.foreign_synergy_share) != report.efficiency
+
+
+def test_replaced_terms_keep_every_sum_consistent():
+    rng = np.random.default_rng(53)
+    dec = decompose(cube_from_tensors(*oracles.random_split_tensors(rng)))
+    with pytest.raises(ValueError, match="cross"):  # a sum is no field, so it cannot be replaced
+        dec._replace(cross=0.0)
+    for other in (decompose(cube_from_tensors(*oracles.random_split_tensors(rng))) for _ in range(20)):
+        # the terms of another cube, and the same terms with one part of one term moved
+        for terms in (other.terms, (dec.terms[0]._replace(domestic=0.0), *dec.terms[1:])):
+            moved = dec._replace(terms=terms)
+            assert moved.foreign == moved.foreign_only + moved.cross
+            assert moved.total == ternary_information(moved.profile())
+            assert all(t.cross == t.total - (t.domestic + t.foreign) for t in moved.terms)
+            assert moved.total == pytest.approx(moved.domestic + moved.foreign, abs=1e-10)

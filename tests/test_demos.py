@@ -1,6 +1,6 @@
 """Each demo script runs to completion in a fresh interpreter and prints its pinned output,
 the README's quick-start sweep writes the CSV that the README shows, and the
-README's Library example runs."""
+README's Library example and hand-built cube run."""
 import hashlib
 import os
 import re
@@ -8,9 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
+from conftest import cube_from_tensors
 from thsynergy.cli import main
+from thsynergy.decomp import decompose
+from thsynergy.infotheory import SUBSETS
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -56,3 +61,20 @@ def test_readme_library_example_reads_a_file_with_a_byte_order_mark(tmp_path, mo
     namespace: dict = {}
     exec(code, namespace)
     assert (namespace["rows"], namespace["issues"], namespace["report"].firm_count) == (30, [], 30)
+
+
+def test_readme_hand_built_cube_matches_the_dense_oracle():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"give the shape `\(None, 2, 2\)`:\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    namespace: dict = {}
+    exec(code, namespace)
+    # the same firms as dense (g, o, t) count tensors: domestic 3 at (0, 0, 0) and 2 at (1, 1, 1), foreign 1 at (0, 1, 1)
+    nat, forn = np.zeros((2, 2, 2), dtype=np.int64), np.zeros((2, 2, 2), dtype=np.int64)
+    nat[0, 0, 0], nat[1, 1, 1], forn[0, 1, 1] = 3, 2, 1
+    cube = namespace["cube"]
+    assert cube == cube_from_tensors(nat, forn)
+    dec, ref = decompose(cube), oracles.split_decomposition_dense(nat, forn)
+    for name in ("total", "domestic", "foreign_only", "cross", "foreign"):
+        assert getattr(dec, name) == pytest.approx(ref[name], abs=1e-12)
+    for dims, term in zip(SUBSETS, dec.terms):
+        assert term._asdict() | {"cross": term.cross} == pytest.approx(ref["terms"][dims], abs=1e-12)

@@ -4,9 +4,12 @@ import json
 import math
 import random
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
+import numpy as np
 import pytest
 
 from conftest import cell_code, row_by_row
@@ -276,10 +279,24 @@ def test_parse_share_rejects_out_of_range(text):
     {"size_bin_edges": (0, math.inf)},
     {"size_bin_edges": (0, math.nan)},
     {"size_bin_edges": (0, "10.5")},
+    {"foreign_cutoff": "0.5"},  # each wrong type a ValueError naming the field, not a TypeError
+    {"foreign_cutoff": None},
+    {"size_bin_edges": 5},
+    {"size_bin_edges": (0, None)},
 ])
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         ClassificationConfig(**kwargs)
+    # the message names the field, except int()'s own for an edge text that is no integer
+    assert next(iter(kwargs)) in str(info.value) or "invalid literal for int()" in str(info.value)
+
+
+def test_number_fields_keep_any_number_as_given():
+    for value in (1, True, 0.5, np.float32(0.5), Fraction(1, 2), Decimal("0.5")):
+        assert ClassificationConfig(foreign_cutoff=value).foreign_cutoff is value
+        params = SynthParams(coupling=value, foreign_share_target=value, lognormal_mu=value, lognormal_sigma=value)
+        assert all(getattr(params, name) is value
+                   for name in ("coupling", "foreign_share_target", "lognormal_mu", "lognormal_sigma"))
 
 
 # --- firm value checks ------------------------------------------------------

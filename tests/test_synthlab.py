@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -115,6 +116,10 @@ def test_turnover_lognormal_law_positive():
     {"n_municipalities": 30.0},
     {"n_tech_groups": "10"},
     {"seed": 1.5},
+    {"coupling": "0.5"},  # each wrong type a ValueError naming the field, not a TypeError
+    {"lognormal_mu": "16"},
+    {"lognormal_sigma": "1"},
+    {"foreign_share_target": None},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):  # the message names the field
@@ -139,8 +144,8 @@ def test_sweep_endpoints_exact():
     first, last = curve.points[0], curve.points[-1]
     assert first.report.synergy.total != 0.0
     assert last.report.synergy.total != 0.0
-    assert (first.turnover_share, first.synergy_share) == (0.0, 0.0)
-    assert (last.turnover_share, last.synergy_share) == (1.0, 1.0)
+    assert (first.report.foreign_turnover_share, first.report.foreign_synergy_share) == (0.0, 0.0)
+    assert (last.report.foreign_turnover_share, last.report.foreign_synergy_share) == (1.0, 1.0)
 
 
 def test_sweep_rejects_bad_grids():
@@ -178,7 +183,7 @@ def test_sweep_csv_blank_field_for_undefined_share():
     # single firm: total measure is zero, synergy share undefined
     params = SynthParams(n_firms=1, seed=1)
     curve = sweep_foreign_share(params, [0.0])
-    assert curve.points[0].synergy_share is None
+    assert curve.points[0].report.foreign_synergy_share is None
     buffer = io.StringIO()
     curve.to_csv(buffer)
     assert buffer.getvalue().splitlines()[1].endswith(",")
@@ -200,9 +205,9 @@ def test_sweep_csv_zero_endpoint_never_signed():
 def test_violation_count_measured_not_assumed():
     points = []
     for share, value in ((0.0, 0.0), (0.2, 0.4), (0.4, 0.3), (0.6, None), (0.8, 0.2), (1.0, 1.0)):
-        points.append(SweepPoint(share=share, turnover_share=share, synergy_share=value,
-                                 report=None))
-    curve = SweepCurve(params=sweep_params(), points=tuple(points))
+        # a stand-in report: the count reads nothing else of it
+        points.append(SweepPoint(share=share, report=SimpleNamespace(foreign_synergy_share=value)))
+    curve = SweepCurve(points=tuple(points))
     # 0.4 -> 0.3 and (skipping None) 0.3 -> 0.2 both count
     assert curve.synergy_share_violations() == 2
 
@@ -246,16 +251,15 @@ def sweep_cases(draw):
 @example((SynthParams(n_firms=200, seed=3), [0.0, 0.5, 0.502, 1.0]))  # 100 foreign firms twice
 @settings(deadline=None)
 def test_sweep_decomposition_consistency(case):
-    # each point's whole report (decomposition with its seven split entropies, order-free
-    # turnover sums, counts, ratios) equals the one built from a population generated at
-    # that share, bit for bit: repr round-trips every float and tells -0.0 from 0.0
+    # each point's whole report (its stored seven split entropies, order-free turnover sums and
+    # counts, and the sums and ratios derived from them) equals the one built from a population
+    # generated at that share, bit for bit: repr round-trips every float and tells -0.0 from 0.0
     params, shares = case
     curve = sweep_foreign_share(params, shares)
     for point in curve.points:
         expected = report_of(generate(params._replace(foreign_share_target=point.share)), params.cell_shape)
         assert repr(point.report) == repr(expected)
-        assert (point.turnover_share, point.synergy_share) == \
-               (expected.foreign_turnover_share, expected.foreign_synergy_share)
+        assert repr(point.report.to_dict()) == repr(expected.to_dict())
 
 
 def test_params_accept_numpy_integers():
