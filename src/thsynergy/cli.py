@@ -15,6 +15,8 @@ MemoryError to 1; a subcommand catches only what it reports otherwise.
 Reports embed their run manifest without a timestamp so identical inputs
 and flags produce byte-identical output; the wall clock lives only in the
 `<output>.manifest.json` sidecar. No environment variable affects results.
+entry() sets OPENBLAS_NUM_THREADS to 1 unless it is set, which changes only
+how many threads numpy's OpenBLAS starts.
 """
 from __future__ import annotations
 
@@ -324,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # No command does linear algebra, yet numpy's OpenBLAS starts a pool of worker threads when it
+    # loads (inside sweep), which costs time and CPU. Set here, where the process is ours, not in main
+    # or a library module, so that in-process callers keep their environment; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = main()
     try:
         if sys.stdout is not None:

@@ -62,7 +62,11 @@ class SynthParams(_Validated, _SynthFields):
             raise ValueError("foreign_share_target must be in [0, 1]")
         if self.turnover_law not in ("uniform", "lognormal"):
             raise ValueError(f"unknown turnover_law {self.turnover_law!r}")
-        if not (math.isfinite(self.lognormal_mu) and math.isfinite(self.lognormal_sigma)):
+        try:
+            finite = math.isfinite(self.lognormal_mu) and math.isfinite(self.lognormal_sigma)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ValueError("lognormal_mu and lognormal_sigma must be finite")
         if self.lognormal_sigma < 0:
             raise ValueError("lognormal_sigma must be non-negative")

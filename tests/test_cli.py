@@ -489,6 +489,36 @@ def test_only_sweep_and_generate_load_numpy(tmp_path, code):
     run_python(tmp_path, f"{code}\nimport sys; assert 'numpy' not in sys.modules")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the thread count from /proc/self/status")
+def test_entry_starts_sweep_with_one_blas_thread_unless_set(tmp_path):
+    # numpy's OpenBLAS starts a worker pool when it loads; no command does linear algebra
+    code = ("import os\nfrom thsynergy.cli import entry\n"
+            "try:\n    entry()\nexcept SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "print(*next(line.split() for line in open('/proc/self/status') if line.startswith('Threads:')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for value in (None, "2"):
+        out = tmp_path / f"{value}.csv"
+        argv = ["sweep", "--firms", "200", "--shares", "0,0.5,1", "--output", str(out)]
+        child_env = env if value is None else env | {"OPENBLAS_NUM_THREADS": value}
+        result = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=child_env,
+                                capture_output=True, encoding="utf-8")
+        assert result.returncode == 0, result.stderr
+        runs[value] = result.stdout.splitlines()[-2:], out.read_bytes()  # after the sweep's own line
+    assert runs[None][0] == ["1", "Threads: 1"]
+    assert runs["2"][0][0] == "2"  # the user's value is kept
+    assert runs[None][1] == runs["2"][1]  # and the curve does not depend on it
+
+
+def test_main_leaves_the_environment_as_it_found_it(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["sweep", "--firms", "200", "--shares", "0,1", "--output", str(tmp_path / "c.csv")]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 def test_cube_module_loads_no_json(tmp_path):
     run_python(tmp_path, "import sys, thsynergy.cube; assert 'json' not in sys.modules")
 
@@ -609,7 +639,8 @@ def test_sweep_past_the_address_space_limit_exits_1(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}  # its buffers per thread take address space
+    # no inherited OPENBLAS_NUM_THREADS: the child runs on entry()'s own default of one BLAS thread
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | {"PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-m", "thsynergy.cli", "sweep", "--firms", "400000000",
                              "--shares", "0,1", "--output", str(tmp_path / "c.csv")],
                             env=env, preexec_fn=limit, capture_output=True, encoding="utf-8")

@@ -120,6 +120,8 @@ def test_turnover_lognormal_law_positive():
     {"lognormal_mu": "16"},
     {"lognormal_sigma": "1"},
     {"foreign_share_target": None},
+    {"lognormal_mu": 10**400},  # an int past the float range is not finite, not an OverflowError
+    {"lognormal_sigma": 10**400},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):  # the message names the field
