@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from itertools import chain, filterfalse, repeat
-from operator import add
-from typing import Collection, Mapping, NamedTuple
+from operator import add, neg
+from typing import Iterable, Mapping, NamedTuple
 
 from .cube import ContingencyCube, EmptyDataset, Tally, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _check_counts, _plugin_entropy, ternary_information, ZeroTotal
@@ -235,16 +235,35 @@ def cube_report(tally: Tally) -> RegionReport:
     turnover sum is not finite. The foreign share of an all-foreign
     population is exactly 1.0.
     """
-    return _build_report(decompose(tally.cube()), *tally.turnovers)
+    domestic, foreign = tally.turnovers
+    return _build_report(decompose(tally.cube()), domestic, foreign, len(domestic) + len(foreign), len(foreign))
 
 
-def _build_report(dec: SynergyDecomposition, domestic: Collection[float], foreign: Collection[float]) -> RegionReport:
-    """Region summary from a decomposition and each ownership group's turnovers, the one place they
-    are summed: each group once with math.fsum, whose sum does not depend on their order."""
+def _build_report(dec: SynergyDecomposition, domestic: Iterable[float], foreign: Iterable[float],
+                  firm_count: int, foreign_count: int) -> RegionReport:
+    """Region summary from a decomposition, each ownership group's turnovers, or floats whose exact
+    sum is theirs (_exact_parts), and the firm counts: the one place a group's reported sum is
+    taken, with math.fsum, whose correctly rounded sum depends only on the exact one."""
     try:
-        report = RegionReport(dec, math.fsum(domestic), math.fsum(foreign), len(domestic) + len(foreign), len(foreign))
+        report = RegionReport(dec, math.fsum(domestic), math.fsum(foreign), firm_count, foreign_count)
         if math.isfinite(report.turnover_total):  # not so for an inf turnover, which the library route can pass
             return report
     except OverflowError:  # fsum's "intermediate overflow"
         pass
     raise OverflowError("turnover sum is not finite")  # the one check, for every route to a report
+
+
+def _exact_parts(*groups: Iterable[float]) -> list[float]:
+    """A few floats whose exact sum is that of the groups' turnovers, so that math.fsum of them,
+    alone or with other values, is math.fsum of the turnovers they stand for: r1 = fsum(turnovers),
+    r2 = fsum(turnovers + [-r1]) and so on, up to the first residual that is 0.0. Reads the groups
+    once a part and once more, so they must be re-iterable. OverflowError when the sum is not finite."""
+    parts: list[float] = []
+    try:
+        while (part := math.fsum(chain(*groups, map(neg, parts)))) and math.isfinite(part):
+            parts.append(part)
+    except OverflowError:  # fsum's "intermediate overflow"
+        part = math.inf
+    if part:  # the last sum is not finite
+        raise OverflowError("turnover sum is not finite")
+    return parts

@@ -10,18 +10,21 @@ which is the regime of interest for firm populations. Entropies are plain
 plug-in estimates with no bias correction; results depend on the empirical
 counts only.
 
-Every entropy sums its -p log p terms with math.fsum, which returns the
-correctly rounded sum, so results are bit-for-bit reproducible whatever the
-order of the counts. The kernel takes one log per distinct count and hands
-fsum that term once per cell holding the count: the same terms as one log
-per cell, so the same sum. A cube's entropies and measure come from
-decomp.decompose: decompose(cube).profile() and decompose(cube).total.
+Every entropy is the correctly rounded sum of its -p log p terms, so
+results are bit-for-bit reproducible whatever the order of the counts. The
+kernel counts the cells that hold each distinct count and takes one log per
+distinct count; each term, a float and so an integer over a power of two,
+is added once per cell holding it as an exact integer over the largest
+such power, and one int true division rounds that sum. Both that division
+and math.fsum round correctly, so the sum is the one fsum gives over one
+term per cell. A cube's entropies and measure come from decomp.decompose:
+decompose(cube).profile() and decompose(cube).total.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 
@@ -30,14 +33,21 @@ class ZeroTotal(ValueError):
 
 
 def _plugin_entropy(counts: Iterable[int], total: int) -> float:
-    """The entropy kernel in bits over counts in any order; 0 * log 0 is taken as 0. One log per
-    distinct count: its p log p term goes to fsum once per cell that holds it, so the sum is
-    the per-cell one. An int total past 2**53 is not exact as a float, so there 1 and 1.0 can
-    give different terms and each cell gets its own."""
-    distinct = Counter(counts).items() if total <= 2**53 else zip(counts, repeat(1))
-    terms = (repeat((p := c / total) * math.log2(p), cells) for c, cells in distinct if c)
+    """The entropy kernel in bits over counts in any order; 0 * log 0 is taken as 0. The cells are
+    counted by count first, for _multiplicity_entropy. An int total past 2**53 is not exact as a
+    float, so there 1 and 1.0 can give different terms and each cell gets its own."""
+    return _multiplicity_entropy(Counter(counts).items() if total <= 2**53 else zip(counts, repeat(1)), total)
+
+
+def _multiplicity_entropy(multiplicities: Iterable[tuple[int, int]], total: int) -> float:
+    """The entropy in bits of (count, cells) pairs, cells being how many cells hold count. One log
+    per pair: its p log p term, n / d with d a power of two, is added cells times as an exact
+    integer over the largest d, and one int true division rounds the sum as math.fsum rounds the
+    same term once per cell."""
+    ratios = [(((p := c / total) * math.log2(p)).as_integer_ratio(), cells) for c, cells in multiplicities if c]
+    denominator = max((d for (_, d), _ in ratios), default=1)
     # 0.0 - keeps a one-cell population at 0.0 rather than -0.0
-    return 0.0 - math.fsum(chain.from_iterable(terms))
+    return 0.0 - sum(n * cells * (denominator // d) for (n, d), cells in ratios) / denominator
 
 
 def shannon_entropy(counts: Mapping, total: int) -> float:

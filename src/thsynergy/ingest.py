@@ -131,10 +131,12 @@ class ClassificationConfig(_Validated, _ClassificationFields):
         try:
             edges = tuple(self.size_bin_edges)
             if any(not isinstance(e, str) and e % 1 for e in edges):  # a fraction part, or nan from an infinity
-                raise ValueError("size_bin_edges must be whole numbers")
-            edges = tuple(map(int, edges))
+                raise ValueError
+            edges = tuple(map(int, edges))  # ValueError on a text such as "x" or "10.5"
         except TypeError:  # not a sequence, or an edge such as None
             raise ValueError("size_bin_edges must be a sequence of whole numbers") from None
+        except ValueError:
+            raise ValueError("size_bin_edges must be whole numbers") from None
         if not edges or edges[0] != 0:
             raise ValueError("size_bin_edges must start at 0")
         if any(b <= a for a, b in zip(edges, edges[1:])):

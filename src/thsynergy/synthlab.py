@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from itertools import accumulate
 from typing import IO, NamedTuple, Sequence
 
 from .cube import DIMS, _kept_digits
-from .decomp import RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report
-from .infotheory import SUBSETS, _plugin_entropy
+from .decomp import RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report, _exact_parts
+from .infotheory import SUBSETS, _multiplicity_entropy
 from .ingest import _Validated
 
 _INT64_MAX = 2**63 - 1
@@ -162,7 +163,10 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
 
     shares must be strictly increasing within [0, 1]. The population is drawn once, in labeling
     order, and each occupied GOT cell read into the smaller subsets by cube._kept_digits. A point
-    at k foreign firms counts firms k_prev..k-1 into the last point's foreign cell counts.
+    at k foreign firms counts firms k_prev..k-1 into the last point's foreign cell counts and
+    turnover parts (_turnover_parts); its domestic parts are the total's less its foreign ones.
+    Each entropy reads a subset's counts by how many cells hold each count. OverflowError,
+    before any entropy, when the turnover sum is not finite.
     """
     if not shares:
         raise ValueError("shares must not be empty")
@@ -174,6 +178,8 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     cells, turnovers = _draw(params)
     turnovers = memoryview(turnovers)  # its slices are views that fsum reads as Python floats
     n = params.n_firms
+    ks = [foreign_count(n, share) for share in shares]
+    foreign_parts, total_parts = _turnover_parts(turnovers, ks)
     occupied, cell = np.unique(cells, return_inverse=True)  # each firm's index among the occupied cells
     del cells
     # each occupied cell's code in a smaller subset, as marginalize reads it, then its index among them
@@ -184,17 +190,29 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
 
     def sums(cell_of, counts):  # a subset's cell counts from GOT cell counts, exact below 2**53
         return counts if cell_of is None else np.bincount(cell_of, weights=counts).astype(np.int64)
-    def entropy(counts) -> float:
-        return _plugin_entropy(counts[counts > 0].tolist(), n)
+    def entropy(counts) -> float:  # from each count's multiplicity; the kernel skips the count 0
+        multiplicities = np.bincount(counts)
+        distinct = np.flatnonzero(multiplicities)
+        return _multiplicity_entropy(zip(distinct.tolist(), multiplicities[distinct].tolist()), n)
 
     cell_counts = np.bincount(cell)
     subsets = [(of, (counts := sums(of, cell_counts)), entropy(counts)) for of in cells_of]
-    ks = [foreign_count(n, share) for share in shares]
     points, foreign_cells = [], np.zeros_like(cell_counts)
-    for share, k_prev, k in zip(shares, [0, *ks], ks):
+    for share, k_prev, k, foreign in zip(shares, [0, *ks], ks, foreign_parts):
         foreign_cells += np.bincount(cell[k_prev:k], minlength=len(foreign_cells))
         foreign_counts = (sums(cell_of, foreign_cells) for cell_of, _, _ in subsets)
         terms = (SplitEntropyTerm(entropy(c - f), entropy(f), h) for (_, c, h), f in zip(subsets, foreign_counts))
-        report = _build_report(SynergyDecomposition(tuple(terms)), turnovers[k:], turnovers[:k])
+        domestic = [*total_parts, *(-part for part in foreign)]
+        report = _build_report(SynergyDecomposition(tuple(terms)), domestic, foreign, n, k)
         points.append(SweepPoint(float(share), report))
     return SweepCurve(tuple(points))
+
+
+def _turnover_parts(turnovers: Sequence[float], ks: Sequence[int]) -> tuple[list[list[float]], list[float]]:
+    """Floats whose exact sums are those of turnovers[:k] for each k in ks, which do not decrease,
+    and of all turnovers (decomp._exact_parts). Each k's parts extend the last k's by the turnovers
+    between them and the total's extend the last k's by the rest, so each turnover is reduced once.
+    OverflowError when the total is not finite; turnovers are never negative, so each sum is finite
+    when the total is."""
+    foreign = [*accumulate((turnovers[k_prev:k] for k_prev, k in zip([0, *ks], ks)), _exact_parts, initial=[])]
+    return foreign[1:], _exact_parts(foreign[-1], turnovers[ks[-1]:])

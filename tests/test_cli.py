@@ -202,7 +202,7 @@ def test_cutoff_outside_the_config_range_is_usage_error(tmp_path, capsys, comman
 @pytest.mark.parametrize("command", ["validate", "compute"])
 @pytest.mark.parametrize("edges, message", [
     ("1,5", "size_bin_edges must start at 0"),
-    ("0,x", "invalid literal for int() with base 10: 'x'"),
+    ("0,x", "size_bin_edges must be whole numbers"),
 ], ids=["not-from-zero", "not-an-integer"])
 def test_bad_size_bins_is_usage_error_naming_the_flag(tmp_path, capsys, command, edges, message):
     assert main([command, write_csv(tmp_path, CLEAN_ROWS), "--size-bins", edges]) == 2
@@ -605,6 +605,17 @@ def test_sweep_overflowing_turnover_sum_writes_no_csv(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert main(["sweep", "--turnover-law", "lognormal", "--mu", "800", "--shares", "0,0.5,1",
                  "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: turnover sum is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--mu", "800", "--shares", "0.5,1"),  # inf draws, and a first share above 0
+    ("--mu", "708", "--sigma", "0.1", "--firms", "50", "--shares", "0,0.5,1"),  # finite draws whose sum overflows
+], ids=["infinite-from-half", "finite-overflowing"])
+def test_sweep_turnover_sum_not_finite_exits_1(tmp_path, capsys, flags):
+    out = tmp_path / "c.csv"
+    assert main(["sweep", "--turnover-law", "lognormal", *flags, "--output", str(out)]) == 1
     assert capsys.readouterr().err == "error: turnover sum is not finite\n"
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 import math
+from itertools import chain, repeat
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from thsynergy.decomp import decompose
 from thsynergy.infotheory import (
     EntropyProfile,
     ZeroTotal,
+    _multiplicity_entropy,
     _plugin_entropy,
     shannon_entropy,
     ternary_information,
@@ -102,6 +104,30 @@ def test_plugin_entropy_equals_per_cell_fsum_exactly(case):
     counts, total = case
     assert _plugin_entropy(counts, total) == _per_cell_entropy(counts, total)
     assert _plugin_entropy(iter(counts), total) == _per_cell_entropy(counts, total)
+
+
+@st.composite
+def multiplicity_lists(draw):
+    """(count, cells) pairs: zeros, small ints, ints past 2**53, integral and non-integral floats,
+    a count listed more than once, the first held by up to 10**6 cells (the others by up to 1000,
+    so the expanded list stays small); and a total at least their sum."""
+    count = st.one_of(st.just(0), st.integers(1, 40), st.integers(2**53 - 4, 2**60),
+                      st.integers(1, 40).map(float), st.floats(0.5, 2.0**60))
+    pairs = [draw(st.tuples(count, st.integers(1, 10**6))),
+             *draw(st.lists(st.tuples(count, st.integers(1, 1000)), max_size=4))]
+    return pairs, max(1, math.ceil(sum(c * m for c, m in pairs))) + draw(st.sampled_from([0, 1, 2**53, 2**61 + 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multiplicity_lists())
+@example(([(0, 3), (5, 1)], 5))
+@example(([(1, 10**6)], 10**6))  # a uniform population of 10**6 cells
+@example(([(1, 1), (1.0, 1)], 2**53 + 1))  # 1 / total and 1.0 / total differ here
+@example(([(3, 10**6), (2**53 + 1, 2), (0.75, 999)], 2**62))
+def test_multiplicity_entropy_equals_per_cell_fsum_exactly(case):
+    pairs, total = case
+    assert _multiplicity_entropy(pairs, total) == _per_cell_entropy(
+        chain.from_iterable(repeat(c, cells) for c, cells in pairs), total)
 
 
 # --- profile and ternary measure --------------------------------------------

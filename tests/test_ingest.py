@@ -279,6 +279,7 @@ def test_parse_share_rejects_out_of_range(text):
     {"size_bin_edges": (0, math.inf)},
     {"size_bin_edges": (0, math.nan)},
     {"size_bin_edges": (0, "10.5")},
+    {"size_bin_edges": [0, "x"]},
     {"foreign_cutoff": "0.5"},  # each wrong type a ValueError naming the field, not a TypeError
     {"foreign_cutoff": None},
     {"size_bin_edges": 5},
@@ -287,8 +288,7 @@ def test_parse_share_rejects_out_of_range(text):
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError) as info:
         ClassificationConfig(**kwargs)
-    # the message names the field, except int()'s own for an edge text that is no integer
-    assert next(iter(kwargs)) in str(info.value) or "invalid literal for int()" in str(info.value)
+    assert next(iter(kwargs)) in str(info.value)  # the message names the field
 
 
 def test_number_fields_keep_any_number_as_given():

@@ -1,13 +1,16 @@
 import io
+import math
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import report_of, tally_of
 from thsynergy.decomp import decompose
-from thsynergy.synthlab import SynthParams, SweepCurve, SweepPoint, foreign_count, generate, sweep_foreign_share
+from thsynergy.synthlab import (SynthParams, SweepCurve, SweepPoint, _turnover_parts, foreign_count, generate,
+                               sweep_foreign_share)
 
 
 def test_generate_deterministic():
@@ -251,6 +254,9 @@ def sweep_cases(draw):
 @example((SynthParams(n_firms=300, n_municipalities=14, n_size_classes=11, n_tech_groups=12,
                       coupling=0.4, turnover_law="lognormal", seed=7), [0.0, 0.3, 0.55, 1.0]))
 @example((SynthParams(n_firms=200, seed=3), [0.0, 0.5, 0.502, 1.0]))  # 100 foreign firms twice
+# many cells holding each count, and turnovers over ten decades summed in chunks of 2,000 firms
+@example((SynthParams(n_firms=20_000, turnover_law="lognormal", lognormal_sigma=3.0, seed=5),
+          [i / 10 for i in range(11)]))
 @settings(deadline=None)
 def test_sweep_decomposition_consistency(case):
     # each point's whole report (its stored seven split entropies, order-free turnover sums and
@@ -264,8 +270,50 @@ def test_sweep_decomposition_consistency(case):
         assert repr(point.report.to_dict()) == repr(expected.to_dict())
 
 
+@st.composite
+def turnover_runs(draw):
+    """Non-negative turnovers, as the sweep reads them, and foreign counts a chunk apart up to a
+    stop: zeros, subnormals and values of mixed magnitude from a small pool tiled at random,
+    sometimes one value near 1e308; chunks of 1, 7 and 4096."""
+    chunk = draw(st.sampled_from([1, 7, 4096]))
+    pool = draw(st.lists(st.one_of(st.floats(0.0, 2.2250738585072014e-308), st.floats(1e-300, 1e-3),
+                                   st.floats(1.0, 1e12), st.floats(1e300, 1e306)), min_size=1, max_size=6))
+    n = draw(st.integers(0, {1: 300, 7: 2000, 4096: 20_000}[chunk]))
+    values = np.random.default_rng(draw(st.integers(0, 2**32))).choice(pool, n)
+    if n and draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = draw(st.floats(1e307, 1.7976931348623157e308))
+    stop = draw(st.one_of(st.just(n), st.integers(0, n)))  # the last foreign count, often all firms
+    return values, [*range(chunk, stop, chunk), stop]
+
+
+@settings(deadline=None)
+@given(turnover_runs())
+@example((np.array([1e308, 5e-324, 1.0, 1e-300, 7e307]), [1, 2, 3, 4, 5]))
+@example((np.array([1e308, 1e308]), [1, 2]))  # the sum overflows
+@example((np.array([1.0, math.inf, 2.0]), [0]))  # only the firms no point turns foreign hold an inf
+@example((np.array([0.0, 0.0]), [1, 1, 2]))  # a point that turns no firm foreign
+def test_running_turnover_parts_reproduce_fsum_of_every_prefix_and_suffix(case):
+    # the sweep's running sums: each point's foreign parts and the total's, and its domestic parts
+    # as the total's less the foreign ones, each summed by fsum as _build_report sums them
+    values, ks = case
+    turnovers = memoryview(values)
+    try:
+        whole = math.fsum(turnovers)
+    except OverflowError:
+        whole = math.inf
+    if not math.isfinite(whole):
+        with pytest.raises(OverflowError, match="turnover sum is not finite"):
+            _turnover_parts(turnovers, ks)
+        return
+    foreign_parts, total = _turnover_parts(turnovers, ks)
+    assert math.fsum(total) == whole
+    assert len(foreign_parts) == len(ks)
+    for k, foreign in zip(ks, foreign_parts):
+        assert math.fsum(foreign) == math.fsum(turnovers[:k])
+        assert math.fsum([*total, *(-part for part in foreign)]) == math.fsum(turnovers[k:])
+
+
 def test_params_accept_numpy_integers():
-    import numpy as np
     params = SynthParams(n_firms=np.int64(50), n_municipalities=np.int64(10**12), n_size_classes=np.int32(3),
                          n_tech_groups=np.int64(10**12), seed=np.uint8(4))
     assert params == SynthParams(50, 10**12, 3, 10**12, seed=4)
