@@ -209,9 +209,9 @@ def cmd_sweep(args) -> int:
     manifest = RunManifest(
         command="sweep",
         inputs=(),
-        # every generator knob except the seed (recorded on its own) and the swept share
+        # every generator knob but the seed, which is recorded on its own, plus the swept shares
         config_hash=config_digest({
-            **{k: v for k, v in params._asdict().items() if k not in ("seed", "foreign_share_target")},
+            **{k: v for k, v in params._asdict().items() if k != "seed"},
             "shares": shares,
         }),
         version=__version__,

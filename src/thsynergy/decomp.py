@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from itertools import chain, filterfalse, repeat
 from operator import add, neg
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cube import ContingencyCube, EmptyDataset, Tally, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _check_counts, _plugin_entropy, ternary_information, ZeroTotal
@@ -246,24 +246,23 @@ def _build_report(dec: SynergyDecomposition, domestic: Iterable[float], foreign:
     taken, with math.fsum, whose correctly rounded sum depends only on the exact one."""
     try:
         report = RegionReport(dec, math.fsum(domestic), math.fsum(foreign), firm_count, foreign_count)
-        if math.isfinite(report.turnover_total):  # not so for an inf turnover, which the library route can pass
+        if math.isfinite(report.turnover_total):  # not for an inf turnover or part, or two sums that overflow together
             return report
     except OverflowError:  # fsum's "intermediate overflow"
         pass
     raise OverflowError("turnover sum is not finite")  # the one check, for every route to a report
 
 
-def _exact_parts(*groups: Iterable[float]) -> list[float]:
-    """A few floats whose exact sum is that of the groups' turnovers, so that math.fsum of them,
-    alone or with other values, is math.fsum of the turnovers they stand for: r1 = fsum(turnovers),
-    r2 = fsum(turnovers + [-r1]) and so on, up to the first residual that is 0.0. Reads the groups
-    once a part and once more, so they must be re-iterable. OverflowError when the sum is not finite."""
+def _exact_parts(turnovers: Sequence[float]) -> list[float]:
+    """A few floats whose exact sum is that of the turnovers, so that math.fsum of them, alone or with
+    other parts, is math.fsum of the turnovers they stand for: r1 = fsum(turnovers),
+    r2 = fsum(turnovers + [-r1]) and so on, up to the first residual that is 0.0, or a sum that is not
+    finite (inf for fsum's "intermediate overflow"), which ends the parts so that _build_report raises.
+    Reads the turnovers once a part and once more."""
     parts: list[float] = []
     try:
-        while (part := math.fsum(chain(*groups, map(neg, parts)))) and math.isfinite(part):
+        while (part := math.fsum(chain(turnovers, map(neg, parts)))) and math.isfinite(part):
             parts.append(part)
     except OverflowError:  # fsum's "intermediate overflow"
         part = math.inf
-    if part:  # the last sum is not finite
-        raise OverflowError("turnover sum is not finite")
-    return parts
+    return [*parts, part] if part else parts

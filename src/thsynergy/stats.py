@@ -19,22 +19,25 @@ class DegenerateTable(ValueError):
 
 
 _EPS = 1e-15
-_ITMAX = 400
 _FPMIN = 1e-300
 
 
+def _max_steps(a: float) -> int:  # more than either loop needs: about 8.3 sqrt(a) at most, 82 for a small a
+    return 400 + int(20 * math.sqrt(a))
+
+
 def _gamma_series(a: float, x: float) -> float:
-    # lower regularized P(a, x), valid for x < a + 1
+    # lower regularized P(a, x), valid for x < a + 1: once ap passes x every term shrinks
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_ITMAX):
+    for _ in range(_max_steps(a)):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    raise ArithmeticError(f"incomplete gamma series does not converge at a={a!r}, x={x!r}")
 
 def _gamma_cfrac(a: float, x: float) -> float:
     # upper regularized Q(a, x) via modified Lentz, valid for x >= a + 1
@@ -42,7 +45,7 @@ def _gamma_cfrac(a: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, _ITMAX + 1):
+    for i in range(1, _max_steps(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -55,25 +58,29 @@ def _gamma_cfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    raise ArithmeticError(f"incomplete gamma fraction does not converge at a={a!r}, x={x!r}")
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) for a > 0, x >= 0."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be non-negative")
+    """Upper regularized incomplete gamma Q(a, x) for finite a > 0 and x >= 0, 0.0 at x = inf.
+    Either route loops until it converges, in up to about 8.3 sqrt(a) steps, and raises
+    ArithmeticError if it does not."""
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
+    if not x >= 0:
+        raise ValueError("x must be non-negative and not nan")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x < a + 1.0:
         return 1.0 - _gamma_series(a, x)
     return _gamma_cfrac(a, x)
 
 
 def chi_square_survival(statistic: float, dof: int) -> float:
-    """P(X >= statistic) for X chi-square distributed with dof degrees."""
+    """P(X >= statistic) for X chi-square distributed with dof degrees; 0.0 at inf, ValueError at nan."""
     if dof < 1:
         raise ValueError("dof must be at least 1")
     return regularized_gamma_q(dof / 2.0, statistic / 2.0)

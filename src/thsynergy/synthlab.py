@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from itertools import accumulate
+from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
 from .cube import DIMS, _kept_digits
@@ -29,7 +29,6 @@ class _SynthFields(NamedTuple):
     n_size_classes: int = 8
     n_tech_groups: int = 10
     coupling: float = 0.5
-    foreign_share_target: float = 0.1
     turnover_law: str = "uniform"  # uniform on [1e6, 1e9) or lognormal(mu, sigma)
     lognormal_mu: float = 16.0
     lognormal_sigma: float = 1.0
@@ -56,11 +55,9 @@ class SynthParams(_Validated, _SynthFields):
                 raise ValueError(f"{name} must be at least 1")
             if count > _INT64_MAX:  # numpy draws and reduces the indices as int64
                 raise ValueError(f"{name} must be at most {_INT64_MAX}")
-        self._check_numbers("coupling", "foreign_share_target", "lognormal_mu", "lognormal_sigma")
+        self._check_numbers("coupling", "lognormal_mu", "lognormal_sigma")
         if not 0.0 <= self.coupling <= 1.0:
             raise ValueError("coupling must be in [0, 1]")
-        if not 0.0 <= self.foreign_share_target <= 1.0:
-            raise ValueError("foreign_share_target must be in [0, 1]")
         if self.turnover_law not in ("uniform", "lognormal"):
             raise ValueError(f"unknown turnover_law {self.turnover_law!r}")
         try:
@@ -117,12 +114,14 @@ def _draw(params: SynthParams) -> tuple:
     return cells[order], turnover[order]
 
 
-def generate(params: SynthParams) -> list[tuple[int, bool, float]]:
+def generate(params: SynthParams, share: float) -> list[tuple[int, bool, float]]:
     """Draw a deterministic synthetic population for the given parameters: each firm's
     (cell, foreign, turnover) triple, as cube.Tally.add takes it over params.cell_shape, in
-    labeling order: the first foreign_count(n_firms, foreign_share_target) firms are foreign."""
+    labeling order: the first foreign_count(n_firms, share) firms are foreign, share in [0, 1]."""
+    if not 0.0 <= share <= 1.0:
+        raise ValueError("share must lie in [0, 1]")
     cells, turnovers = _draw(params)
-    k = foreign_count(params.n_firms, params.foreign_share_target)
+    k = foreign_count(params.n_firms, share)
     return [(cell, i < k, turnover) for i, (cell, turnover) in enumerate(zip(cells.tolist(), turnovers.tolist()))]
 
 
@@ -162,11 +161,12 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     """Evaluate the share -> (turnover share, synergy share) curve.
 
     shares must be strictly increasing within [0, 1]. The population is drawn once, in labeling
-    order, and each occupied GOT cell read into the smaller subsets by cube._kept_digits. A point
-    at k foreign firms counts firms k_prev..k-1 into the last point's foreign cell counts and
-    turnover parts (_turnover_parts); its domestic parts are the total's less its foreign ones.
-    Each entropy reads a subset's counts by how many cells hold each count. OverflowError,
-    before any entropy, when the turnover sum is not finite.
+    order, and each occupied GOT cell read into the smaller subsets by cube._kept_digits. The
+    turnovers between consecutive foreign counts are reduced once, to a few floats whose exact sum
+    is theirs (decomp._exact_parts). A point at k foreign firms counts firms k_prev..k-1 into the
+    last point's foreign cell counts, and its foreign and domestic groups are the parts of the runs
+    before and after k. Each entropy reads a subset's counts by how many cells hold each count.
+    OverflowError, at the first point, when the turnover sum is not finite.
     """
     if not shares:
         raise ValueError("shares must not be empty")
@@ -179,7 +179,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     turnovers = memoryview(turnovers)  # its slices are views that fsum reads as Python floats
     n = params.n_firms
     ks = [foreign_count(n, share) for share in shares]
-    foreign_parts, total_parts = _turnover_parts(turnovers, ks)
+    chunks = [_exact_parts(turnovers[a:b]) for a, b in zip([0, *ks], [*ks, n])]
     occupied, cell = np.unique(cells, return_inverse=True)  # each firm's index among the occupied cells
     del cells
     # each occupied cell's code in a smaller subset, as marginalize reads it, then its index among them
@@ -198,21 +198,11 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     cell_counts = np.bincount(cell)
     subsets = [(of, (counts := sums(of, cell_counts)), entropy(counts)) for of in cells_of]
     points, foreign_cells = [], np.zeros_like(cell_counts)
-    for share, k_prev, k, foreign in zip(shares, [0, *ks], ks, foreign_parts):
+    for j, (share, k_prev, k) in enumerate(zip(shares, [0, *ks], ks), 1):
         foreign_cells += np.bincount(cell[k_prev:k], minlength=len(foreign_cells))
         foreign_counts = (sums(cell_of, foreign_cells) for cell_of, _, _ in subsets)
         terms = (SplitEntropyTerm(entropy(c - f), entropy(f), h) for (_, c, h), f in zip(subsets, foreign_counts))
-        domestic = [*total_parts, *(-part for part in foreign)]
-        report = _build_report(SynergyDecomposition(tuple(terms)), domestic, foreign, n, k)
+        report = _build_report(SynergyDecomposition(tuple(terms)), chain(*chunks[j:]), chain(*chunks[:j]), n, k)
         points.append(SweepPoint(float(share), report))
     return SweepCurve(tuple(points))
 
-
-def _turnover_parts(turnovers: Sequence[float], ks: Sequence[int]) -> tuple[list[list[float]], list[float]]:
-    """Floats whose exact sums are those of turnovers[:k] for each k in ks, which do not decrease,
-    and of all turnovers (decomp._exact_parts). Each k's parts extend the last k's by the turnovers
-    between them and the total's extend the last k's by the rest, so each turnover is reduced once.
-    OverflowError when the total is not finite; turnovers are never negative, so each sum is finite
-    when the total is."""
-    foreign = [*accumulate((turnovers[k_prev:k] for k_prev, k in zip([0, *ks], ks)), _exact_parts, initial=[])]
-    return foreign[1:], _exact_parts(foreign[-1], turnovers[ks[-1]:])

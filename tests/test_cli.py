@@ -108,7 +108,7 @@ def test_config_digest_is_the_sha256_of_the_canonical_settings(settings):
     (RunManifest("compute", ("firms.csv",), "0" * 16, "0.1.0"), ["command", "inputs", "config_hash", "version", "seed"]),
     (ClassificationConfig(), ["foreign_cutoff", "size_bin_edges"]),
     (SynthParams(), ["n_firms", "n_municipalities", "n_size_classes", "n_tech_groups", "coupling",
-                     "foreign_share_target", "turnover_law", "lognormal_mu", "lognormal_sigma", "seed"]),
+                     "turnover_law", "lognormal_mu", "lognormal_sigma", "seed"]),
 ], ids=["entropy", "chi-square", "manifest", "config", "synth"])
 def test_document_facing_fields_keep_their_order(value, keys):
     # the key order of the report's entropy and chi-square blocks, of its manifest, and of the hashed settings
@@ -612,7 +612,9 @@ def test_sweep_overflowing_turnover_sum_writes_no_csv(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ("--mu", "800", "--shares", "0.5,1"),  # inf draws, and a first share above 0
     ("--mu", "708", "--sigma", "0.1", "--firms", "50", "--shares", "0,0.5,1"),  # finite draws whose sum overflows
-], ids=["infinite-from-half", "finite-overflowing"])
+    # each group's sum is finite at every point, and their total overflows
+    ("--mu", "708", "--sigma", "0", "--firms", "10", "--shares", "0.5,1"),
+], ids=["infinite-from-half", "finite-overflowing", "finite-groups-overflowing-total"])
 def test_sweep_turnover_sum_not_finite_exits_1(tmp_path, capsys, flags):
     out = tmp_path / "c.csv"
     assert main(["sweep", "--turnover-law", "lognormal", *flags, "--output", str(out)]) == 1

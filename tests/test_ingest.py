@@ -294,9 +294,8 @@ def test_config_rejects_bad_values(kwargs):
 def test_number_fields_keep_any_number_as_given():
     for value in (1, True, 0.5, np.float32(0.5), Fraction(1, 2), Decimal("0.5")):
         assert ClassificationConfig(foreign_cutoff=value).foreign_cutoff is value
-        params = SynthParams(coupling=value, foreign_share_target=value, lognormal_mu=value, lognormal_sigma=value)
-        assert all(getattr(params, name) is value
-                   for name in ("coupling", "foreign_share_target", "lognormal_mu", "lognormal_sigma"))
+        params = SynthParams(coupling=value, lognormal_mu=value, lognormal_sigma=value)
+        assert all(getattr(params, name) is value for name in ("coupling", "lognormal_mu", "lognormal_sigma"))
 
 
 # --- firm value checks ------------------------------------------------------

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import coded_cube, cube_from_tensors
+from thsynergy import stats
 from thsynergy.stats import (
     ChiSquareResult,
     DegenerateTable,
@@ -110,6 +113,31 @@ def test_survival_rejects_bad_input():
         regularized_gamma_q(0.5, -1.0)
     with pytest.raises(ValueError):
         regularized_gamma_q(0.0, 1.0)
+    # inputs on which neither route would converge
+    with pytest.raises(ValueError):
+        chi_square_survival(math.nan, 3)
+    for a, x in ((0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            regularized_gamma_q(a, x)
+
+
+@pytest.mark.parametrize("stat, dof", [(1e5, 10**5), (1e6, 10**6), (1e6 + 2.0, 10**6)],
+                         ids=["series-1e5", "series-1e6", "fraction-1e6"])
+def test_survival_converges_for_a_large_dof(stat, dof):
+    # each route runs past 400 steps here: the series about 8 sqrt(dof / 2), the fraction fewer
+    assert chi_square_survival(stat, dof) == pytest.approx(oracles.survival_mpmath(stat, dof), abs=1e-9)
+
+
+def test_survival_of_an_infinite_statistic_is_zero():
+    for dof in (1, 3, 10**6):
+        assert chi_square_survival(math.inf, dof) == 0.0
+
+
+@pytest.mark.parametrize("a, x", [(1.5, 1.0), (1.5, 4.0)], ids=["series", "fraction"])
+def test_gamma_q_raises_rather_than_return_an_unconverged_value(monkeypatch, a, x):
+    monkeypatch.setattr(stats, "_EPS", 0.0)  # no step passes the convergence test
+    with pytest.raises(ArithmeticError, match="does not converge"):
+        regularized_gamma_q(a, x)
 
 
 def test_gamma_q_series_and_cfrac_agree_at_the_switch():

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,19 +9,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import report_of, tally_of
-from thsynergy.decomp import decompose
-from thsynergy.synthlab import (SynthParams, SweepCurve, SweepPoint, _turnover_parts, foreign_count, generate,
-                               sweep_foreign_share)
+from thsynergy.decomp import SynergyDecomposition, _build_report, _exact_parts, decompose
+from thsynergy.synthlab import SynthParams, SweepCurve, SweepPoint, foreign_count, generate, sweep_foreign_share
 
 
 def test_generate_deterministic():
     params = SynthParams(n_firms=200, seed=42)
-    assert generate(params) == generate(params)
+    assert generate(params, 0.1) == generate(params, 0.1)
 
 
 def test_generate_different_seeds_differ():
-    a = generate(SynthParams(n_firms=200, seed=1))
-    b = generate(SynthParams(n_firms=200, seed=2))
+    a = generate(SynthParams(n_firms=200, seed=1), 0.1)
+    b = generate(SynthParams(n_firms=200, seed=2), 0.1)
     assert a != b
 
 
@@ -39,20 +39,26 @@ def test_foreign_count_rounds_half_up(n, share, want):
 
 
 def test_generate_hits_foreign_target():
-    firms = generate(SynthParams(n_firms=500, foreign_share_target=0.088, seed=3))
+    firms = generate(SynthParams(n_firms=500, seed=3), 0.088)
     assert sum(foreign for _, foreign, _ in firms) == 44
 
 
 @pytest.mark.parametrize("share", [0.0, 0.088, 0.25, 0.5, 0.9, 1.0])
 def test_generate_lists_the_foreign_firms_first(share):
-    firms = generate(SynthParams(n_firms=500, foreign_share_target=share, seed=3))
+    firms = generate(SynthParams(n_firms=500, seed=3), share)
     k = foreign_count(500, share)
     assert [foreign for _, foreign, _ in firms] == [True] * k + [False] * (500 - k)
 
 
+@pytest.mark.parametrize("share", [-0.1, 1.2, math.nan])
+def test_generate_rejects_a_share_outside_0_1(share):
+    with pytest.raises(ValueError, match=r"share must lie in \[0, 1\]"):
+        generate(SynthParams(n_firms=10), share)
+
+
 def test_generate_returns_the_triples_tally_add_takes():
-    params = SynthParams(n_firms=50, foreign_share_target=0.3, seed=5)
-    firms = generate(params)
+    params = SynthParams(n_firms=50, seed=5)
+    firms = generate(params, 0.3)
     assert all(type(cell) is int and type(foreign) is bool and type(turnover) is float
                for cell, foreign, turnover in firms)
     tally = tally_of(firms, params.cell_shape)
@@ -62,16 +68,16 @@ def test_generate_returns_the_triples_tally_add_takes():
 
 def test_population_invariant_under_share():
     # only the ownership labels may change with the target share
-    base = SynthParams(n_firms=300, seed=9, foreign_share_target=0.1)
-    low = generate(base)
-    high = generate(base._replace(foreign_share_target=0.6))
+    base = SynthParams(n_firms=300, seed=9)
+    low = generate(base, 0.1)
+    high = generate(base, 0.6)
     assert [(cell, turnover) for cell, _, turnover in low] == [(cell, turnover) for cell, _, turnover in high]
 
 
 def test_foreign_sets_nested_across_shares():
     base = SynthParams(n_firms=300, seed=9)
-    low = generate(base._replace(foreign_share_target=0.2))
-    high = generate(base._replace(foreign_share_target=0.5))
+    low = generate(base, 0.2)
+    high = generate(base, 0.5)
     low_idx = {i for i, (_, foreign, _) in enumerate(low) if foreign}
     high_idx = {i for i, (_, foreign, _) in enumerate(high) if foreign}
     assert low_idx <= high_idx
@@ -79,14 +85,14 @@ def test_foreign_sets_nested_across_shares():
 
 def test_full_coupling_ties_labels_to_municipality():
     params = SynthParams(n_firms=500, coupling=1.0, n_size_classes=5, n_tech_groups=7, seed=13)
-    for cell, _, _ in generate(params):
+    for cell, _, _ in generate(params, 0.1):
         g, (o, t) = cell // (5 * 7), divmod(cell % (5 * 7), 7)
         assert (o, t) == (g % 5, g % 7)
 
 
 def test_zero_coupling_labels_vary_within_municipality():
     params = SynthParams(n_firms=2000, coupling=0.0, seed=13)
-    firms = generate(params)
+    firms = generate(params, 0.1)
     by_g: dict = {}
     for cell, _, _ in firms:
         by_g.setdefault(cell // (8 * 10), set()).add(cell // 10 % 8)
@@ -94,22 +100,22 @@ def test_zero_coupling_labels_vary_within_municipality():
 
 
 def test_turnover_uniform_law_bounds():
-    firms = generate(SynthParams(n_firms=1000, seed=21))
+    firms = generate(SynthParams(n_firms=1000, seed=21), 0.1)
     assert all(1e6 <= turnover < 1e9 for _, _, turnover in firms)
 
 
 def test_turnover_lognormal_law_positive():
     firms = generate(SynthParams(n_firms=1000, turnover_law="lognormal",
-                                 lognormal_mu=10.0, lognormal_sigma=2.0, seed=21))
+                                 lognormal_mu=10.0, lognormal_sigma=2.0, seed=21), 0.1)
     assert all(turnover > 0 for _, _, turnover in firms)
-    assert firms != generate(SynthParams(n_firms=1000, seed=21))
+    assert firms != generate(SynthParams(n_firms=1000, seed=21), 0.1)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"n_firms": 0},
     {"coupling": -0.1},
     {"coupling": 1.1},
-    {"foreign_share_target": 1.2},
+    {"lognormal_sigma": -1.0},
     {"turnover_law": "pareto"},
     {"n_tech_groups": 0},
     {"seed": -1},
@@ -122,7 +128,7 @@ def test_turnover_lognormal_law_positive():
     {"coupling": "0.5"},  # each wrong type a ValueError naming the field, not a TypeError
     {"lognormal_mu": "16"},
     {"lognormal_sigma": "1"},
-    {"foreign_share_target": None},
+    {"coupling": None},
     {"lognormal_mu": 10**400},  # an int past the float range is not finite, not an OverflowError
     {"lognormal_sigma": 10**400},
 ])
@@ -224,7 +230,7 @@ def test_coupling_controls_signal_against_measured_noise_band():
     def t_for(coupling, seed):
         params = SynthParams(n_firms=2000, n_municipalities=10, n_size_classes=6,
                              n_tech_groups=8, coupling=coupling, seed=seed)
-        return decompose(tally_of(generate(params), params.cell_shape).cube()).total
+        return decompose(tally_of(generate(params, 0.1), params.cell_shape).cube()).total
 
     band = max(abs(t_for(0.0, seed)) for seed in range(100))
     assert band > 0.0
@@ -265,7 +271,7 @@ def test_sweep_decomposition_consistency(case):
     params, shares = case
     curve = sweep_foreign_share(params, shares)
     for point in curve.points:
-        expected = report_of(generate(params._replace(foreign_share_target=point.share)), params.cell_shape)
+        expected = report_of(generate(params, point.share), params.cell_shape)
         assert repr(point.report) == repr(expected)
         assert repr(point.report.to_dict()) == repr(expected.to_dict())
 
@@ -289,28 +295,32 @@ def turnover_runs(draw):
 @settings(deadline=None)
 @given(turnover_runs())
 @example((np.array([1e308, 5e-324, 1.0, 1e-300, 7e307]), [1, 2, 3, 4, 5]))
-@example((np.array([1e308, 1e308]), [1, 2]))  # the sum overflows
+@example((np.array([1e308, 1e308]), [1, 2]))  # every run's sum is finite, and the total overflows
 @example((np.array([1.0, math.inf, 2.0]), [0]))  # only the firms no point turns foreign hold an inf
 @example((np.array([0.0, 0.0]), [1, 1, 2]))  # a point that turns no firm foreign
-def test_running_turnover_parts_reproduce_fsum_of_every_prefix_and_suffix(case):
-    # the sweep's running sums: each point's foreign parts and the total's, and its domestic parts
-    # as the total's less the foreign ones, each summed by fsum as _build_report sums them
+def test_chunk_turnover_parts_reproduce_fsum_of_every_prefix_and_suffix(case):
+    # the sweep's sums: each run of firms between consecutive foreign counts reduced once, and a
+    # point's foreign and domestic groups the parts of the runs before and after its count, each
+    # summed by fsum as _build_report sums them
+    def fsum(values):  # inf for fsum's "intermediate overflow"
+        try:
+            return math.fsum(values)
+        except OverflowError:
+            return math.inf
+
     values, ks = case
-    turnovers = memoryview(values)
-    try:
-        whole = math.fsum(turnovers)
-    except OverflowError:
-        whole = math.inf
-    if not math.isfinite(whole):
-        with pytest.raises(OverflowError, match="turnover sum is not finite"):
-            _turnover_parts(turnovers, ks)
-        return
-    foreign_parts, total = _turnover_parts(turnovers, ks)
-    assert math.fsum(total) == whole
-    assert len(foreign_parts) == len(ks)
-    for k, foreign in zip(ks, foreign_parts):
-        assert math.fsum(foreign) == math.fsum(turnovers[:k])
-        assert math.fsum([*total, *(-part for part in foreign)]) == math.fsum(turnovers[k:])
+    turnovers, n = memoryview(values), len(values)
+    chunks = [_exact_parts(turnovers[a:b]) for a, b in zip([0, *ks], [*ks, n])]
+    for j, k in enumerate(ks, 1):
+        foreign, domestic = fsum(turnovers[:k]), fsum(turnovers[k:])
+        assert fsum(chain(*chunks[:j])) == foreign
+        assert fsum(chain(*chunks[j:])) == domestic
+        if math.isfinite(foreign + domestic):
+            report = _build_report(SynergyDecomposition(()), chain(*chunks[j:]), chain(*chunks[:j]), n, k)
+            assert (report.turnover_domestic, report.turnover_foreign) == (domestic, foreign)
+        else:
+            with pytest.raises(OverflowError, match="turnover sum is not finite"):
+                _build_report(SynergyDecomposition(()), chain(*chunks[j:]), chain(*chunks[:j]), n, k)
 
 
 def test_params_accept_numpy_integers():
@@ -318,7 +328,7 @@ def test_params_accept_numpy_integers():
                          n_tech_groups=np.int64(10**12), seed=np.uint8(4))
     assert params == SynthParams(50, 10**12, 3, 10**12, seed=4)
     assert [type(params[i]) for i in (0, 1, 2, 3, -1)] == [int] * 5  # no int64 overflow in the cell radices
-    assert all(0 <= cell < 10**12 * 3 * 10**12 for cell, _, _ in generate(params))
+    assert all(0 <= cell < 10**12 * 3 * 10**12 for cell, _, _ in generate(params, 0.1))
 
 
 def test_sweep_peak_memory_per_firm():
