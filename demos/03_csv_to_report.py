@@ -2,7 +2,9 @@
 
 Mirrors what `thsynergy compute` does, step by step on one scan, one tally:
 the scan checks and classifies every row and hands each accepted firm to the
-tally, the report decomposes the tally's cube and sums its turnovers, and the
+tally, which counts its cell and folds its turnover into a few floats whose
+exact sum is that of the group's turnovers, so the tally holds nothing per
+firm. The report decomposes the tally's cube and sums those floats, and the
 domestic-vs-foreign chi-square over technology groups comes from the same
 cube.
 """

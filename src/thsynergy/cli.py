@@ -78,9 +78,12 @@ def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: di
     its temporary file.
     """
     import json
-    from datetime import datetime, timezone
+    import time
 
-    payload = manifest.to_dict(timestamp=datetime.now(timezone.utc).isoformat())
+    # the text of datetime.now(timezone.utc).isoformat(), which floors to the microsecond, without datetime
+    seconds, micro = divmod(time.time_ns() // 1000, 10**6)
+    stamp = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(seconds)[:6] + (f".{micro:06d}" if micro else "")
+    payload = manifest.to_dict(timestamp=stamp + "+00:00")
     if extra:
         payload.update(extra)
     writes = ((output_path + ".manifest.json", json.dumps(payload, indent=2) + "\n"), (output_path, text))

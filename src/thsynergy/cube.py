@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import groupby, repeat
-from operator import add, floordiv, mod, mul
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, groupby, repeat
+from operator import add, floordiv, mod, mul, neg
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DIMS = ("G", "O", "T")  # geography, organization (size), technology
+_FLUSH = 1024  # the floats a Tally group holds before add reduces them to their exact parts
 
 
 class EmptyDataset(ValueError):
@@ -44,15 +45,16 @@ class ContingencyCube(NamedTuple):
 
 
 class Tally:
-    """Split cell counts and turnovers, built one firm at a time.
+    """Split cell counts and turnover sums, built one firm at a time.
 
     A firm is the triple add() takes: its int cell, coded over the tally's
     shape (None, n_o, n_t), its ownership flag (True for foreign) and its
-    turnover. ingest.validate_firm_csv passes each accepted row's triple to
-    add, coded over ClassificationConfig.cell_shape, and synthlab.generate
-    returns them, coded over SynthParams.cell_shape. turnovers holds the
-    domestic and the foreign turnovers, indexed by the flag;
-    decomp.cube_report(tally) sums them beside the cube's counts. The cube
+    turnover, which must not be negative (ValueError). ingest.validate_firm_csv
+    adds each accepted row, coded over ClassificationConfig.cell_shape, and
+    synthlab.generate returns firms coded over SynthParams.cell_shape. parts
+    holds per flag the _exact_parts of the turnovers reduced so far, then those
+    added since, and is reduced again past _FLUSH floats, so it holds nothing per
+    firm; decomp.cube_report(tally) sums them beside the cube's counts. The cube
     shares the tally's count maps: take it after the last add.
     """
 
@@ -60,12 +62,16 @@ class Tally:
         self.shape = tuple(shape)
         self.domestic: dict[int, int] = {}
         self.foreign: dict[int, int] = {}
-        self.turnovers = (array("d"), array("d"))
-        self._groups = ((self.domestic, self.turnovers[0].append), (self.foreign, self.turnovers[1].append))
+        self.parts = (array("d"), array("d"))
+        self._groups = ((self.domestic, self.parts[0]), (self.foreign, self.parts[1]))
 
     def add(self, cell: int, foreign: bool, turnover: float) -> None:
-        counts, append = self._groups[foreign]
-        append(turnover)
+        if turnover < 0:  # with one, -inf above all, a sum's verdict could depend on where batches end
+            raise ValueError("turnover must be non-negative")
+        counts, parts = self._groups[foreign]
+        parts.append(turnover)
+        if len(parts) > _FLUSH:
+            parts[:] = array("d", _exact_parts(parts.tolist()))  # fsum reads a list faster
         counts[cell] = counts.get(cell, 0) + 1
 
     def cube(self) -> ContingencyCube:
@@ -144,3 +150,18 @@ def split_marginals(cube: ContingencyCube) -> Iterator[ContingencyCube]:
         for dim in singles:
             yield marginalize(parent, dim)
         del parent
+
+
+def _exact_parts(turnovers: Sequence[float]) -> list[float]:
+    """A few floats whose exact sum is that of the turnovers, so that math.fsum of them, alone or with
+    other parts, is math.fsum of the turnovers they stand for: r1 = fsum(turnovers),
+    r2 = fsum(turnovers + [-r1]) and so on, up to the first residual that is 0.0, or a sum that is not
+    finite (inf for fsum's "intermediate overflow"), which ends the parts so that decomp._build_report raises.
+    Reads the turnovers once a part and once more."""
+    parts: list[float] = []
+    try:
+        while (part := math.fsum(chain(turnovers, map(neg, parts)))) and math.isfinite(part):
+            parts.append(part)
+    except OverflowError:  # fsum's "intermediate overflow"
+        part = math.inf
+    return [*parts, part] if part else parts

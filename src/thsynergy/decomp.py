@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from itertools import chain, filterfalse, repeat
-from operator import add, neg
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import add
+from typing import Iterable, Mapping, NamedTuple
 
 from .cube import ContingencyCube, EmptyDataset, Tally, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _check_counts, _plugin_entropy, ternary_information, ZeroTotal
@@ -235,14 +235,14 @@ def cube_report(tally: Tally) -> RegionReport:
     turnover sum is not finite. The foreign share of an all-foreign
     population is exactly 1.0.
     """
-    domestic, foreign = tally.turnovers
-    return _build_report(decompose(tally.cube()), domestic, foreign, len(domestic) + len(foreign), len(foreign))
+    cube = tally.cube()
+    return _build_report(decompose(cube), *tally.parts, cube.total, sum(cube.foreign.values()))
 
 
 def _build_report(dec: SynergyDecomposition, domestic: Iterable[float], foreign: Iterable[float],
                   firm_count: int, foreign_count: int) -> RegionReport:
     """Region summary from a decomposition, each ownership group's turnovers, or floats whose exact
-    sum is theirs (_exact_parts), and the firm counts: the one place a group's reported sum is
+    sum is theirs (cube._exact_parts), and the firm counts: the one place a group's reported sum is
     taken, with math.fsum, whose correctly rounded sum depends only on the exact one."""
     try:
         report = RegionReport(dec, math.fsum(domestic), math.fsum(foreign), firm_count, foreign_count)
@@ -251,18 +251,3 @@ def _build_report(dec: SynergyDecomposition, domestic: Iterable[float], foreign:
     except OverflowError:  # fsum's "intermediate overflow"
         pass
     raise OverflowError("turnover sum is not finite")  # the one check, for every route to a report
-
-
-def _exact_parts(turnovers: Sequence[float]) -> list[float]:
-    """A few floats whose exact sum is that of the turnovers, so that math.fsum of them, alone or with
-    other parts, is math.fsum of the turnovers they stand for: r1 = fsum(turnovers),
-    r2 = fsum(turnovers + [-r1]) and so on, up to the first residual that is 0.0, or a sum that is not
-    finite (inf for fsum's "intermediate overflow"), which ends the parts so that _build_report raises.
-    Reads the turnovers once a part and once more."""
-    parts: list[float] = []
-    try:
-        while (part := math.fsum(chain(turnovers, map(neg, parts)))) and math.isfinite(part):
-            parts.append(part)
-    except OverflowError:  # fsum's "intermediate overflow"
-        part = math.inf
-    return [*parts, part] if part else parts

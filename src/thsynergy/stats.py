@@ -20,6 +20,31 @@ class DegenerateTable(ValueError):
 
 _EPS = 1e-15
 _FPMIN = 1e-300
+_SADDLE_MIN_A = 100.0  # from here on, _scale goes through Loader's saddle-point form
+
+
+def _bd0(a: float, x: float) -> float:
+    """a log(a / x) + x - a, summed as a series where x is near a, which the direct form cancels away."""
+    if abs(a - x) >= 0.1 * (a + x):
+        return a * math.log(a / x) + x - a
+    v = (a - x) / (a + x)
+    total, term, v2 = (a - x) * v, 2.0 * a * v, v * v
+    for j in range(3, 41, 2):  # |v| < 0.1, so each term is under 1% of the last
+        term *= v2
+        total, last = total + term / j, total
+        if total == last:
+            break
+    return total
+
+
+def _scale(a: float, x: float) -> float:
+    """x**a exp(-x) / gamma(a), the factor of both routes. Past _SADDLE_MIN_A it is Loader's (2000)
+    exp(-bd0(a, x) + log(a) / 2 - log(2 pi) / 2 - stirlerr(a)), stirlerr(a) being the error of
+    Stirling's log(gamma(a + 1)), as a series: this keeps the terms of size a log(a) from cancelling."""
+    if a < _SADDLE_MIN_A:
+        return math.exp(-x + a * math.log(x) - math.lgamma(a))
+    stirlerr = (1 / 12 - (1 / 360 - 1 / 1260 / (a * a)) / (a * a)) / a  # the next term is under 6e-18
+    return math.exp(-_bd0(a, x) + 0.5 * math.log(a / (2 * math.pi)) - stirlerr)
 
 
 def _max_steps(a: float) -> int:  # more than either loop needs: about 8.3 sqrt(a) at most, 82 for a small a
@@ -36,7 +61,7 @@ def _gamma_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total * _scale(a, x)
     raise ArithmeticError(f"incomplete gamma series does not converge at a={a!r}, x={x!r}")
 
 def _gamma_cfrac(a: float, x: float) -> float:
@@ -58,7 +83,7 @@ def _gamma_cfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+            return _scale(a, x) * h
     raise ArithmeticError(f"incomplete gamma fraction does not converge at a={a!r}, x={x!r}")
 
 

@@ -15,8 +15,8 @@ import operator
 from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
-from .cube import DIMS, _kept_digits
-from .decomp import RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report, _exact_parts
+from .cube import DIMS, _exact_parts, _kept_digits
+from .decomp import RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report
 from .infotheory import SUBSETS, _multiplicity_entropy
 from .ingest import _Validated
 
@@ -163,7 +163,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     shares must be strictly increasing within [0, 1]. The population is drawn once, in labeling
     order, and each occupied GOT cell read into the smaller subsets by cube._kept_digits. The
     turnovers between consecutive foreign counts are reduced once, to a few floats whose exact sum
-    is theirs (decomp._exact_parts). A point at k foreign firms counts firms k_prev..k-1 into the
+    is theirs (cube._exact_parts). A point at k foreign firms counts firms k_prev..k-1 into the
     last point's foreign cell counts, and its foreign and domestic groups are the parts of the runs
     before and after k. Each entropy reads a subset's counts by how many cells hold each count.
     OverflowError, at the first point, when the turnover sum is not finite.

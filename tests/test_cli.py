@@ -91,6 +91,27 @@ def test_compute_report_file_and_sidecar(tmp_path):
     assert sidecar["config_hash"] == document["manifest"]["config_hash"]
 
 
+@pytest.mark.parametrize("ns", [
+    0,
+    1_700_000_000 * 10**9,  # whole seconds: no fraction, as isoformat() drops a zero microsecond
+    1_700_000_000 * 10**9 + 999,  # under a microsecond, floored away as datetime.now floors it
+    1_700_000_000 * 10**9 + 1_000,
+    1_709_251_199 * 10**9 + 999_999_999,  # the last microsecond of 2024-02-29
+    4_102_444_800 * 10**9 + 123_456_789,  # 2100-01-01
+], ids=["epoch", "whole", "sub-microsecond", "one-microsecond", "leap-day", "year-2100"])
+def test_sidecar_timestamp_is_the_text_datetime_gives(tmp_path, monkeypatch, ns):
+    from datetime import datetime, timezone
+
+    from thsynergy.cli import _write_outputs
+
+    monkeypatch.setattr("time.time_ns", lambda: ns)
+    _write_outputs(str(tmp_path / "out.json"), "{}\n", RunManifest("compute", (), "0" * 16, "0"))
+    stamp = json.loads((tmp_path / "out.json.manifest.json").read_text(encoding="utf-8"))["timestamp"]
+    seconds, micro = divmod(ns // 1000, 10**6)
+    assert stamp == datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=micro).isoformat()
+    assert datetime.fromisoformat(stamp).utcoffset().total_seconds() == 0
+
+
 @pytest.mark.parametrize("settings", [
     {},
     {"foreign_cutoff": 0.1, "size_bin_edges": [0, 10, 50, 250]},
@@ -534,7 +555,7 @@ WATCHED = ("_hashlib", "dataclasses", "datetime", "hashlib", "inspect", "json")
     (["validate", str(DEMO_CSV)], ["cli", "ingest"], []),
     (["chisq", "10,20;20,10"], ["cli", "ingest", "stats"], []),
     (["compute", str(DEMO_CSV), "--output", "report.json"],
-     ["cli", "cube", "decomp", "infotheory", "ingest", "stats"], ["datetime", "json"]),
+     ["cli", "cube", "decomp", "infotheory", "ingest", "stats"], ["json"]),
     (["sweep", "--shares", "0,1", "--output", "curve.csv"],  # numpy loads inspect; numpy.random secrets, hmac, _hashlib
      ["cli", "cube", "decomp", "infotheory", "ingest", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
 ], ids=["import", "version", "validate", "chisq", "compute", "sweep"])

@@ -1,17 +1,23 @@
 import json
 import math
+import tracemalloc
+from array import array
+from unittest import mock
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 import oracles
-from conftest import cell_code, coded_cube, cube_from_tensors, report_of
+from conftest import cell_code, coded_cube, cube_from_tensors, report_of, tally_of
 import thsynergy.cube
-from thsynergy.cube import EmptyDataset, marginalize
+from thsynergy.cube import EmptyDataset, Tally, marginalize
 from thsynergy.decomp import (
     RegionReport,
     SplitEntropyTerm,
     SynergyDecomposition,
+    _build_report,
+    cube_report,
     decompose,
     efficiency_ratio,
     split_entropy,
@@ -358,6 +364,114 @@ def test_region_report_infinite_turnover_raises():
     # the scan refuses an infinite turnover, but a Tally fed by hand takes it
     with pytest.raises(OverflowError, match="turnover sum is not finite"):
         report_of([firm(0, 0, 0, False, math.inf), firm(1, 0, 0, True, 1.0)], SHAPE)
+
+
+# --- a tally's turnover sums, streamed as exact parts ---------------------------
+
+DEFAULT_FLUSH = thsynergy.cube._FLUSH
+
+
+@pytest.mark.parametrize("flush", [1, 7, DEFAULT_FLUSH])
+@pytest.mark.parametrize("turnovers", [
+    [1.0, math.inf, 2.0, 3.0],  # an inf turnover, which only a Tally fed by hand takes
+    [1.0, 1e308, 1e308, 2.0, 3.0],  # finite turnovers whose sum overflows
+], ids=["inf-turnover", "finite-overflowing-sum"])
+def test_tally_turnover_sum_not_finite_raises(flush, turnovers):
+    with mock.patch.object(thsynergy.cube, "_FLUSH", flush):
+        tally = tally_of([firm(0, 0, i % 2, False, t) for i, t in enumerate(turnovers)] + [firm(1, 1, 1, True, 5.0)],
+                         SHAPE)
+    with pytest.raises(OverflowError, match="^turnover sum is not finite$"):
+        cube_report(tally)
+
+
+def test_tally_flush_that_meets_an_inf_part_keeps_it():
+    # with _FLUSH 1 every add past the first reduces the group: the overflowing pair leaves the part
+    # inf, and each later flush reads that part with the new turnover and leaves it inf
+    with mock.patch.object(thsynergy.cube, "_FLUSH", 1):
+        tally = Tally(SHAPE)
+        tally.add(*firm(0, 0, 0, True, 1e308))
+        tally.add(*firm(0, 0, 0, True, 1e308))
+        assert tally.parts[1] == array("d", [math.inf])
+        for turnover in (1.0, 0.0, 1e308):
+            tally.add(*firm(1, 0, 0, True, turnover))
+            assert tally.parts[1] == array("d", [math.inf])
+        tally.add(*firm(1, 1, 1, False, 3.0))
+    with pytest.raises(OverflowError, match="^turnover sum is not finite$"):
+        cube_report(tally)
+
+
+@pytest.mark.parametrize("turnover", [-1.0, -5e-324, -math.inf])
+def test_tally_rejects_a_negative_turnover(turnover):
+    tally = Tally(SHAPE)
+    with pytest.raises(ValueError, match="^turnover must be non-negative$"):
+        tally.add(*firm(0, 0, 0, False, turnover))
+    assert not tally.domestic and not tally.parts[0]  # nothing of the firm is kept
+
+
+def test_tally_takes_negative_zero_and_nan_as_the_scan_and_fsum_do():
+    # -0.0 passes the scan's range check and sums to 0.0; a nan reaches only a hand-fed Tally
+    assert report_of([firm(0, 0, 0, False, -0.0), firm(1, 1, 1, True, 1.0)], SHAPE).turnover_domestic == 0.0
+    with pytest.raises(OverflowError, match="^turnover sum is not finite$"):
+        report_of([firm(0, 0, 0, False, math.nan), firm(1, 1, 1, True, 1.0)], SHAPE)
+
+
+@st.composite
+def streamed_firms(draw):
+    """The _FLUSH to stream with (1, 7 or the default) and firm triples whose turnovers are
+    lognormal magnitudes over many decades, tiled at random with zeros and subnormals, and
+    sometimes one or two values near 1e308, so that a sum may overflow or just not."""
+    flush = draw(st.sampled_from([1, 7, DEFAULT_FLUSH]))
+    n = draw(st.integers(1, {1: 200, 7: 600}.get(flush, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    turnovers = rng.lognormal(draw(st.floats(-700.0, 700.0)), draw(st.sampled_from([0.0, 1.0, 30.0])), n)
+    small = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308)), max_size=3))
+    if small:
+        at = rng.random(n) < draw(st.floats(0.0, 1.0))
+        turnovers[at] = rng.choice(small, int(at.sum()))
+    for value in draw(st.lists(st.floats(1e307, 1.7976931348623157e308), max_size=2)):
+        turnovers[draw(st.integers(0, n - 1))] = value
+    foreign = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return flush, [firm(i % 2, i % 3 % 2, 0, f, t) for i, (f, t) in enumerate(zip(foreign.tolist(), turnovers.tolist()))]
+
+
+@settings(deadline=None)
+@given(streamed_firms())
+@example((1, [firm(0, 0, 0, False, 1e308), firm(1, 0, 0, False, 5e-324), firm(1, 1, 0, False, 1.0),
+              firm(0, 1, 0, True, 7e307)]))
+@example((7, [firm(0, 0, 0, False, t) for t in [1e16, 1.0, -0.0, 1e-16, 1e300, 1e-300] * 3]))
+def test_streamed_turnover_sums_equal_one_fsum(case):
+    # a Tally holds each group as exact parts and at most _FLUSH more turnovers; its report is the one
+    # built from each group's whole list of turnovers by one fsum, bit for bit, or the same refusal
+    flush, firms = case
+    with mock.patch.object(thsynergy.cube, "_FLUSH", flush):
+        tally = tally_of(firms, SHAPE)
+    assert all(len(parts) <= max(flush, 40) for parts in tally.parts)  # a finite sum needs 40 parts at most
+    cube = tally.cube()
+    groups = ([t for _, f, t in firms if f == flag] for flag in (False, True))
+    try:
+        expected = _build_report(decompose(cube), *groups, len(firms), sum(f for _, f, _ in firms))
+    except OverflowError:
+        with pytest.raises(OverflowError, match="^turnover sum is not finite$"):
+            cube_report(tally)
+    else:
+        assert repr(cube_report(tally)) == repr(expected)  # repr tells every float apart, -0.0 from 0.0
+
+
+def test_tally_memory_does_not_grow_with_the_firm_count():
+    # the same 40 cells fed 20k and 200k firms: only the count maps' values and the unreduced tail
+    # of each group differ, so the peak of what the tally allocates differs by a few KB at most
+    def peak(n: int) -> int:
+        tally = Tally(SHAPE)
+        tracemalloc.start()
+        try:
+            for i in range(n):
+                tally.add(i % 40, i % 3 == 0, 1e6 + i * 0.5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(200_000)
+    assert abs(large - small) < 4096, (small, large)
 
 
 def test_region_report_undefined_synergy_share():

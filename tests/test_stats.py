@@ -121,11 +121,31 @@ def test_survival_rejects_bad_input():
             regularized_gamma_q(a, x)
 
 
-@pytest.mark.parametrize("stat, dof", [(1e5, 10**5), (1e6, 10**6), (1e6 + 2.0, 10**6)],
-                         ids=["series-1e5", "series-1e6", "fraction-1e6"])
+@pytest.mark.parametrize("stat, dof", [(1e5, 10**5), (1e6, 10**6), (1e6 + 2.0, 10**6), (1e7, 10**7), (1e7 + 2.0, 10**7),
+                                       (997_000.0, 10**6), (2.5e5, 2 * 10**5), (201.0, 200), (300.0, 200)],
+                         ids=["series-1e5", "series-1e6", "fraction-1e6", "series-1e7", "fraction-1e7",
+                              "series-below-1e6", "fraction-tail-2e5", "series-200", "fraction-200"])
 def test_survival_converges_for_a_large_dof(stat, dof):
-    # each route runs past 400 steps here: the series about 8 sqrt(dof / 2), the fraction fewer
-    assert chi_square_survival(stat, dof) == pytest.approx(oracles.survival_mpmath(stat, dof), abs=1e-9)
+    # each route runs past 400 steps from dof 10**5: the series about 8 sqrt(dof / 2), the fraction
+    # fewer; from dof 200 the scale x**a exp(-x) / gamma(a) goes through Loader's saddle-point form,
+    # whose terms do not cancel: the direct exponent was off by 1.3e-10 at dof 10**6
+    assert chi_square_survival(stat, dof) == pytest.approx(oracles.survival_mpmath(stat, dof), rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("a", [0.5, 4.5, 37.0, 99.5])
+def test_scale_below_the_saddle_point_threshold_is_the_direct_expression(a):
+    # dof 9 and every other dof under 200 keep their p-values bit for bit
+    for x in (0.01, a / 2, a, a + 1.0, 3 * a + 5):
+        assert stats._scale(a, x) == math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def test_bd0_matches_mpmath_near_and_away_from_the_saddle_point():
+    import mpmath
+
+    for a, x in ((1e6, 1e6 + 1.0), (1e6, 9.9e5), (150.0, 120.0), (150.0, 200.0), (1e7, 1e7 - 3e3)):
+        with mpmath.workdps(50):
+            exact = float(a * mpmath.log(mpmath.mpf(a) / x) + x - a)
+        assert stats._bd0(a, x) == pytest.approx(exact, rel=1e-13, abs=1e-300)
 
 
 def test_survival_of_an_infinite_statistic_is_zero():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import report_of, tally_of
-from thsynergy.decomp import SynergyDecomposition, _build_report, _exact_parts, decompose
+from thsynergy.cube import _exact_parts
+from thsynergy.decomp import SynergyDecomposition, _build_report, decompose
 from thsynergy.synthlab import SynthParams, SweepCurve, SweepPoint, foreign_count, generate, sweep_foreign_share
 
 
@@ -63,7 +64,7 @@ def test_generate_returns_the_triples_tally_add_takes():
                for cell, foreign, turnover in firms)
     tally = tally_of(firms, params.cell_shape)
     assert tally.cube().total == 50
-    assert [len(turnovers) for turnovers in tally.turnovers] == [35, 15]
+    assert [sum(counts.values()) for counts in (tally.domestic, tally.foreign)] == [35, 15]
 
 
 def test_population_invariant_under_share():
