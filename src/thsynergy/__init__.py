@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _HOMES = {
     **dict.fromkeys(("ContingencyCube", "EmptyDataset", "Tally", "marginalize"), "cube"),
     **dict.fromkeys(("RegionReport", "SplitEntropyTerm", "SynergyDecomposition", "cube_report", "decompose",
-                     "efficiency_ratio", "split_entropy", "subgroup_synergy", "synergy_share"), "decomp"),
+                     "split_entropy", "subgroup_synergy"), "decomp"),
     **dict.fromkeys(("EntropyProfile", "ZeroTotal", "shannon_entropy", "ternary_information"), "infotheory"),
     **dict.fromkeys(("ClassificationConfig", "MalformedRow", "MissingColumn", "UnmappedNace", "validate_firm_csv"),
                     "ingest"),

@@ -168,15 +168,12 @@ def cmd_compute(args) -> int:
     manifest = RunManifest(
         command="compute",
         inputs=(args.input,),
-        # both classification settings; the fixed NACE map, keyed by text as JSON keys it, and the
-        # fixed log base stay in the hash, so that hashes match those of earlier versions
-        config_hash=config_digest({**config._asdict(), "nace_map": {str(k): v for k, v in default_nace_map().items()},
-                                   "log_base": "2"}),
+        # both classification settings and the fixed NACE map, keyed by text as JSON keys it
+        config_hash=config_digest({**config._asdict(), "nace_map": {str(k): v for k, v in default_nace_map().items()}}),
         version=__version__,
     )
     document = {
-        "schema_version": 1,
-        "log_base": "2",  # information is always in bits; the key stays for schema-1 readers
+        "schema_version": 2,
         "report": report.to_dict(),
         "entropy": report.synergy.profile()._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,

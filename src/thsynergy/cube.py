@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import chain, groupby, repeat
-from operator import add, floordiv, mod, mul, neg
+from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DIMS = ("G", "O", "T")  # geography, organization (size), technology
@@ -152,16 +152,30 @@ def split_marginals(cube: ContingencyCube) -> Iterator[ContingencyCube]:
         del parent
 
 
+def _fsum(*runs: Iterable[float]) -> float:
+    """math.fsum of the runs' values. Near the float maximum fsum raises its "intermediate overflow" in
+    some orders of the same values and not in others; there the values are read again, summed exactly
+    as multiples of 2**-1074 and rounded once by int division, which raises OverflowError exactly when
+    that is past the float range, or for an inf or nan. So a finite result is the correctly rounded
+    sum, and whether there is one, rather than an OverflowError, inf or nan, does not depend on order."""
+    try:
+        return math.fsum(chain(*runs))
+    except OverflowError:
+        if not all(map(math.isfinite, chain(*runs))):
+            raise
+        return sum(p * ((1 << 1074) // q) for p, q in (v.as_integer_ratio() for v in chain(*runs))) / (1 << 1074)
+
+
 def _exact_parts(turnovers: Sequence[float]) -> list[float]:
-    """A few floats whose exact sum is that of the turnovers, so that math.fsum of them, alone or with
-    other parts, is math.fsum of the turnovers they stand for: r1 = fsum(turnovers),
-    r2 = fsum(turnovers + [-r1]) and so on, up to the first residual that is 0.0, or a sum that is not
-    finite (inf for fsum's "intermediate overflow"), which ends the parts so that decomp._build_report raises.
-    Reads the turnovers once a part and once more."""
+    """A few floats whose exact sum is that of the turnovers, so that _fsum of them, alone or with
+    other parts, is _fsum of the turnovers they stand for: r1 = _fsum(turnovers),
+    r2 = _fsum(turnovers + [-r1]) and so on, up to the first residual that is 0.0, or a sum that is not
+    finite (inf for an OverflowError), which ends the parts so that decomp._build_report raises.
+    Reads the turnovers once a part and once more, and again where fsum overflows."""
     parts: list[float] = []
     try:
-        while (part := math.fsum(chain(turnovers, map(neg, parts)))) and math.isfinite(part):
+        while (part := _fsum(turnovers, [-p for p in parts])) and math.isfinite(part):
             parts.append(part)
-    except OverflowError:  # fsum's "intermediate overflow"
+    except OverflowError:
         part = math.inf
     return [*parts, part] if part else parts

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from itertools import chain, filterfalse, repeat
 from operator import add
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
-from .cube import ContingencyCube, EmptyDataset, Tally, split_marginals
+from .cube import ContingencyCube, EmptyDataset, Tally, _fsum, split_marginals
 from .infotheory import SUBSETS, EntropyProfile, _check_counts, _plugin_entropy, ternary_information, ZeroTotal
 
 
@@ -144,20 +144,6 @@ def _ratio(numerator: float, denominator: float) -> float | None:
     return quotient if math.isfinite(quotient) else None
 
 
-def synergy_share(total: float, foreign: float) -> float | None:
-    """Foreign fraction of the signed measure; None when total is zero or the quotient overflows."""
-    return _ratio(foreign, total)
-
-
-def efficiency_ratio(turnover_share: float, syn_share: float | None) -> float | None:
-    """Turnover share per unit of synergy share; None when undefined.
-
-    Undefined when the synergy share itself is undefined or zero. None is
-    used deliberately instead of NaN so serialization stays explicit.
-    """
-    return None if syn_share is None else _ratio(turnover_share, syn_share)
-
-
 # --- region-level report ----------------------------------------------------
 
 class RegionReport(NamedTuple):
@@ -195,17 +181,17 @@ class RegionReport(NamedTuple):
 
     @property
     def foreign_synergy_share(self) -> float | None:
-        return synergy_share(self.synergy.total, self.synergy.foreign)
+        return _ratio(self.synergy.foreign, self.synergy.total)
 
     @property
     def efficiency(self) -> float | None:
-        return efficiency_ratio(self.foreign_turnover_share, self.foreign_synergy_share)
+        share = self.foreign_synergy_share  # undefined when the synergy share is undefined or zero
+        return None if share is None else _ratio(self.foreign_turnover_share, share)
 
     def to_dict(self) -> dict:
         """Documented JSON shape, units annotated."""
-        # every pinned compute digest covers the information text, so its wording stays
         return {
-            "units": {"information": "bits unless another log base was set", "turnover": "input currency (NOK)"},
+            "units": {"information": "bits", "turnover": "input currency (NOK)"},
             "firms": {"count": self.firm_count, "foreign": self.foreign_count},
             "synergy": {
                 "total": self.synergy.total,
@@ -239,15 +225,15 @@ def cube_report(tally: Tally) -> RegionReport:
     return _build_report(decompose(cube), *tally.parts, cube.total, sum(cube.foreign.values()))
 
 
-def _build_report(dec: SynergyDecomposition, domestic: Iterable[float], foreign: Iterable[float],
+def _build_report(dec: SynergyDecomposition, domestic: Sequence[float], foreign: Sequence[float],
                   firm_count: int, foreign_count: int) -> RegionReport:
     """Region summary from a decomposition, each ownership group's turnovers, or floats whose exact
     sum is theirs (cube._exact_parts), and the firm counts: the one place a group's reported sum is
-    taken, with math.fsum, whose correctly rounded sum depends only on the exact one."""
+    taken, with cube._fsum, whose correctly rounded sum, or refusal, depends only on the exact one."""
     try:
-        report = RegionReport(dec, math.fsum(domestic), math.fsum(foreign), firm_count, foreign_count)
+        report = RegionReport(dec, _fsum(domestic), _fsum(foreign), firm_count, foreign_count)
         if math.isfinite(report.turnover_total):  # not for an inf turnover or part, or two sums that overflow together
             return report
-    except OverflowError:  # fsum's "intermediate overflow"
+    except OverflowError:  # a sum past the float range
         pass
     raise OverflowError("turnover sum is not finite")  # the one check, for every route to a report

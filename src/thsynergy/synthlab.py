@@ -202,7 +202,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
         foreign_cells += np.bincount(cell[k_prev:k], minlength=len(foreign_cells))
         foreign_counts = (sums(cell_of, foreign_cells) for cell_of, _, _ in subsets)
         terms = (SplitEntropyTerm(entropy(c - f), entropy(f), h) for (_, c, h), f in zip(subsets, foreign_counts))
-        report = _build_report(SynergyDecomposition(tuple(terms)), chain(*chunks[j:]), chain(*chunks[:j]), n, k)
+        report = _build_report(SynergyDecomposition(tuple(terms)), [*chain(*chunks[j:])], [*chain(*chunks[:j])], n, k)
         points.append(SweepPoint(float(share), report))
     return SweepCurve(tuple(points))
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import random
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -29,6 +33,27 @@ def tally_of(firms: Iterable[tuple], shape: tuple) -> Tally:
 def report_of(firms: Iterable[tuple], shape: tuple) -> RegionReport:
     """The region report of firm triples, through their tally."""
     return cube_report(tally_of(firms, shape))
+
+
+def exact_sum(values: Iterable[float]) -> float:
+    """The exact sum of the values rounded once to a float; inf when that is past the float range or
+    a value is inf: the one sum of the values, whatever their order. Each distinct value is read as a
+    Fraction once, times its count."""
+    try:
+        return float(sum(Fraction(value) * count for value, count in Counter(values).items()))
+    except OverflowError:
+        return math.inf
+
+
+def near_max_lists(seed: int, count: int):
+    """count pairs (rng, values) of a seeded random.Random and 10 to 12 non-negative floats whose sum
+    is within about one ulp at the float maximum (2e292) of it, so that the sum rounds to a float or
+    past the range, and math.fsum raises its "intermediate overflow" in some orders and not others."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        weights = [rng.random() for _ in range(rng.randint(10, 12))]
+        total = sum(weights)
+        yield rng, [w / total * sys.float_info.max for w in weights]
 
 
 def cell_code(coordinates: tuple[int, int, int], shape: tuple) -> int:

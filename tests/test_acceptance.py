@@ -12,7 +12,7 @@ import pytest
 import oracles
 from conftest import cube_from_tensors
 from thsynergy.cube import marginalize
-from thsynergy.decomp import decompose, efficiency_ratio, split_entropy, synergy_share
+from thsynergy.decomp import _ratio, decompose, split_entropy
 from thsynergy.infotheory import ternary_information
 from thsynergy.ingest import ClassificationConfig
 from thsynergy.stats import chi_square_homogeneity, chi_square_survival
@@ -141,19 +141,19 @@ def test_criterion_4_reference_aggregates():
     eff_tol = 0.01     # figures quoted to two decimals
 
     st = REFERENCE_AGGREGATES["sor-trondelag"]
-    st_share = synergy_share(st["total_synergy"], st["variants"]["table"]["foreign_synergy"])
+    st_share = _ratio(st["variants"]["table"]["foreign_synergy"], st["total_synergy"])
     assert st_share == pytest.approx(st["reference_synergy_share"], abs=share_tol)
 
     mr = REFERENCE_AGGREGATES["more-og-romsdal"]
-    mr_share = synergy_share(mr["total_synergy"], mr["variants"]["table"]["foreign_synergy"])
+    mr_share = _ratio(mr["variants"]["table"]["foreign_synergy"], mr["total_synergy"])
     assert mr_share == pytest.approx(mr["reference_synergy_share"], abs=share_tol)
 
     # both reference efficiency figures fall out of the same arithmetic,
     # one per foreign-synergy variant
     for county in REFERENCE_AGGREGATES.values():
         for variant in county["variants"].values():
-            share = synergy_share(county["total_synergy"], variant["foreign_synergy"])
-            eff = efficiency_ratio(county["foreign_turnover_share"], share)
+            share = _ratio(variant["foreign_synergy"], county["total_synergy"])
+            eff = _ratio(county["foreign_turnover_share"], share)
             assert eff == pytest.approx(variant["implied_efficiency"], abs=eff_tol)
 
     _ok(4, "reference synergy shares 13.2% and 57.1%, efficiencies 0.68/0.42/0.25")

@@ -70,7 +70,7 @@ def test_compute_stdout_report(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS)
     assert main(["compute", path]) == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["schema_version"] == 1
+    assert document["schema_version"] == 2
     assert document["report"]["firms"] == {"count": 5, "foreign": 2}
     assert set(document["entropy"]) == {"h_g", "h_o", "h_t", "h_go", "h_gt", "h_ot", "h_got"}
     assert document["manifest"]["command"] == "compute"
@@ -84,7 +84,7 @@ def test_compute_report_file_and_sidecar(tmp_path):
     out = tmp_path / "report.json"
     assert main(["compute", path, "--output", str(out)]) == 0
     document = json.loads(out.read_text(encoding="utf-8"))
-    assert document["schema_version"] == 1
+    assert document["schema_version"] == 2
     sidecar = json.loads((tmp_path / "report.json.manifest.json").read_text(encoding="utf-8"))
     assert sidecar["command"] == "compute"
     assert "timestamp" in sidecar

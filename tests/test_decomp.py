@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cell_code, coded_cube, cube_from_tensors, report_of, tally_of
+from conftest import cell_code, coded_cube, cube_from_tensors, exact_sum, near_max_lists, report_of, tally_of
 import thsynergy.cube
 from thsynergy.cube import EmptyDataset, Tally, marginalize
 from thsynergy.decomp import (
@@ -17,12 +18,11 @@ from thsynergy.decomp import (
     SplitEntropyTerm,
     SynergyDecomposition,
     _build_report,
+    _ratio,
     cube_report,
     decompose,
-    efficiency_ratio,
     split_entropy,
     subgroup_synergy,
-    synergy_share,
 )
 from thsynergy.infotheory import ZeroTotal, ternary_information
 from thsynergy.synthlab import SweepCurve, SweepPoint
@@ -275,27 +275,32 @@ def test_subgroup_synergy_empty_group_raises():
         subgroup_synergy(cube, foreign=True)
 
 
-# --- ratio helpers ----------------------------------------------------------
+# --- ratios ---------------------------------------------------------------
+
+def ratio_report(total, foreign, turnover_foreign=9.0, turnover_domestic=91.0):
+    """A report whose decomposition is only the two sums its ratios read."""
+    return RegionReport(SimpleNamespace(total=total, foreign=foreign), turnover_domestic, turnover_foreign, 2, 1)
+
 
 def test_synergy_share():
-    assert synergy_share(-0.204, -0.027) == pytest.approx(0.027 / 0.204)
-    assert synergy_share(0.0, 0.0) is None
+    assert ratio_report(-0.204, -0.027).foreign_synergy_share == pytest.approx(0.027 / 0.204)
+    assert ratio_report(0.0, 0.0).foreign_synergy_share is None  # a zero denominator
 
 
 def test_zero_ratios_carry_no_sign():
     # 0.0 over a negative total is IEEE -0.0; serialized output must say "0.0"
-    share = synergy_share(-0.5, 0.0)
+    share = ratio_report(-0.5, 0.0).foreign_synergy_share
     assert share == 0.0
     assert math.copysign(1.0, share) == 1.0
-    eff = efficiency_ratio(0.0, -0.25)
+    eff = ratio_report(-0.5, 0.125, turnover_foreign=0.0).efficiency  # 0.0 over a synergy share of -0.25
     assert eff == 0.0
     assert math.copysign(1.0, eff) == 1.0
 
 
 def test_efficiency_ratio():
-    assert efficiency_ratio(0.09, 0.25) == pytest.approx(0.36)
-    assert efficiency_ratio(0.09, None) is None
-    assert efficiency_ratio(0.09, 0.0) is None
+    assert ratio_report(-0.5, -0.125).efficiency == pytest.approx(0.36)  # turnover share 0.09 over 0.25
+    assert ratio_report(0.0, 0.0).efficiency is None  # the synergy share is None
+    assert ratio_report(-0.5, 0.0).efficiency is None  # the synergy share is 0
 
 
 # --- region report ----------------------------------------------------------
@@ -375,7 +380,8 @@ DEFAULT_FLUSH = thsynergy.cube._FLUSH
 @pytest.mark.parametrize("turnovers", [
     [1.0, math.inf, 2.0, 3.0],  # an inf turnover, which only a Tally fed by hand takes
     [1.0, 1e308, 1e308, 2.0, 3.0],  # finite turnovers whose sum overflows
-], ids=["inf-turnover", "finite-overflowing-sum"])
+    [1e308, 1e308, math.nan],  # fsum overflows before it reads the nan, which only a Tally fed by hand takes
+], ids=["inf-turnover", "finite-overflowing-sum", "overflow-then-nan"])
 def test_tally_turnover_sum_not_finite_raises(flush, turnovers):
     with mock.patch.object(thsynergy.cube, "_FLUSH", flush):
         tally = tally_of([firm(0, 0, i % 2, False, t) for i, t in enumerate(turnovers)] + [firm(1, 1, 1, True, 5.0)],
@@ -457,6 +463,25 @@ def test_streamed_turnover_sums_equal_one_fsum(case):
         assert repr(cube_report(tally)) == repr(expected)  # repr tells every float apart, -0.0 from 0.0
 
 
+def test_turnover_sum_near_the_float_maximum_does_not_depend_on_the_row_order():
+    # fsum raises its "intermediate overflow" in some orders of these turnovers and not in others; the
+    # report's domestic sum is their exact sum rounded once, or the refusal when that overflows, in
+    # every order and with every batch size
+    for rng, turnovers in near_max_lists(0, 300):
+        expected = exact_sum(turnovers)
+        for flush in (1, 7, DEFAULT_FLUSH):
+            for _ in range(4):
+                rng.shuffle(turnovers)
+                with mock.patch.object(thsynergy.cube, "_FLUSH", flush):
+                    tally = tally_of([firm(i % 2, 0, 0, False, t) for i, t in enumerate(turnovers)]
+                                     + [firm(1, 1, 1, True, 0.0)], SHAPE)
+                if math.isinf(expected):
+                    with pytest.raises(OverflowError, match="^turnover sum is not finite$"):
+                        cube_report(tally)
+                else:
+                    assert cube_report(tally).turnover_domestic == expected
+
+
 def test_tally_memory_does_not_grow_with_the_firm_count():
     # the same 40 cells fed 20k and 200k firms: only the count maps' values and the unreduced tail
     # of each group differ, so the peak of what the tally allocates differs by a few KB at most
@@ -515,7 +540,7 @@ def test_replaced_turnover_moves_every_derived_value():
     moved = report._replace(turnover_foreign=600.0)
     assert (moved.turnover_total, moved.foreign_turnover_share) == (1200.0, 0.5)
     assert moved.foreign_to_domestic_turnover == 1.0
-    assert moved.efficiency == efficiency_ratio(0.5, report.foreign_synergy_share) != report.efficiency
+    assert moved.efficiency == _ratio(0.5, report.foreign_synergy_share) != report.efficiency
 
 
 def test_replaced_terms_keep_every_sum_consistent():

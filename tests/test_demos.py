@@ -23,7 +23,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DEMO_STDOUT_SHA256 = {
     "01_entropy_and_synergy": "efd3850b7a49bb00c6d88019ad7e0262bd7263ea4401446b53b1d9bdb8d49fc7",
     "02_ownership_decomposition": "6b826ffc1cca86546c5fdb3e9c811608f4287b276ba4fef4620d3f6e1c3ada40",
-    "03_csv_to_report": "fff375a7dc1b9bf9e5e85caf7a000b442a34c5e3bcc6780ec2709249992bcce1",
+    "03_csv_to_report": "3217c4d33d7083cc39261ceea922beaeec7120932d912fbcb27f871b7746aee3",
     "04_foreign_share_sweep": "66b0257192e58e2b039958376115ade18ce00143169563a73105c110573a9a98",
 }
 

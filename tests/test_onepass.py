@@ -9,7 +9,11 @@ stayed byte-identical. The sweep digests were re-recorded again when
 turnover sums moved from running sums in firm order to one math.fsum per
 ownership group, which moved r_ratio by at most 6.7e-16; t_ratio and the
 violation counts stayed byte-identical, and so did the compute digests,
-whose demo turnovers are whole NOK. One property test checks that the
+whose demo turnovers are whole NOK. The compute digests were re-recorded
+once more for schema 2, which deleted the constant "log_base": "2" from
+the document and from the hashed settings, and reads "bits" for the
+information unit; every figure stayed byte-identical, as the test against
+the recorded schema-1 document checks. One property test checks that the
 command's document equals the one assembled step by step from the
 unmemoized row-by-row checks (conftest.row_by_row) through a Tally,
 cube_report and ownership_tech_table; another, that it does not depend on
@@ -32,8 +36,8 @@ from thsynergy.stats import DegenerateTable, chi_square_homogeneity, ownership_t
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
 
 GOLDEN = [
-    ((), "9c21dbd6b5f8011c937d9b75f2d09bad7db52617104455bd520e34684bf22edb"),
-    (("--foreign-cutoff", "50%"), "52d8a82e224a46bebf01263fca933806e67edf0eb70bd98ec956f0ed309557f7"),
+    ((), "0675b02abb4aa93571656eec761db6a086f1ebe414fb6f36c12986bbe34f8634"),
+    (("--foreign-cutoff", "50%"), "4db0163e084652d707f7beb1f4ff54480f597233bb881395300a3fc494e85aec"),
 ]
 
 
@@ -52,7 +56,24 @@ def test_compute_demo_document_with_size_bins_is_pinned(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     assert main(["compute", "firms_demo.csv", "--size-bins", "0,10,100"]) == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-            == "9cdd1fdcb8c3fc6a89ff99d369d568dca38be134e652ecc36bd3e93f07638bf8")
+            == "c610cae40972df7c77c9bb494736736762ad1a335c3ecf914ff5fc08a5a6241a")
+
+
+def test_schema_2_differs_from_schema_1_only_by_the_log_base_leftovers(tmp_path, monkeypatch, capsys):
+    # the demo document as schema 1 wrote it, run on the input path "firms_demo.csv"
+    schema_1 = json.loads(Path(__file__).with_name("compute_schema1_firms_demo.json").read_text(encoding="utf-8"))
+    shutil.copy(DEMO, tmp_path / "firms_demo.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["compute", "firms_demo.csv"]) == 0
+    schema_2 = json.loads(capsys.readouterr().out)
+    assert "log_base" not in schema_2 and schema_1.pop("log_base") == "2"
+    moved = []
+    for document in (schema_1, schema_2):
+        units, manifest = document["report"]["units"], document["manifest"]
+        moved.append((document.pop("schema_version"), units.pop("information"), manifest.pop("config_hash")))
+    # the hash moves because "log_base": "2" left the hashed settings
+    assert moved == [(1, "bits unless another log base was set", "812af61c674f15c0"), (2, "bits", "ae778f2f7cfa9ed6")]
+    assert schema_2 == schema_1
 
 
 # every defect kind, a multi-line quoted field and shuffled, padded columns
@@ -138,8 +159,7 @@ def _reference_document(path: Path, config: ClassificationConfig, manifest: dict
     except DegenerateTable as exc:
         chi_block = {"undefined_reason": str(exc)}
     return {
-        "schema_version": 1,
-        "log_base": "2",
+        "schema_version": 2,
         "report": cube_report(tally).to_dict(),
         "entropy": decompose(cube).profile()._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,

@@ -3,6 +3,7 @@
 That `import thsynergy` itself loads no submodule is pinned, in a fresh
 interpreter, by tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs.
 """
+import importlib
 import sys
 
 import pytest
@@ -36,6 +37,9 @@ def test_unknown_attribute_raises_attribute_error():
     # the record-object route and the profile adapters: rows reach a report through validate_firm_csv,
     # Tally and cube_report only, and a cube's entropies come from decompose
     for gone in ("parse_firm_records", "FirmRecord", "classify", "classify_all", "ClassifiedFirm", "Ownership",
-                 "build_cube", "region_report", "entropy_profile", "cube_ternary_information"):
+                 "build_cube", "region_report", "entropy_profile", "cube_ternary_information",
+                 "synergy_share", "efficiency_ratio"):  # RegionReport's properties compute both ratios
         assert not hasattr(thsynergy, gone) and gone not in thsynergy.__all__
+    decomp = importlib.import_module("thsynergy.decomp")
+    assert not hasattr(decomp, "synergy_share") and not hasattr(decomp, "efficiency_ratio")
     assert not hasattr(thsynergy.Tally, "add_firms")

@@ -1,5 +1,6 @@
 import io
 import math
+from array import array
 import tracemalloc
 from itertools import chain
 from types import SimpleNamespace
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import report_of, tally_of
-from thsynergy.cube import _exact_parts
+from conftest import exact_sum, near_max_lists, report_of, tally_of
+from thsynergy.cube import _exact_parts, _fsum
 from thsynergy.decomp import SynergyDecomposition, _build_report, decompose
 from thsynergy.synthlab import SynthParams, SweepCurve, SweepPoint, foreign_count, generate, sweep_foreign_share
 
@@ -302,10 +303,10 @@ def turnover_runs(draw):
 def test_chunk_turnover_parts_reproduce_fsum_of_every_prefix_and_suffix(case):
     # the sweep's sums: each run of firms between consecutive foreign counts reduced once, and a
     # point's foreign and domestic groups the parts of the runs before and after its count, each
-    # summed by fsum as _build_report sums them
-    def fsum(values):  # inf for fsum's "intermediate overflow"
+    # summed by cube._fsum as _build_report sums them, give the exact sum of the firms' turnovers
+    def summed(parts):  # inf for an OverflowError
         try:
-            return math.fsum(values)
+            return _fsum(parts)
         except OverflowError:
             return math.inf
 
@@ -313,15 +314,32 @@ def test_chunk_turnover_parts_reproduce_fsum_of_every_prefix_and_suffix(case):
     turnovers, n = memoryview(values), len(values)
     chunks = [_exact_parts(turnovers[a:b]) for a, b in zip([0, *ks], [*ks, n])]
     for j, k in enumerate(ks, 1):
-        foreign, domestic = fsum(turnovers[:k]), fsum(turnovers[k:])
-        assert fsum(chain(*chunks[:j])) == foreign
-        assert fsum(chain(*chunks[j:])) == domestic
+        foreign, domestic = exact_sum(turnovers[:k]), exact_sum(turnovers[k:])
+        groups = [*chain(*chunks[j:])], [*chain(*chunks[:j])]
+        assert (summed(groups[1]), summed(groups[0])) == (foreign, domestic)
         if math.isfinite(foreign + domestic):
-            report = _build_report(SynergyDecomposition(()), chain(*chunks[j:]), chain(*chunks[:j]), n, k)
+            report = _build_report(SynergyDecomposition(()), *groups, n, k)
             assert (report.turnover_domestic, report.turnover_foreign) == (domestic, foreign)
         else:
             with pytest.raises(OverflowError, match="turnover sum is not finite"):
-                _build_report(SynergyDecomposition(()), chain(*chunks[j:]), chain(*chunks[:j]), n, k)
+                _build_report(SynergyDecomposition(()), *groups, n, k)
+
+
+def test_chunk_turnover_sums_near_the_float_maximum_do_not_depend_on_the_order():
+    # the same turnovers as the tally's order test in test_decomp, on the sweep's route: runs reduced
+    # apart at random foreign counts, then their parts summed as one group, in every order
+    for rng, turnovers in near_max_lists(1, 300):
+        expected, n = exact_sum(turnovers), len(turnovers)
+        for _ in range(4):
+            rng.shuffle(turnovers)
+            ks = [*sorted(rng.sample(range(n), 3)), n]  # the last point turns every firm foreign
+            view = memoryview(array("d", turnovers))
+            chunks = [_exact_parts(view[a:b]) for a, b in zip([0, *ks], [*ks, n])]
+            if math.isinf(expected):
+                with pytest.raises(OverflowError, match="^turnover sum is not finite$"):
+                    _build_report(SynergyDecomposition(()), [], [*chain(*chunks)], n, n)
+            else:
+                assert _build_report(SynergyDecomposition(()), [], [*chain(*chunks)], n, n).turnover_foreign == expected
 
 
 def test_params_accept_numpy_integers():
