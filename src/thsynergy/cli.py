@@ -25,25 +25,12 @@ import contextlib
 import io
 import os
 import sys
-from typing import NamedTuple
 
 from . import __version__
 from .ingest import DEFAULT_SIZE_BIN_EDGES, ClassificationConfig, default_nace_map, parse_share, validate_firm_csv
 
 # Everything else is imported by the subcommand that runs it, so that `--version`,
 # `validate` and `chisq` load neither the cube, the decomposition nor json.
-
-
-class RunManifest(NamedTuple):
-    command: str
-    inputs: tuple[str, ...]
-    config_hash: str
-    version: str
-    seed: int | None = None
-
-    def to_dict(self, timestamp: str | None = None) -> dict:
-        out = {key: value for key, value in self._asdict().items() if value is not None}
-        return out if timestamp is None else out | {"timestamp": timestamp}
 
 
 def _sha256(data: bytes):
@@ -67,8 +54,14 @@ def config_digest(settings: dict) -> str:
     return _sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: dict | None = None) -> None:
-    """Write the output and its .manifest.json sidecar. Raises OSError.
+def _manifest(command: str, inputs: list[str], settings: dict, **fields) -> dict:
+    """A run's record: command, inputs, the config_digest of its settings as config_hash, version, then fields."""
+    return {"command": command, "inputs": inputs, "config_hash": config_digest(settings), "version": __version__,
+            **fields}
+
+
+def _write_outputs(output_path: str, text: str, manifest: dict, **extra) -> None:
+    """Write the output and its .manifest.json sidecar: the manifest, a timestamp, then extra. Raises OSError.
 
     Each is written to a temporary file next to its target and then moved
     into place with os.replace, the output last, so a failed run never
@@ -83,9 +76,7 @@ def _write_outputs(output_path: str, text: str, manifest: RunManifest, extra: di
     # the text of datetime.now(timezone.utc).isoformat(), which floors to the microsecond, without datetime
     seconds, micro = divmod(time.time_ns() // 1000, 10**6)
     stamp = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(seconds)[:6] + (f".{micro:06d}" if micro else "")
-    payload = manifest.to_dict(timestamp=stamp + "+00:00")
-    if extra:
-        payload.update(extra)
+    payload = {**manifest, "timestamp": stamp + "+00:00", **extra}
     writes = ((output_path + ".manifest.json", json.dumps(payload, indent=2) + "\n"), (output_path, text))
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
     placed = []
@@ -131,9 +122,9 @@ def _print_issues(rows: int, issues: list[tuple[int, str]], file) -> None:
 
 
 def cmd_validate(args) -> int:
-    config = _load_effective_config(args)
+    # no classification setting changes which rows are valid, so validate takes none
     with open(args.input, "rb") as fh:
-        rows, issues = validate_firm_csv(fh, config=config)
+        rows, issues = validate_firm_csv(fh)
     _print_issues(rows, issues, sys.stdout)
     return 1 if issues else 0
 
@@ -165,19 +156,15 @@ def cmd_compute(args) -> int:
     except DegenerateTable as exc:
         chi_block = {"undefined_reason": str(exc)}
 
-    manifest = RunManifest(
-        command="compute",
-        inputs=(args.input,),
-        # both classification settings and the fixed NACE map, keyed by text as JSON keys it
-        config_hash=config_digest({**config._asdict(), "nace_map": {str(k): v for k, v in default_nace_map().items()}}),
-        version=__version__,
-    )
+    # both classification settings and the fixed NACE map, keyed by text as JSON keys it
+    manifest = _manifest("compute", [args.input],
+                         {**config._asdict(), "nace_map": {str(k): v for k, v in default_nace_map().items()}})
     document = {
         "schema_version": 2,
         "report": report.to_dict(),
         "entropy": report.synergy.profile()._asdict(),
         "chi_square_domestic_vs_foreign": chi_block,
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
     }
     try:
         text = json.dumps(document, indent=2, allow_nan=False) + "\n"
@@ -206,21 +193,13 @@ def cmd_sweep(args) -> int:
     # turnovers are non-negative, so the total is positive at one share exactly when it is at every share
     if curve.points[0].report.turnover_total <= 0:  # every drawn turnover underflowed: no turnover share exists
         return _error("turnover sum is not positive", 1)
-    manifest = RunManifest(
-        command="sweep",
-        inputs=(),
-        # every generator knob but the seed, which is recorded on its own, plus the swept shares
-        config_hash=config_digest({
-            **{k: v for k, v in params._asdict().items() if k != "seed"},
-            "shares": shares,
-        }),
-        version=__version__,
-        seed=params.seed,
-    )
+    # every generator knob but the seed, which is recorded on its own, plus the swept shares
+    manifest = _manifest("sweep", [], {**{k: v for k, v in params._asdict().items() if k != "seed"}, "shares": shares},
+                         seed=params.seed)
     violations = curve.synergy_share_violations()
     text = io.StringIO()
     curve.to_csv(text)
-    _write_outputs(args.output, text.getvalue(), manifest, extra={"synergy_share_violations": violations})
+    _write_outputs(args.output, text.getvalue(), manifest, synergy_share_violations=violations)
     print(f"{len(curve.points)} point(s) written to {args.output}")
     print(f"synergy share monotonicity violations: {violations}")
     return 0
@@ -253,20 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"thsynergy {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_classification_flags(p):
-        p.add_argument("--foreign-cutoff", help="ownership cutoff as fraction ('0.2') or percent ('20%%')")
-        p.add_argument("--size-bins", dest="size_bin_edges", metavar="EDGES",
-                       help="employee bin edges, a comma list starting at 0 (default %s)"
-                       % ",".join(map(str, DEFAULT_SIZE_BIN_EDGES)))
-
     p_val = sub.add_parser("validate", help="scan a firm CSV and list every defect")
     p_val.add_argument("input", help="firm CSV path")
-    add_classification_flags(p_val)
     p_val.set_defaults(func=cmd_validate)
 
     p_comp = sub.add_parser("compute", help="region report JSON from a firm CSV")
     p_comp.add_argument("input", help="firm CSV path")
-    add_classification_flags(p_comp)
+    p_comp.add_argument("--foreign-cutoff", help="ownership cutoff as fraction ('0.2') or percent ('20%%')")
+    p_comp.add_argument("--size-bins", dest="size_bin_edges", metavar="EDGES",
+                        help="employee bin edges, a comma list starting at 0 (default %s)"
+                        % ",".join(map(str, DEFAULT_SIZE_BIN_EDGES)))
     p_comp.add_argument("--output", help="report path (stdout when omitted); a .manifest.json sidecar is written next to it")
     p_comp.set_defaults(func=cmd_compute)
 

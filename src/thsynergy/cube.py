@@ -12,7 +12,6 @@ the dimensions it keeps, coded the same way over their radices.
 from __future__ import annotations
 
 import math
-from array import array
 from itertools import chain, groupby, repeat
 from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -62,7 +61,7 @@ class Tally:
         self.shape = tuple(shape)
         self.domestic: dict[int, int] = {}
         self.foreign: dict[int, int] = {}
-        self.parts = (array("d"), array("d"))
+        self.parts: tuple[list[float], list[float]] = ([], [])
         self._groups = ((self.domestic, self.parts[0]), (self.foreign, self.parts[1]))
 
     def add(self, cell: int, foreign: bool, turnover: float) -> None:
@@ -71,7 +70,7 @@ class Tally:
         counts, parts = self._groups[foreign]
         parts.append(turnover)
         if len(parts) > _FLUSH:
-            parts[:] = array("d", _exact_parts(parts.tolist()))  # fsum reads a list faster
+            parts[:] = _exact_parts(parts)
         counts[cell] = counts.get(cell, 0) + 1
 
     def cube(self) -> ContingencyCube:

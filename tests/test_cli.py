@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import thsynergy.synthlab
-from thsynergy.cli import RunManifest, config_digest, main
+from thsynergy.cli import _manifest, config_digest, main
 from thsynergy.infotheory import EntropyProfile
 from thsynergy.ingest import ClassificationConfig
 from thsynergy.stats import ChiSquareResult
@@ -87,8 +87,8 @@ def test_compute_report_file_and_sidecar(tmp_path):
     assert document["schema_version"] == 2
     sidecar = json.loads((tmp_path / "report.json.manifest.json").read_text(encoding="utf-8"))
     assert sidecar["command"] == "compute"
-    assert "timestamp" in sidecar
-    assert sidecar["config_hash"] == document["manifest"]["config_hash"]
+    # the sidecar is the document's manifest and then the timestamp, in that key order
+    assert list(sidecar.items()) == [*document["manifest"].items(), ("timestamp", sidecar["timestamp"])]
 
 
 @pytest.mark.parametrize("ns", [
@@ -105,8 +105,10 @@ def test_sidecar_timestamp_is_the_text_datetime_gives(tmp_path, monkeypatch, ns)
     from thsynergy.cli import _write_outputs
 
     monkeypatch.setattr("time.time_ns", lambda: ns)
-    _write_outputs(str(tmp_path / "out.json"), "{}\n", RunManifest("compute", (), "0" * 16, "0"))
-    stamp = json.loads((tmp_path / "out.json.manifest.json").read_text(encoding="utf-8"))["timestamp"]
+    _write_outputs(str(tmp_path / "out.json"), "{}\n", _manifest("compute", [], {}))
+    sidecar = json.loads((tmp_path / "out.json.manifest.json").read_text(encoding="utf-8"))
+    assert list(sidecar) == ["command", "inputs", "config_hash", "version", "timestamp"]
+    stamp = sidecar["timestamp"]
     seconds, micro = divmod(ns // 1000, 10**6)
     assert stamp == datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=micro).isoformat()
     assert datetime.fromisoformat(stamp).utcoffset().total_seconds() == 0
@@ -126,14 +128,14 @@ def test_config_digest_is_the_sha256_of_the_canonical_settings(settings):
 @pytest.mark.parametrize("value, keys", [
     (EntropyProfile(*range(7)), ["h_g", "h_o", "h_t", "h_go", "h_gt", "h_ot", "h_got"]),
     (ChiSquareResult(1.0, 1, 0.5), ["statistic", "dof", "p_value"]),
-    (RunManifest("compute", ("firms.csv",), "0" * 16, "0.1.0"), ["command", "inputs", "config_hash", "version", "seed"]),
+    (_manifest("sweep", [], {}, seed=5), ["command", "inputs", "config_hash", "version", "seed"]),
     (ClassificationConfig(), ["foreign_cutoff", "size_bin_edges"]),
     (SynthParams(), ["n_firms", "n_municipalities", "n_size_classes", "n_tech_groups", "coupling",
                      "turnover_law", "lognormal_mu", "lognormal_sigma", "seed"]),
 ], ids=["entropy", "chi-square", "manifest", "config", "synth"])
 def test_document_facing_fields_keep_their_order(value, keys):
     # the key order of the report's entropy and chi-square blocks, of its manifest, and of the hashed settings
-    assert list(value._asdict()) == keys
+    assert list(value if isinstance(value, dict) else value._asdict()) == keys
 
 
 def test_compute_byte_identical_reruns(tmp_path):
@@ -213,14 +215,14 @@ def test_compute_bad_cutoff_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --foreign-cutoff: could not convert string to float: 'nope'\n"
 
 
-@pytest.mark.parametrize("command", ["validate", "compute"])
+@pytest.mark.parametrize("command", ["compute"])
 def test_cutoff_outside_the_config_range_is_usage_error(tmp_path, capsys, command):
     # a share of 0 parses, but the config built from it rejects it
     assert main([command, write_csv(tmp_path, CLEAN_ROWS), "--foreign-cutoff", "0"]) == 2
     assert capsys.readouterr() == ("", "error: --foreign-cutoff: foreign_cutoff must be in (0, 1]\n")
 
 
-@pytest.mark.parametrize("command", ["validate", "compute"])
+@pytest.mark.parametrize("command", ["compute"])
 @pytest.mark.parametrize("edges, message", [
     ("1,5", "size_bin_edges must start at 0"),
     ("0,x", "size_bin_edges must be whole numbers"),
@@ -228,6 +230,16 @@ def test_cutoff_outside_the_config_range_is_usage_error(tmp_path, capsys, comman
 def test_bad_size_bins_is_usage_error_naming_the_flag(tmp_path, capsys, command, edges, message):
     assert main([command, write_csv(tmp_path, CLEAN_ROWS), "--size-bins", edges]) == 2
     assert capsys.readouterr() == ("", f"error: --size-bins: {message}\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--size-bins", "0,10"), ("--foreign-cutoff", "0.5")],
+                         ids=["size-bins", "foreign-cutoff"])
+def test_validate_takes_no_classification_flag(tmp_path, capsys, flag, value):
+    # no classification setting changes which rows are valid, so validate declares neither flag
+    with pytest.raises(SystemExit) as err:
+        main(["validate", write_csv(tmp_path, CLEAN_ROWS), flag, value])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_compute_missing_file_is_io_error(tmp_path):
@@ -579,9 +591,10 @@ def test_sweep_writes_curve_and_sidecar(tmp_path, capsys):
     assert lines[0] == "share,r_ratio,t_ratio"
     assert len(lines) == 4
     sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text(encoding="utf-8"))
+    assert list(sidecar) == ["command", "inputs", "config_hash", "version", "seed", "timestamp",
+                             "synergy_share_violations"]
     assert sidecar["command"] == "sweep"
     assert sidecar["seed"] == 5
-    assert "synergy_share_violations" in sidecar
     assert "violations" in capsys.readouterr().out
 
 

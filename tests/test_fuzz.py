@@ -4,7 +4,8 @@ main() runs as `validate` and as `compute --output` on arbitrary bytes and
 on a valid header followed by junk rows, and as `chisq` on arbitrary table
 text. No exception may escape, the exit code must be one of the documented
 ones, any report written must be strict JSON and no statistic printed may
-be `nan` or `inf`.
+be `nan` or `inf`. The scan's rows and issues on the same inputs do not
+depend on the classification settings, which is why `validate` takes none.
 """
 import contextlib
 import io
@@ -15,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from thsynergy.cli import main
-from thsynergy.ingest import CANONICAL_COLUMNS
+from thsynergy.ingest import CANONICAL_COLUMNS, ClassificationConfig, validate_firm_csv
 
 HEADER = ",".join(CANONICAL_COLUMNS).encode("utf-8") + b"\n"
 
@@ -56,6 +57,17 @@ def test_cli_on_arbitrary_bytes(data):
             json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
             json.loads(Path(str(report) + ".manifest.json").read_text(encoding="utf-8"),
                        parse_constant=_reject_constant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=inputs)
+def test_scan_result_does_not_depend_on_the_classification(data):
+    # the cutoff only splits accepted firms and any employee count has a size class, so no setting
+    # changes which rows are valid; should one start to, validate must take that setting again
+    results = [validate_firm_csv(io.BytesIO(data), config)
+               for config in (ClassificationConfig(), ClassificationConfig(1.0, (0,)),
+                              ClassificationConfig(0.05, (0, 3, 1000)))]
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 counts_text = st.one_of(
