@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 # each exported name -> the submodule that defines it
 _HOMES = {
     **dict.fromkeys(("ContingencyCube", "EmptyDataset", "Tally", "marginalize"), "cube"),
-    **dict.fromkeys(("RegionReport", "SplitEntropyTerm", "SynergyDecomposition", "cube_report", "decompose",
-                     "split_entropy", "subgroup_synergy"), "decomp"),
-    **dict.fromkeys(("EntropyProfile", "ZeroTotal", "shannon_entropy", "ternary_information"), "infotheory"),
+    **dict.fromkeys(("EntropyProfile", "RegionReport", "SplitEntropyTerm", "SynergyDecomposition", "ZeroTotal",
+                     "cube_report", "decompose", "shannon_entropy", "split_entropy", "subgroup_synergy",
+                     "ternary_information"), "decomp"),
     **dict.fromkeys(("ClassificationConfig", "MalformedRow", "MissingColumn", "UnmappedNace", "validate_firm_csv"),
                     "ingest"),
     **dict.fromkeys(("ChiSquareResult", "DegenerateTable", "chi_square_homogeneity", "chi_square_survival",

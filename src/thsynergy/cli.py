@@ -116,9 +116,9 @@ def _error(message, code: int) -> int:
 
 
 def _print_issues(rows: int, issues: list[tuple[int, str]], file) -> None:
-    print(f"{rows} data row(s), {len(issues)} issue(s)", file=file)
-    for line, message in issues:
-        print(f"  line {line}: {message}", file=file)
+    # one write for the whole listing: an unbuffered stream makes each write a system call
+    file.write(f"{rows} data row(s), {len(issues)} issue(s)\n"
+               + "".join(f"  line {line}: {message}\n" for line, message in issues))
 
 
 def cmd_validate(args) -> int:

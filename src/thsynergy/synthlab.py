@@ -16,8 +16,7 @@ from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
 from .cube import DIMS, _exact_parts, _kept_digits
-from .decomp import RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report
-from .infotheory import SUBSETS, _multiplicity_entropy
+from .decomp import SUBSETS, RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report, _multiplicity_entropy
 from .ingest import _Validated
 
 _INT64_MAX = 2**63 - 1

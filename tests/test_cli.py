@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import thsynergy.synthlab
-from thsynergy.cli import _manifest, config_digest, main
-from thsynergy.infotheory import EntropyProfile
+from thsynergy.cli import _manifest, _sha256, config_digest, main
+from thsynergy.decomp import EntropyProfile
 from thsynergy.ingest import ClassificationConfig
 from thsynergy.stats import ChiSquareResult
 from thsynergy.synthlab import SynthParams
@@ -57,6 +57,30 @@ def test_validate_reports_malformed_rows(tmp_path, capsys):
     path = write_csv(tmp_path, CLEAN_ROWS + ["FZ,1504,30,notanumber,100,0.0"])
     assert main(["validate", path]) == 1
     assert "employees" in capsys.readouterr().out
+
+
+class WriteRecorder(io.StringIO):
+    """A text stream that keeps the text of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command, stream", [("validate", "stdout"), ("compute", "stderr")])
+def test_issue_listing_is_one_write(tmp_path, monkeypatch, command, stream):
+    # under PYTHONUNBUFFERED=1 each write is a system call, so the listing is written at once
+    path = write_csv(tmp_path, CLEAN_ROWS + ["FX,1504,40,3,100,0.0", "FZ,1504,30,notanumber,100,0.0"])
+    recorder = WriteRecorder()
+    monkeypatch.setattr(sys, stream, recorder)
+    assert main([command, path]) == 1
+    assert recorder.writes == ["7 data row(s), 2 issue(s)\n"
+                               "  line 7: NACE code 40 has no technology group mapping\n"
+                               "  line 8: employees 'notanumber' is not an integer\n"]
 
 
 def test_validate_missing_file_is_io_error(tmp_path, capsys):
@@ -121,6 +145,15 @@ def test_sidecar_timestamp_is_the_text_datetime_gives(tmp_path, monkeypatch, ns)
     {"kommune": "Tr\u00f8ndelag", "\u00e5r": 2016, "\u6570": [None, True, 1.5e-300]},
 ], ids=["empty", "classification", "nested", "non-ascii"])
 def test_config_digest_is_the_sha256_of_the_canonical_settings(settings):
+    canon = json.dumps(settings, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert config_digest(settings) == hashlib.sha256(canon).hexdigest()[:16]
+
+
+def test_config_digest_without_the_built_in_sha256_uses_hashlib(monkeypatch):
+    for name in ("_sha2", "_sha256"):  # the built-in SHA-256 of Python 3.12+ and of 3.10-3.11
+        monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+    assert type(_sha256(b"")) is type(hashlib.sha256())
+    settings = {"foreign_cutoff": 0.1, "size_bin_edges": [0, 10, 50, 250]}
     canon = json.dumps(settings, sort_keys=True, separators=(",", ":")).encode("utf-8")
     assert config_digest(settings) == hashlib.sha256(canon).hexdigest()[:16]
 
@@ -567,9 +600,9 @@ WATCHED = ("_hashlib", "dataclasses", "datetime", "hashlib", "inspect", "json")
     (["validate", str(DEMO_CSV)], ["cli", "ingest"], []),
     (["chisq", "10,20;20,10"], ["cli", "ingest", "stats"], []),
     (["compute", str(DEMO_CSV), "--output", "report.json"],
-     ["cli", "cube", "decomp", "infotheory", "ingest", "stats"], ["json"]),
+     ["cli", "cube", "decomp", "ingest", "stats"], ["json"]),
     (["sweep", "--shares", "0,1", "--output", "curve.csv"],  # numpy loads inspect; numpy.random secrets, hmac, _hashlib
-     ["cli", "cube", "decomp", "infotheory", "ingest", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
+     ["cli", "cube", "decomp", "ingest", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
 ], ids=["import", "version", "validate", "chisq", "compute", "sweep"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, stdlib):
     call = "import thsynergy" if argv is None else (

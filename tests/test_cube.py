@@ -14,8 +14,7 @@ from thsynergy.cube import (
     normalize_dims,
     split_marginals,
 )
-from thsynergy.decomp import decompose, split_entropy
-from thsynergy.infotheory import SUBSETS
+from thsynergy.decomp import SUBSETS, decompose, split_entropy
 from thsynergy.stats import ownership_tech_table
 
 

@@ -14,8 +14,7 @@ import pytest
 import oracles
 from conftest import cube_from_tensors
 from thsynergy.cli import main
-from thsynergy.decomp import decompose
-from thsynergy.infotheory import SUBSETS
+from thsynergy.decomp import SUBSETS, decompose
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

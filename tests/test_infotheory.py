@@ -7,12 +7,12 @@ import pytest
 
 import oracles
 from conftest import cube_from_tensors
-from thsynergy.decomp import decompose
-from thsynergy.infotheory import (
+from thsynergy.decomp import (
     EntropyProfile,
     ZeroTotal,
     _multiplicity_entropy,
     _plugin_entropy,
+    decompose,
     shannon_entropy,
     ternary_information,
 )
