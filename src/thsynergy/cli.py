@@ -16,11 +16,14 @@ Reports embed their run manifest without a timestamp so identical inputs
 and flags produce byte-identical output; the wall clock lives only in the
 `<output>.manifest.json` sidecar. No environment variable affects results.
 entry() sets OPENBLAS_NUM_THREADS to 1 unless it is set, which changes only
-how many threads numpy's OpenBLAS starts.
+how many threads numpy's OpenBLAS starts. It ends the process with the atexit
+callbacks, a flush and os._exit, skipping teardown, so `python -m cProfile -m
+thsynergy.cli` prints no profile: profile or trace through main.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import io
 import os
@@ -111,14 +114,16 @@ def _load_effective_config(args) -> ClassificationConfig:
 # --- subcommands ------------------------------------------------------------
 
 def _error(message, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    if sys.stderr is not None:  # None when the process was started with standard error closed (`2>&-`)
+        sys.stderr.write(f"error: {message}\n")
     return code
 
 
 def _print_issues(rows: int, issues: list[tuple[int, str]], file) -> None:
     # one write for the whole listing: an unbuffered stream makes each write a system call
-    file.write(f"{rows} data row(s), {len(issues)} issue(s)\n"
-               + "".join(f"  line {line}: {message}\n" for line, message in issues))
+    if file is not None:  # compute's standard error, closed
+        file.write(f"{rows} data row(s), {len(issues)} issue(s)\n"
+                   + "".join(f"  line {line}: {message}\n" for line, message in issues))
 
 
 def cmd_validate(args) -> int:
@@ -305,13 +310,17 @@ def entry() -> None:
     # loads (inside sweep), which costs time and CPU. Set here, where the process is ours, not in main
     # or a library module, so that in-process callers keep their environment; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    status = main()
     try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError:  # main reported it; send what is still buffered to devnull so that exit does not fail on it
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(status)
+        status = main()
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        status = exc.code
+    # End the process here: tearing down every module and object, numpy's included, only delays the exit
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError):  # main reported it
+            if stream is not None:
+                stream.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -532,6 +532,71 @@ def test_help_and_version_on_a_full_device_exit_3(argv, unbuffered):
     assert (result.returncode, result.stderr) == (3, DISK_FULL)
 
 
+@pytest.mark.parametrize("command, status", [(["compute", "defects"], 1), (["compute", "absent"], 3),
+                                             (["chisq", "0,0;1,1"], 1)],
+                         ids=["compute-defects", "compute-missing-file", "chisq-degenerate"])
+def test_closed_stderr_writes_nothing(tmp_path, capsys, monkeypatch, command, status):
+    # a process started with standard error closed (`2>&-`) has sys.stderr None; print(file=None)
+    # would write the error to stdout
+    files = {"defects": write_csv(tmp_path, ["FZ,1504,30,notanumber,100,0.0"]), "absent": str(tmp_path / "absent.csv")}
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main([files.get(arg, arg) for arg in command]) == status
+    assert capsys.readouterr().out == ""
+
+
+# --- the console script -------------------------------------------------------
+
+# what an installed `thsynergy` runs, between an atexit callback and a line that must never run
+ENTRY_CODE = """\
+import atexit
+def mark(text):
+    with open("marks.txt", "a", encoding="utf-8") as fh:
+        fh.write(text)
+atexit.register(mark, "atexit\\n")
+from thsynergy.cli import entry
+entry()
+mark("after entry\\n")
+"""
+# a listing of about 190 kB, more than a pipe holds, so the child's write waits on the reader
+DEFECT_ROWS = [f"F{i},1504,30,x{i},100,0.0" for i in range(4000)]
+
+
+@pytest.mark.parametrize("argv, redirect, status", [
+    (["--version"], "", 0),
+    (["--help"], "", 0),
+    (["validate", "clean"], "", 0),
+    (["validate", "defects"], "", 1),
+    (["validate", "clean", "--frobnicate"], "", 2),
+    pytest.param(["validate", "clean"], "> /dev/full", 3,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")),
+    (["--version"], ">&-", 3),
+], ids=["version", "help", "validate-clean", "validate-defects", "unknown-flag", "full-device", "closed-stdout"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_console_script_ends_as_main_returns(tmp_path, capsys, monkeypatch, argv, redirect, status, unbuffered):
+    # entry() runs the atexit callbacks once, flushes and ends the process without teardown: its
+    # exit status, stdout and stderr are those of main run in-process
+    files = {"clean": write_csv(tmp_path, CLEAN_ROWS), "defects": write_csv(tmp_path, DEFECT_ROWS, "defects.csv")}
+    argv = [files.get(arg, arg) for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = f"{shlex.join([sys.executable, '-c', ENTRY_CODE, *argv])} {redirect}"
+    result = subprocess.run(command, shell=True, cwd=tmp_path, env=env, capture_output=True)
+    assert (tmp_path / "marks.txt").read_text(encoding="utf-8") == "atexit\n"
+
+    monkeypatch.setattr(sys, "stdout", {"": sys.stdout, "> /dev/full": FullStream(), ">&-": None}[redirect])
+    try:
+        returned = main(argv)
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        returned = exc.code
+    captured = capsys.readouterr()
+    assert returned == status
+    assert (result.returncode, result.stdout, result.stderr) == (status, captured.out.encode(), captured.err.encode())
+
+
 # --- start-up -----------------------------------------------------------------
 
 DEMO_CSV = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
@@ -558,12 +623,17 @@ def test_only_sweep_and_generate_load_numpy(tmp_path, code):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the thread count from /proc/self/status")
 def test_entry_starts_sweep_with_one_blas_thread_unless_set(tmp_path):
     # numpy's OpenBLAS starts a worker pool when it loads; no command does linear algebra
-    code = ("import os\nfrom thsynergy.cli import entry\n"
-            "try:\n    entry()\nexcept SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-            "print(*next(line.split() for line in open('/proc/self/status') if line.startswith('Threads:')))")
+    # entry() ends the process itself, so the child reads both from an atexit callback
+    code = ("import atexit, os\n"
+            "def report():\n"
+            "    print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "    with open('/proc/self/status', encoding='utf-8') as fh:\n"
+            "        print(*next(line.split() for line in fh if line.startswith('Threads:')))\n"
+            "atexit.register(report)\n"
+            "from thsynergy.cli import entry\nentry()\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    # buffered, so the callback's lines reach the pipe only through entry()'s flush
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = {}
     for value in (None, "2"):
