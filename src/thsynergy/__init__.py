@@ -13,6 +13,33 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# The classification defaults and the checked-record base sit in the package root, which every command
+# loads, so that the CLI's --size-bins help and synthlab's SynthParams use them without loading ingest.
+DEFAULT_SIZE_BIN_EDGES = (0, 1, 5, 10, 20, 50, 100, 250)
+DEFAULT_FOREIGN_CUTOFF = 0.20
+
+
+class _Validated:
+    """First base of a NamedTuple subclass whose _validated() raises ValueError or returns the
+    instance to keep; __new__ and _make, which namedtuple's _replace builds through, both run it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._validated()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def _check_numbers(self, *names):  # ValueError naming a field that, like "0.5" or None, no float compares with
+        for name in names:
+            try:
+                getattr(self, name) < 0.0
+            except TypeError:
+                raise ValueError(f"{name} must be a number") from None
+
+
 # each exported name -> the submodule that defines it
 _HOMES = {
     **dict.fromkeys(("ContingencyCube", "EmptyDataset", "Tally", "marginalize"), "cube"),

@@ -29,11 +29,10 @@ import io
 import os
 import sys
 
-from . import __version__
-from .ingest import DEFAULT_SIZE_BIN_EDGES, ClassificationConfig, default_nace_map, parse_share, validate_firm_csv
+from . import DEFAULT_SIZE_BIN_EDGES, __version__
 
-# Everything else is imported by the subcommand that runs it, so that `--version`,
-# `validate` and `chisq` load neither the cube, the decomposition nor json.
+# Everything else is imported by the subcommand that runs it, so that `--version` and `chisq` load
+# neither ingest, the cube, the decomposition nor json, and `validate` ingest alone of them.
 
 
 def _sha256(data: bytes):
@@ -97,8 +96,10 @@ def _write_outputs(output_path: str, text: str, manifest: dict, **extra) -> None
         raise OSError(exc.errno, exc.strerror, path) from None  # path: the target of the failed step
 
 
-def _load_effective_config(args) -> ClassificationConfig:
-    """The classification settings of --foreign-cutoff and --size-bins; a bad value's ValueError names its flag."""
+def _load_effective_config(args):
+    """The ClassificationConfig of --foreign-cutoff and --size-bins; a bad value's ValueError names its flag."""
+    from .ingest import ClassificationConfig, parse_share
+
     config = ClassificationConfig()
     for flag, field, parse in (("--foreign-cutoff", "foreign_cutoff", parse_share),
                                ("--size-bins", "size_bin_edges", lambda text: text.split(","))):
@@ -115,7 +116,8 @@ def _load_effective_config(args) -> ClassificationConfig:
 
 def _error(message, code: int) -> int:
     if sys.stderr is not None:  # None when the process was started with standard error closed (`2>&-`)
-        sys.stderr.write(f"error: {message}\n")
+        with contextlib.suppress(OSError):  # standard error unwritable (`2>/dev/full`): keep the exit code
+            sys.stderr.write(f"error: {message}\n")
     return code
 
 
@@ -127,6 +129,8 @@ def _print_issues(rows: int, issues: list[tuple[int, str]], file) -> None:
 
 
 def cmd_validate(args) -> int:
+    from .ingest import validate_firm_csv
+
     # no classification setting changes which rows are valid, so validate takes none
     with open(args.input, "rb") as fh:
         rows, issues = validate_firm_csv(fh)
@@ -139,6 +143,7 @@ def cmd_compute(args) -> int:
 
     from .cube import Tally
     from .decomp import cube_report
+    from .ingest import default_nace_map, validate_firm_csv
     from .stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
 
     config = _load_effective_config(args)

@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TextIO
 
+from . import DEFAULT_FOREIGN_CUTOFF, DEFAULT_SIZE_BIN_EDGES, _Validated
+
 
 class MalformedRow(ValueError):
     """A row failed strict validation. Carries the 1-based line number."""
@@ -71,8 +73,6 @@ def default_nace_map() -> dict[int, int]:
 
 
 _NACE_MAP = default_nace_map()  # the grouping is fixed; no setting changes it
-DEFAULT_SIZE_BIN_EDGES = (0, 1, 5, 10, 20, 50, 100, 250)
-DEFAULT_FOREIGN_CUTOFF = 0.20
 
 
 def parse_share(text: str) -> float:
@@ -85,27 +85,6 @@ def parse_share(text: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"share {text!r} outside [0, 1]")
     return value
-
-
-class _Validated:
-    """First base of a NamedTuple subclass whose _validated() raises ValueError or returns the
-    instance to keep; __new__ and _make, which namedtuple's _replace builds through, both run it."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        return super().__new__(cls, *args, **kwargs)._validated()
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-    def _check_numbers(self, *names):  # ValueError naming a field that, like "0.5" or None, no float compares with
-        for name in names:
-            try:
-                getattr(self, name) < 0.0
-            except TypeError:
-                raise ValueError(f"{name} must be a number") from None
 
 
 class _ClassificationFields(NamedTuple):

@@ -15,9 +15,9 @@ import operator
 from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
+from . import _Validated
 from .cube import DIMS, _exact_parts, _kept_digits
 from .decomp import SUBSETS, RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report, _multiplicity_entropy
-from .ingest import _Validated
 
 _INT64_MAX = 2**63 - 1
 

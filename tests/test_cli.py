@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import thsynergy.synthlab
+from thsynergy import DEFAULT_SIZE_BIN_EDGES
 from thsynergy.cli import _manifest, _sha256, config_digest, main
 from thsynergy.decomp import EntropyProfile
 from thsynergy.ingest import ClassificationConfig
@@ -273,6 +274,16 @@ def test_validate_takes_no_classification_flag(tmp_path, capsys, flag, value):
         main(["validate", write_csv(tmp_path, CLEAN_ROWS), flag, value])
     assert err.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_size_bins_help_and_config_share_the_default_edges(capsys, monkeypatch):
+    # the package root holds the default that compute's --help prints and ClassificationConfig starts from
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main(["compute", "--help"])
+    assert err.value.code == 0
+    assert f"(default {','.join(map(str, DEFAULT_SIZE_BIN_EDGES))})" in capsys.readouterr().out
+    assert ClassificationConfig().size_bin_edges == DEFAULT_SIZE_BIN_EDGES
 
 
 def test_compute_missing_file_is_io_error(tmp_path):
@@ -544,6 +555,18 @@ def test_closed_stderr_writes_nothing(tmp_path, capsys, monkeypatch, command, st
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command, status", [(["compute", "absent"], 3), (["validate", "absent"], 3),
+                                             (["compute", "defects"], 3), (["chisq", "0,0;0,0"], 1)],
+                         ids=["compute-missing-file", "validate-missing-file", "compute-defects", "chisq-degenerate"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, capsys, monkeypatch, command, status):
+    # `2>/dev/full`: _error drops the OSError of its own write, so main returns the code it maps the
+    # failure to; compute's defect listing that cannot be written is an I/O error like any other
+    files = {"defects": write_csv(tmp_path, ["FZ,1504,30,notanumber,100,0.0"]), "absent": str(tmp_path / "absent.csv")}
+    monkeypatch.setattr(sys, "stderr", FullStream())
+    assert main([files.get(arg, arg) for arg in command]) == status
+    assert capsys.readouterr().out == ""
+
+
 # --- the console script -------------------------------------------------------
 
 # what an installed `thsynergy` runs, between an atexit callback and a line that must never run
@@ -666,14 +689,16 @@ WATCHED = ("_hashlib", "dataclasses", "datetime", "hashlib", "inspect", "json")
 
 @pytest.mark.parametrize("argv, modules, stdlib", [
     (None, [], []),
-    (["--version"], ["cli", "ingest"], []),
+    (["--version"], ["cli"], []),
+    (["--help"], ["cli"], []),
+    (["validate", str(DEMO_CSV), "--frobnicate"], ["cli"], []),
     (["validate", str(DEMO_CSV)], ["cli", "ingest"], []),
-    (["chisq", "10,20;20,10"], ["cli", "ingest", "stats"], []),
+    (["chisq", "10,20;20,10"], ["cli", "stats"], []),
     (["compute", str(DEMO_CSV), "--output", "report.json"],
      ["cli", "cube", "decomp", "ingest", "stats"], ["json"]),
     (["sweep", "--shares", "0,1", "--output", "curve.csv"],  # numpy loads inspect; numpy.random secrets, hmac, _hashlib
-     ["cli", "cube", "decomp", "ingest", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
-], ids=["import", "version", "validate", "chisq", "compute", "sweep"])
+     ["cli", "cube", "decomp", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
+], ids=["import", "version", "help", "unknown-flag", "validate", "chisq", "compute", "sweep"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, stdlib):
     call = "import thsynergy" if argv is None else (
         f"from thsynergy.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass")
