@@ -32,10 +32,6 @@ for point in curve.points:
     synergy = "undefined" if report.foreign_synergy_share is None else f"{report.foreign_synergy_share:.4f}"
     print(f"{point.share:>6.2f}  {report.foreign_turnover_share:>14.4f}  {synergy:>13}")
 
-print()
-print(f"synergy share monotonicity violations: {curve.synergy_share_violations()}")
-print("(measured, not guaranteed: the share of a signed measure need not be monotone)")
-
 buffer = io.StringIO()
 curve.to_csv(buffer)
 print()

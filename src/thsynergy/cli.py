@@ -62,8 +62,8 @@ def _manifest(command: str, inputs: list[str], settings: dict, **fields) -> dict
             **fields}
 
 
-def _write_outputs(output_path: str, text: str, manifest: dict, **extra) -> None:
-    """Write the output and its .manifest.json sidecar: the manifest, a timestamp, then extra. Raises OSError.
+def _write_outputs(output_path: str, text: str, manifest: dict) -> None:
+    """Write the output and its .manifest.json sidecar: the manifest, then a timestamp. Raises OSError.
 
     Each is written to a temporary file next to its target and then moved
     into place with os.replace, the output last, so a failed run never
@@ -78,7 +78,7 @@ def _write_outputs(output_path: str, text: str, manifest: dict, **extra) -> None
     # the text of datetime.now(timezone.utc).isoformat(), which floors to the microsecond, without datetime
     seconds, micro = divmod(time.time_ns() // 1000, 10**6)
     stamp = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(seconds)[:6] + (f".{micro:06d}" if micro else "")
-    payload = {**manifest, "timestamp": stamp + "+00:00", **extra}
+    payload = {**manifest, "timestamp": stamp + "+00:00"}
     writes = ((output_path + ".manifest.json", json.dumps(payload, indent=2) + "\n"), (output_path, text))
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
     placed = []
@@ -206,12 +206,10 @@ def cmd_sweep(args) -> int:
     # every generator knob but the seed, which is recorded on its own, plus the swept shares
     manifest = _manifest("sweep", [], {**{k: v for k, v in params._asdict().items() if k != "seed"}, "shares": shares},
                          seed=params.seed)
-    violations = curve.synergy_share_violations()
     text = io.StringIO()
     curve.to_csv(text)
-    _write_outputs(args.output, text.getvalue(), manifest, synergy_share_violations=violations)
+    _write_outputs(args.output, text.getvalue(), manifest)
     print(f"{len(curve.points)} point(s) written to {args.output}")
-    print(f"synergy share monotonicity violations: {violations}")
     return 0
 
 

@@ -48,7 +48,7 @@ class Tally:
 
     A firm is the triple add() takes: its int cell, coded over the tally's
     shape (None, n_o, n_t), its ownership flag (True for foreign) and its
-    turnover, which must not be negative (ValueError). ingest.validate_firm_csv
+    turnover, which must not be negative or NaN (ValueError). ingest.validate_firm_csv
     adds each accepted row, coded over ClassificationConfig.cell_shape, and
     synthlab.generate returns firms coded over SynthParams.cell_shape. parts
     holds per flag the _exact_parts of the turnovers reduced so far, then those
@@ -65,7 +65,7 @@ class Tally:
         self._groups = ((self.domestic, self.parts[0]), (self.foreign, self.parts[1]))
 
     def add(self, cell: int, foreign: bool, turnover: float) -> None:
-        if turnover < 0:  # with one, -inf above all, a sum's verdict could depend on where batches end
+        if not turnover >= 0:  # NaN too; a negative, -inf above all, could make a sum's verdict depend on batching
             raise ValueError("turnover must be non-negative")
         counts, parts = self._groups[foreign]
         parts.append(turnover)

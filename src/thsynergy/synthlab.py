@@ -130,17 +130,14 @@ class SweepPoint(NamedTuple):
 
 
 class SweepCurve(NamedTuple):
+    """The sweep's points. A decomposition's domestic part is p_d * (T_d - log2 p_d), where p_d is
+    the domestic share of the firms and T_d their own measure (decomp.subgroup_synergy), so a
+    point's synergy share is exactly 1 - p_d * (T_d - log2 p_d) / T, T the population's measure.
+    Under random labels T_d is T up to plug-in bias, and the share follows
+    t0(s) = s + (1 - s) * log2(1 - s) / T, departing from it by p_d * (T - T_d) / T; t0 turns at
+    s* = 1 - 2**(T - 1/ln 2), so the share need not be monotone in the foreign share."""
+
     points: tuple[SweepPoint, ...]
-
-    def synergy_share_violations(self) -> int:
-        """How often the synergy share strictly decreases along the curve.
-
-        Monotonicity is an empirical tendency of this generator, not a
-        theorem, so the count is measured and reported rather than assumed.
-        Pairs with an undefined share are skipped.
-        """
-        shares = [s for s in (point.report.foreign_synergy_share for point in self.points) if s is not None]
-        return sum(b < a for a, b in zip(shares, shares[1:]))
 
     def to_csv(self, fp: IO[str]) -> None:
         # column names are the on-disk contract; an undefined synergy share

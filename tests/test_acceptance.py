@@ -217,10 +217,7 @@ def test_criterion_7_sweep_endpoints():
     curve.to_csv(buffer_a)
     sweep_foreign_share(params._replace(), shares).to_csv(buffer_b)
     assert buffer_a.getvalue() == buffer_b.getvalue()
-
-    violations = curve.synergy_share_violations()  # measured, never assumed
-    assert isinstance(violations, int) and violations >= 0
-    _ok(7, f"exact (0,0) and (1,1) endpoints, reproducible bytes, {violations} violation(s) observed")
+    _ok(7, "exact (0,0) and (1,1) endpoints, reproducible bytes")
 
 
 # --- criterion 8: invariance suite ------------------------------------------

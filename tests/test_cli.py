@@ -719,11 +719,10 @@ def test_sweep_writes_curve_and_sidecar(tmp_path, capsys):
     assert lines[0] == "share,r_ratio,t_ratio"
     assert len(lines) == 4
     sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text(encoding="utf-8"))
-    assert list(sidecar) == ["command", "inputs", "config_hash", "version", "seed", "timestamp",
-                             "synergy_share_violations"]
+    assert list(sidecar) == ["command", "inputs", "config_hash", "version", "seed", "timestamp"]
     assert sidecar["command"] == "sweep"
     assert sidecar["seed"] == 5
-    assert "violations" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"3 point(s) written to {out}\n"
 
 
 def test_sweep_byte_identical_reruns(tmp_path):

@@ -23,7 +23,7 @@ DEMO_STDOUT_SHA256 = {
     "01_entropy_and_synergy": "efd3850b7a49bb00c6d88019ad7e0262bd7263ea4401446b53b1d9bdb8d49fc7",
     "02_ownership_decomposition": "6b826ffc1cca86546c5fdb3e9c811608f4287b276ba4fef4620d3f6e1c3ada40",
     "03_csv_to_report": "3217c4d33d7083cc39261ceea922beaeec7120932d912fbcb27f871b7746aee3",
-    "04_foreign_share_sweep": "66b0257192e58e2b039958376115ade18ce00143169563a73105c110573a9a98",
+    "04_foreign_share_sweep": "84945ebedfc97b165cab448f4616dde8e1216739be5c27f4f60abaa08d43df53",
 }
 
 

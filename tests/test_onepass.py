@@ -4,20 +4,20 @@ The validate listing was recorded before compute was fused into a single
 scan. The golden compute and sweep digests were re-recorded when entropies
 moved from a running sum in sorted key order to math.fsum, which moved
 synergy, entropy and t_ratio values in their last bits (at most 1e-14 on
-these inputs); counts, turnover, r_ratio, chi-square and violation counts
-stayed byte-identical. The sweep digests were re-recorded again when
-turnover sums moved from running sums in firm order to one math.fsum per
-ownership group, which moved r_ratio by at most 6.7e-16; t_ratio and the
-violation counts stayed byte-identical, and so did the compute digests,
-whose demo turnovers are whole NOK. The compute digests were re-recorded
-once more for schema 2, which deleted the constant "log_base": "2" from
-the document and from the hashed settings, and reads "bits" for the
-information unit; every figure stayed byte-identical, as the test against
-the recorded schema-1 document checks. One property test checks that the
-command's document equals the one assembled step by step from the
-unmemoized row-by-row checks (conftest.row_by_row) through a Tally,
-cube_report and ownership_tech_table; another, that it does not depend on
-the order of the rows.
+these inputs); counts, turnover, r_ratio and chi-square stayed
+byte-identical. The sweep digests were re-recorded again when turnover
+sums moved from running sums in firm order to one math.fsum per ownership
+group, which moved r_ratio by at most 6.7e-16; t_ratio stayed
+byte-identical, and so did the compute digests, whose demo turnovers are
+whole NOK. The compute digests were re-recorded once more for schema 2,
+which deleted the constant "log_base": "2" from the document and from the
+hashed settings, and reads "bits" for the information unit; every figure
+stayed byte-identical, as the test against the recorded schema-1 document
+checks. One property test checks that the command's document equals the
+one assembled step by step from the unmemoized row-by-row checks
+(conftest.row_by_row) through a Tally, cube_report and
+ownership_tech_table; another, that it does not depend on the order of the
+rows.
 """
 import hashlib
 import json
@@ -233,25 +233,24 @@ def test_compute_document_is_invariant_under_row_order(tmp_path, capsys, rows):
 SWEEP_SHARES = ",".join(repr(i / 10) for i in range(11))
 SWEEP_GOLDEN = [
     # default generator: uniform turnover law, 500 firms, seed 0
-    ((), "1bc3675dc590c807cb2af2885d09792ae60d1eb060946b8c2fb85e552c1ec2ad", "b427b93bb97f63ba", 2),
+    ((), "1bc3675dc590c807cb2af2885d09792ae60d1eb060946b8c2fb85e552c1ec2ad", "b427b93bb97f63ba"),
     # the parameters of demos/04_foreign_share_sweep.py
     (("--firms", "400", "--municipalities", "10", "--size-classes", "6", "--tech-groups", "8",
       "--coupling", "0.8", "--turnover-law", "lognormal", "--mu", "17.0", "--sigma", "0.9",
       "--seed", "2013"),
-     "742f4afb85fd9df015c0ae318dca06de19227cd6701319a44046bf384e4a244b", "106d2fb8442b1c56", 5),
+     "742f4afb85fd9df015c0ae318dca06de19227cd6701319a44046bf384e4a244b", "106d2fb8442b1c56"),
     # more than ten municipalities and size classes, so two-digit coordinates
     (("--size-classes", "12", "--municipalities", "40", "--turnover-law", "lognormal"),
-     "0f10f81dbd993ca37d95fbd514ddc541b00ceae123b6b3d885d4d6f72d6b7b66", "54095fae222f499b", 2),
+     "0f10f81dbd993ca37d95fbd514ddc541b00ceae123b6b3d885d4d6f72d6b7b66", "54095fae222f499b"),
 ]
 
 
 # config_hash covers every generator setting but the seed, so it pins the defaults the flags fall back to
-@pytest.mark.parametrize("flags, digest, config_hash, violations", SWEEP_GOLDEN,
+@pytest.mark.parametrize("flags, digest, config_hash", SWEEP_GOLDEN,
                          ids=["uniform", "demo-04", "two-digit-labels"])
-def test_sweep_curve_is_pinned(tmp_path, flags, digest, config_hash, violations):
+def test_sweep_curve_is_pinned(tmp_path, flags, digest, config_hash):
     out = tmp_path / "curve.csv"
     assert main(["sweep", *flags, "--shares", SWEEP_SHARES, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text(encoding="utf-8"))
-    assert sidecar["synergy_share_violations"] == violations
     assert sidecar["config_hash"] == config_hash

@@ -3,7 +3,6 @@ import math
 from array import array
 import tracemalloc
 from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import exact_sum, near_max_lists, report_of, tally_of
 from thsynergy.cube import _exact_parts, _fsum
 from thsynergy.decomp import SynergyDecomposition, _build_report, decompose
-from thsynergy.synthlab import SynthParams, SweepCurve, SweepPoint, foreign_count, generate, sweep_foreign_share
+from thsynergy.synthlab import SynthParams, foreign_count, generate, sweep_foreign_share
 
 
 def test_generate_deterministic():
@@ -213,16 +212,6 @@ def test_sweep_csv_zero_endpoint_never_signed():
     lines = buffer.getvalue().splitlines()
     assert lines[1] == "0.0,0.0,0.0"
     assert lines[2] == "1.0,1.0,1.0"
-
-
-def test_violation_count_measured_not_assumed():
-    points = []
-    for share, value in ((0.0, 0.0), (0.2, 0.4), (0.4, 0.3), (0.6, None), (0.8, 0.2), (1.0, 1.0)):
-        # a stand-in report: the count reads nothing else of it
-        points.append(SweepPoint(share=share, report=SimpleNamespace(foreign_synergy_share=value)))
-    curve = SweepCurve(points=tuple(points))
-    # 0.4 -> 0.3 and (skipping None) 0.3 -> 0.2 both count
-    assert curve.synergy_share_violations() == 2
 
 
 def test_coupling_controls_signal_against_measured_noise_band():
