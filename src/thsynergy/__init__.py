@@ -42,14 +42,13 @@ class _Validated:
 
 # each exported name -> the submodule that defines it
 _HOMES = {
-    **dict.fromkeys(("ContingencyCube", "EmptyDataset", "Tally", "marginalize"), "cube"),
-    **dict.fromkeys(("EntropyProfile", "RegionReport", "SplitEntropyTerm", "SynergyDecomposition", "ZeroTotal",
-                     "cube_report", "decompose", "shannon_entropy", "split_entropy", "subgroup_synergy",
+    **dict.fromkeys(("ContingencyCube", "EmptyDataset", "EntropyProfile", "RegionReport", "SplitEntropyTerm",
+                     "SynergyDecomposition", "Tally", "ZeroTotal", "cube_report", "decompose", "marginalize",
+                     "ownership_tech_table", "shannon_entropy", "split_entropy", "subgroup_synergy",
                      "ternary_information"), "decomp"),
     **dict.fromkeys(("ClassificationConfig", "MalformedRow", "MissingColumn", "UnmappedNace", "validate_firm_csv"),
                     "ingest"),
-    **dict.fromkeys(("ChiSquareResult", "DegenerateTable", "chi_square_homogeneity", "chi_square_survival",
-                     "ownership_tech_table"), "stats"),
+    **dict.fromkeys(("ChiSquareResult", "DegenerateTable", "chi_square_homogeneity", "chi_square_survival"), "stats"),
     **dict.fromkeys(("SweepCurve", "SweepPoint", "SynthParams", "generate", "sweep_foreign_share"), "synthlab"),
 }
 

@@ -32,7 +32,7 @@ import sys
 from . import DEFAULT_SIZE_BIN_EDGES, __version__
 
 # Everything else is imported by the subcommand that runs it, so that `--version` and `chisq` load
-# neither ingest, the cube, the decomposition nor json, and `validate` ingest alone of them.
+# neither ingest, decomp nor json, and `validate` ingest alone of them.
 
 
 def _sha256(data: bytes):
@@ -141,10 +141,9 @@ def cmd_validate(args) -> int:
 def cmd_compute(args) -> int:
     import json
 
-    from .cube import Tally
-    from .decomp import cube_report
+    from .decomp import Tally, cube_report, ownership_tech_table
     from .ingest import default_nace_map, validate_firm_csv
-    from .stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
+    from .stats import DegenerateTable, chi_square_homogeneity
 
     config = _load_effective_config(args)
     tally = Tally(config.cell_shape)
@@ -191,7 +190,8 @@ def cmd_sweep(args) -> int:
     from .synthlab import SynthParams, sweep_foreign_share
 
     try:
-        shares = [float(part) for part in args.shares.split(",") if part.strip() != ""]
+        # + 0.0 turns -0.0 into 0.0, so the sign of a zero share moves neither the CSV nor config_hash
+        shares = [float(part) + 0.0 for part in args.shares.split(",") if part.strip() != ""]
     except ValueError:
         return _error(f"cannot parse --shares {args.shares!r}", 2)
     # the generator flags are stored under their field names and default to None: SynthParams holds the defaults

@@ -124,7 +124,7 @@ class ClassificationConfig(_Validated, _ClassificationFields):
 
     @property
     def cell_shape(self) -> tuple:
-        """The radices of a scanned firm's cell (see cube): G numbered in first-seen order, then
+        """The radices of a scanned firm's cell (see decomp): G numbered in first-seen order, then
         the O and T digits that categorize gives, of len(size_bin_edges) and ten values."""
         return None, len(self.size_bin_edges), len(_NACE_GROUP_RANGES)
 

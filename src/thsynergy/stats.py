@@ -8,10 +8,7 @@ matches the uncorrected textbook statistic.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .cube import ContingencyCube
+from typing import NamedTuple, Sequence
 
 
 class DegenerateTable(ValueError):
@@ -164,20 +161,3 @@ def chi_square_homogeneity(table: Sequence[Sequence[float]]) -> ChiSquareResult:
         raise DegenerateTable("statistic is not finite")
     dof = k - 1
     return ChiSquareResult(statistic=statistic, dof=dof, p_value=chi_square_survival(statistic, dof))
-
-
-def ownership_tech_table(cube: ContingencyCube) -> tuple[tuple, list[list[int]]]:
-    """Domestic vs foreign counts over the occupied technology groups.
-
-    Returns (categories, [domestic_row, foreign_row]) ready for
-    chi_square_homogeneity. The categories are the T groups, t + 1 for the
-    cube's T coordinates t, whose total is positive, sorted, so every firm is
-    in a column and every column has a positive total. ValueError on a cube
-    without T.
-    """
-    from .cube import marginalize  # the chi-square test alone needs no cube
-
-    marginal = marginalize(cube, "T")
-    domestic, foreign = marginal.domestic, marginal.foreign
-    columns = sorted(t for t in domestic.keys() | foreign.keys() if domestic.get(t, 0) + foreign.get(t, 0) > 0)
-    return tuple(t + 1 for t in columns), [[counts.get(t, 0) for t in columns] for counts in (domestic, foreign)]

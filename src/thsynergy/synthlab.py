@@ -16,8 +16,8 @@ from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
 from . import _Validated
-from .cube import DIMS, _exact_parts, _kept_digits
-from .decomp import SUBSETS, RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report, _multiplicity_entropy
+from .decomp import (DIMS, SUBSETS, RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report, _exact_parts,
+                     _kept_digits, _multiplicity_entropy)
 
 _INT64_MAX = 2**63 - 1
 
@@ -115,7 +115,7 @@ def _draw(params: SynthParams) -> tuple:
 
 def generate(params: SynthParams, share: float) -> list[tuple[int, bool, float]]:
     """Draw a deterministic synthetic population for the given parameters: each firm's
-    (cell, foreign, turnover) triple, as cube.Tally.add takes it over params.cell_shape, in
+    (cell, foreign, turnover) triple, as decomp.Tally.add takes it over params.cell_shape, in
     labeling order: the first foreign_count(n_firms, share) firms are foreign, share in [0, 1]."""
     if not 0.0 <= share <= 1.0:
         raise ValueError("share must lie in [0, 1]")
@@ -157,9 +157,9 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     """Evaluate the share -> (turnover share, synergy share) curve.
 
     shares must be strictly increasing within [0, 1]. The population is drawn once, in labeling
-    order, and each occupied GOT cell read into the smaller subsets by cube._kept_digits. The
+    order, and each occupied GOT cell read into the smaller subsets by decomp._kept_digits. The
     turnovers between consecutive foreign counts are reduced once, to a few floats whose exact sum
-    is theirs (cube._exact_parts). A point at k foreign firms counts firms k_prev..k-1 into the
+    is theirs (decomp._exact_parts). A point at k foreign firms counts firms k_prev..k-1 into the
     last point's foreign cell counts, and its foreign and domestic groups are the parts of the runs
     before and after k. Each entropy reads a subset's counts by how many cells hold each count.
     OverflowError, at the first point, when the turnover sum is not finite.

@@ -17,8 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `import oracles` work
 
-from thsynergy.cube import ContingencyCube, Tally
-from thsynergy.decomp import RegionReport, cube_report
+from thsynergy.decomp import ContingencyCube, RegionReport, Tally, cube_report
 from thsynergy.ingest import ClassificationConfig, MalformedRow, UnmappedNace, _parse_row, _read_header
 
 

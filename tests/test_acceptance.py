@@ -11,8 +11,7 @@ import pytest
 
 import oracles
 from conftest import cube_from_tensors
-from thsynergy.cube import marginalize
-from thsynergy.decomp import _ratio, decompose, split_entropy, ternary_information
+from thsynergy.decomp import _ratio, decompose, marginalize, split_entropy, ternary_information
 from thsynergy.ingest import ClassificationConfig
 from thsynergy.stats import chi_square_homogeneity, chi_square_survival
 from thsynergy.synthlab import SynthParams, sweep_foreign_share

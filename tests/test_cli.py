@@ -678,29 +678,30 @@ def test_main_leaves_the_environment_as_it_found_it(tmp_path, monkeypatch):
     assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
-def test_cube_module_loads_no_json(tmp_path):
-    run_python(tmp_path, "import sys, thsynergy.cube; assert 'json' not in sys.modules")
-
-
 # the serializers, OpenSSL's hashlib, and dataclasses with the inspect it loads; compute hashes its
 # config with the built-in SHA-256, and the package's record types are NamedTuples
 WATCHED = ("_hashlib", "dataclasses", "datetime", "hashlib", "inspect", "json")
 
 
+# a command line, or the Python code of a library import
 @pytest.mark.parametrize("argv, modules, stdlib", [
-    (None, [], []),
+    ("import thsynergy", [], []),
+    ("from thsynergy import chi_square_homogeneity", ["stats"], []),
+    ("from thsynergy import ownership_tech_table", ["decomp"], []),
+    ("import thsynergy.decomp", ["decomp"], []),
     (["--version"], ["cli"], []),
     (["--help"], ["cli"], []),
     (["validate", str(DEMO_CSV), "--frobnicate"], ["cli"], []),
     (["validate", str(DEMO_CSV)], ["cli", "ingest"], []),
     (["chisq", "10,20;20,10"], ["cli", "stats"], []),
     (["compute", str(DEMO_CSV), "--output", "report.json"],
-     ["cli", "cube", "decomp", "ingest", "stats"], ["json"]),
+     ["cli", "decomp", "ingest", "stats"], ["json"]),
     (["sweep", "--shares", "0,1", "--output", "curve.csv"],  # numpy loads inspect; numpy.random secrets, hmac, _hashlib
-     ["cli", "cube", "decomp", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
-], ids=["import", "version", "help", "unknown-flag", "validate", "chisq", "compute", "sweep"])
+     ["cli", "decomp", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
+], ids=["import", "import-stats-export", "import-decomp-export", "import-decomp",
+        "version", "help", "unknown-flag", "validate", "chisq", "compute", "sweep"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, stdlib):
-    call = "import thsynergy" if argv is None else (
+    call = argv if isinstance(argv, str) else (
         f"from thsynergy.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass")
     result = run_python(tmp_path, f"{call}\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)")
     loaded = result.stderr.splitlines()[-1].split()
@@ -744,6 +745,16 @@ def test_sweep_non_monotone_shares_usage_error(tmp_path, capsys):
 
 def test_sweep_share_out_of_range_usage_error(tmp_path):
     assert main(["sweep", "--shares", "0,1.5", "--output", str(tmp_path / "c.csv")]) == 2
+
+
+def test_sweep_negative_zero_share_is_zero(tmp_path):
+    runs = []
+    for shares in ("-0.0,1", "0,1"):
+        out = tmp_path / f"{shares}.csv"
+        assert main(["sweep", "--firms", "50", f"--shares={shares}", "--output", str(out)]) == 0
+        sidecar = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+        runs.append((out.read_bytes(), sidecar["config_hash"]))
+    assert runs[0] == runs[1]
 
 
 def test_sweep_unparseable_shares_usage_error(tmp_path):

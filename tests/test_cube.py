@@ -6,16 +6,18 @@ import pytest
 
 import oracles
 from conftest import cell_code, coded_cube, cube_from_tensors, tally_of
-from thsynergy.cube import (
+from thsynergy.decomp import (
+    SUBSETS,
     ContingencyCube,
     EmptyDataset,
     Tally,
+    decompose,
     marginalize,
     normalize_dims,
+    ownership_tech_table,
+    split_entropy,
     split_marginals,
 )
-from thsynergy.decomp import SUBSETS, decompose, split_entropy
-from thsynergy.stats import ownership_tech_table
 
 
 SHAPE = (None, 3, 3)  # three size classes and three tech groups

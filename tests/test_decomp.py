@@ -12,19 +12,21 @@ import pytest
 
 import oracles
 from conftest import cell_code, coded_cube, cube_from_tensors, exact_sum, near_max_lists, report_of, tally_of
-import thsynergy.cube
 import thsynergy.decomp
-from thsynergy.cube import EmptyDataset, Tally, marginalize, split_marginals
 from thsynergy.decomp import (
+    EmptyDataset,
     RegionReport,
     SplitEntropyTerm,
     SynergyDecomposition,
+    Tally,
     ZeroTotal,
     _build_report,
     _ratio,
     cube_report,
     decompose,
+    marginalize,
     split_entropy,
+    split_marginals,
     subgroup_synergy,
     ternary_information,
 )
@@ -242,13 +244,13 @@ def test_decompose_walks_each_full_cell_map_three_times(monkeypatch):
     cube = cube_from_tensors(*mixed_xor_tensors())
     expected = decompose(cube)
     walked = []
-    sum_by = thsynergy.cube._sum_by
+    sum_by = thsynergy.decomp._sum_by
 
     def counted(counts, key):
         walked.append(counts)
         return sum_by(counts, key)
 
-    monkeypatch.setattr(thsynergy.cube, "_sum_by", counted)
+    monkeypatch.setattr(thsynergy.decomp, "_sum_by", counted)
     dec = decompose(cube)
     assert (dec, dec.terms) == (expected, expected.terms)
     # GO, GT and OT from each full map; G from GO, O and T from OT, one walk per group each
@@ -431,7 +433,7 @@ def test_region_report_infinite_turnover_raises():
 
 # --- a tally's turnover sums, streamed as exact parts ---------------------------
 
-DEFAULT_FLUSH = thsynergy.cube._FLUSH
+DEFAULT_FLUSH = thsynergy.decomp._FLUSH
 
 
 @pytest.mark.parametrize("flush", [1, 7, DEFAULT_FLUSH])
@@ -440,7 +442,7 @@ DEFAULT_FLUSH = thsynergy.cube._FLUSH
     [1.0, 1e308, 1e308, 2.0, 3.0],  # finite turnovers whose sum overflows
 ], ids=["inf-turnover", "finite-overflowing-sum"])
 def test_tally_turnover_sum_not_finite_raises(flush, turnovers):
-    with mock.patch.object(thsynergy.cube, "_FLUSH", flush):
+    with mock.patch.object(thsynergy.decomp, "_FLUSH", flush):
         tally = tally_of([firm(0, 0, i % 2, False, t) for i, t in enumerate(turnovers)] + [firm(1, 1, 1, True, 5.0)],
                          SHAPE)
     with pytest.raises(OverflowError, match="^turnover sum is not finite$"):
@@ -450,7 +452,7 @@ def test_tally_turnover_sum_not_finite_raises(flush, turnovers):
 def test_tally_flush_that_meets_an_inf_part_keeps_it():
     # with _FLUSH 1 every add past the first reduces the group: the overflowing pair leaves the part
     # inf, and each later flush reads that part with the new turnover and leaves it inf
-    with mock.patch.object(thsynergy.cube, "_FLUSH", 1):
+    with mock.patch.object(thsynergy.decomp, "_FLUSH", 1):
         tally = Tally(SHAPE)
         tally.add(*firm(0, 0, 0, True, 1e308))
         tally.add(*firm(0, 0, 0, True, 1e308))
@@ -504,7 +506,7 @@ def test_streamed_turnover_sums_equal_one_fsum(case):
     # a Tally holds each group as exact parts and at most _FLUSH more turnovers; its report is the one
     # built from each group's whole list of turnovers by one fsum, bit for bit, or the same refusal
     flush, firms = case
-    with mock.patch.object(thsynergy.cube, "_FLUSH", flush):
+    with mock.patch.object(thsynergy.decomp, "_FLUSH", flush):
         tally = tally_of(firms, SHAPE)
     assert all(len(parts) <= max(flush, 40) for parts in tally.parts)  # a finite sum needs 40 parts at most
     cube = tally.cube()
@@ -527,7 +529,7 @@ def test_turnover_sum_near_the_float_maximum_does_not_depend_on_the_row_order():
         for flush in (1, 7, DEFAULT_FLUSH):
             for _ in range(4):
                 rng.shuffle(turnovers)
-                with mock.patch.object(thsynergy.cube, "_FLUSH", flush):
+                with mock.patch.object(thsynergy.decomp, "_FLUSH", flush):
                     tally = tally_of([firm(i % 2, 0, 0, False, t) for i, t in enumerate(turnovers)]
                                      + [firm(1, 1, 1, True, 0.0)], SHAPE)
                 if math.isinf(expected):

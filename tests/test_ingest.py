@@ -16,8 +16,7 @@ from conftest import cell_code, row_by_row
 from test_onepass import _reference_document
 import thsynergy.ingest
 from thsynergy.cli import main
-from thsynergy.cube import Tally
-from thsynergy.decomp import cube_report
+from thsynergy.decomp import Tally, cube_report
 from thsynergy.ingest import (
     CANONICAL_COLUMNS,
     DEFAULT_SIZE_BIN_EDGES,

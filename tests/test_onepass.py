@@ -29,9 +29,9 @@ import pytest
 
 from conftest import row_by_row, tally_of
 from thsynergy.cli import main
-from thsynergy.decomp import cube_report, decompose
+from thsynergy.decomp import cube_report, decompose, ownership_tech_table
 from thsynergy.ingest import CANONICAL_COLUMNS, ClassificationConfig, default_nace_map, parse_share, validate_firm_csv
-from thsynergy.stats import DegenerateTable, chi_square_homogeneity, ownership_tech_table
+from thsynergy.stats import DegenerateTable, chi_square_homogeneity
 
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
 

@@ -1,7 +1,8 @@
 """The package's lazy exports: each name loads its submodule on first use.
 
-That `import thsynergy` itself loads no submodule is pinned, in a fresh
-interpreter, by tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs.
+That `import thsynergy` itself loads no submodule, and that an exported name
+loads its home module alone, is pinned, in a fresh interpreter, by
+tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs.
 """
 import importlib
 import sys
@@ -43,3 +44,9 @@ def test_unknown_attribute_raises_attribute_error():
     decomp = importlib.import_module("thsynergy.decomp")
     assert not hasattr(decomp, "synergy_share") and not hasattr(decomp, "efficiency_ratio")
     assert not hasattr(thsynergy.Tally, "add_firms")
+
+
+@pytest.mark.parametrize("module", ["thsynergy.cube", "thsynergy.infotheory"])
+def test_folded_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)

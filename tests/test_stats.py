@@ -6,12 +6,12 @@ import pytest
 import oracles
 from conftest import coded_cube, cube_from_tensors
 from thsynergy import stats
+from thsynergy.decomp import ownership_tech_table
 from thsynergy.stats import (
     ChiSquareResult,
     DegenerateTable,
     chi_square_homogeneity,
     chi_square_survival,
-    ownership_tech_table,
     regularized_gamma_q,
 )
 

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import exact_sum, near_max_lists, report_of, tally_of
-from thsynergy.cube import _exact_parts, _fsum
-from thsynergy.decomp import SynergyDecomposition, _build_report, decompose
+from thsynergy.decomp import SynergyDecomposition, _build_report, _exact_parts, _fsum, decompose
 from thsynergy.synthlab import SynthParams, foreign_count, generate, sweep_foreign_share
 
 
