@@ -16,9 +16,12 @@ Reports embed their run manifest without a timestamp so identical inputs
 and flags produce byte-identical output; the wall clock lives only in the
 `<output>.manifest.json` sidecar. No environment variable affects results.
 entry() sets OPENBLAS_NUM_THREADS to 1 unless it is set, which changes only
-how many threads numpy's OpenBLAS starts. It ends the process with the atexit
-callbacks, a flush and os._exit, skipping teardown, so `python -m cProfile -m
-thsynergy.cli` prints no profile: profile or trace through main.
+how many threads numpy's OpenBLAS starts. For `sweep` it also keeps OpenSSL
+out of the process when the interpreter's built-in hash modules import, so
+numpy's hashlib falls back to them and the sweep peaks 3.5 MB lower. It ends
+the process with the atexit callbacks, a flush and os._exit, skipping
+teardown, so `python -m cProfile -m thsynergy.cli` prints no profile:
+profile or trace through main.
 """
 from __future__ import annotations
 
@@ -308,11 +311,36 @@ def main(argv: list[str] | None = None) -> int:
         return _error(f"out of memory: {exc}" if str(exc) else "out of memory", 1)
 
 
+# the built-in modules that hashlib and random take their hashes from when _hashlib cannot be imported
+_BUILTIN_HASHES = ("_md5", "_sha1", *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")),
+                   "_blake2", "_sha3")
+
+
+def _keep_openssl_out() -> None:
+    # numpy.random imports secrets, which imports hmac and hashlib, which import _hashlib and so map
+    # OpenSSL, 3.3 MB of RSS the sweep never hashes with. With _hashlib blocked both fall back to the
+    # built-in modules, as on a build without OpenSSL; without one of those, `import hashlib` logs an
+    # error, so the block is set only when all of them import and _hashlib is not loaded already.
+    if "_hashlib" in sys.modules:
+        return
+    before = set(sys.modules)
+    try:
+        for name in _BUILTIN_HASHES:
+            __import__(name)
+    except ImportError:
+        for name in sys.modules.keys() - before:  # leave loaded only what the sweep loads without the probe
+            del sys.modules[name]
+    else:
+        sys.modules["_hashlib"] = None
+
+
 def entry() -> None:
     # No command does linear algebra, yet numpy's OpenBLAS starts a pool of worker threads when it
     # loads (inside sweep), which costs time and CPU. Set here, where the process is ours, not in main
     # or a library module, so that in-process callers keep their environment; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if sys.argv[1:2] == ["sweep"]:  # the one command that loads numpy; the others never load hashlib
+        _keep_openssl_out()
     try:
         status = main()
     except SystemExit as exc:  # argparse's --help, --version and usage errors

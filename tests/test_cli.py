@@ -625,11 +625,12 @@ def test_console_script_ends_as_main_returns(tmp_path, capsys, monkeypatch, argv
 DEMO_CSV = Path(__file__).resolve().parents[1] / "demos" / "data" / "firms_demo.csv"
 
 
-def run_python(tmp_path, code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports the package from this checkout."""
+def run_python(tmp_path, code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code with args as sys.argv[1:] in a fresh interpreter that imports the package from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, encoding="utf-8")
+    result = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path, env=env, capture_output=True,
+                            encoding="utf-8")
     assert result.returncode == 0, result.stderr
     return result
 
@@ -672,14 +673,43 @@ def test_entry_starts_sweep_with_one_blas_thread_unless_set(tmp_path):
     assert runs[None][1] == runs["2"][1]  # and the curve does not depend on it
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the mapped libraries from /proc/self/maps")
+@pytest.mark.parametrize("block", ["", "sys.modules['_sha1'] = None\n", "import _hashlib\n"],
+                         ids=["built-in-hashes", "one-unimportable", "already-loaded"])
+def test_entry_keeps_openssl_out_of_sweep_when_the_built_in_hashes_import(tmp_path, capsys, block):
+    # numpy.random loads hmac and hashlib, which map OpenSSL through _hashlib; entry() blocks _hashlib for
+    # the sweep when every built-in hash module they fall back to imports and _hashlib is not loaded yet,
+    # and otherwise runs as main does
+    code = ("import atexit, sys\n"
+            "def report():\n"
+            "    with open('/proc/self/maps', encoding='utf-8') as fh:\n"
+            "        print(sys.modules.get('_hashlib') is None, 'libcrypto' in fh.read())\n"
+            "    print(*sorted(sys.modules))\n"
+            "atexit.register(report)\n" + block)
+    argv = ["sweep", "--firms", "200", "--shares", "0,0.5,1", "--output"]
+    runs = {func: run_python(tmp_path, f"{code}from thsynergy.cli import {func}\n{func}()\n", *argv, f"{func}.csv")
+            for func in ("entry", "main")}
+    assert main([*argv, str(tmp_path / "in-process.csv")]) == 0
+    capsys.readouterr()
+    (*_, openssl, modules), (*_, main_openssl, main_modules) = (runs[f].stdout.splitlines() for f in runs)
+    assert runs["entry"].stderr == ""
+    assert openssl == ("False True" if block else "True False")
+    assert main_openssl == "False True"  # main leaves sys.modules to its caller
+    assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "in-process.csv").read_bytes()
+    if block:  # the fallback loads what the sweep loads without the probe
+        assert modules == main_modules
+
+
 def test_main_leaves_the_environment_as_it_found_it(tmp_path, monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     assert main(["sweep", "--firms", "200", "--shares", "0,1", "--output", str(tmp_path / "c.csv")]) == 0
     assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert sys.modules.get("_hashlib", "absent") is not None  # only entry() blocks it
 
 
 # the serializers, OpenSSL's hashlib, and dataclasses with the inspect it loads; compute hashes its
-# config with the built-in SHA-256, and the package's record types are NamedTuples
+# config with the built-in SHA-256, and the package's record types are NamedTuples. main loads
+# _hashlib for sweep; the console script does not
 WATCHED = ("_hashlib", "dataclasses", "datetime", "hashlib", "inspect", "json")
 
 
@@ -696,7 +726,8 @@ WATCHED = ("_hashlib", "dataclasses", "datetime", "hashlib", "inspect", "json")
     (["chisq", "10,20;20,10"], ["cli", "stats"], []),
     (["compute", str(DEMO_CSV), "--output", "report.json"],
      ["cli", "decomp", "ingest", "stats"], ["json"]),
-    (["sweep", "--shares", "0,1", "--output", "curve.csv"],  # numpy loads inspect; numpy.random secrets, hmac, _hashlib
+    # numpy loads inspect; numpy.random secrets, hmac and, in main though not in the console script, _hashlib
+    (["sweep", "--shares", "0,1", "--output", "curve.csv"],
      ["cli", "decomp", "synthlab"], ["_hashlib", "datetime", "hashlib", "inspect", "json"]),
 ], ids=["import", "import-stats-export", "import-decomp-export", "import-decomp",
         "version", "help", "unknown-flag", "validate", "chisq", "compute", "sweep"])
@@ -707,6 +738,21 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, st
     loaded = result.stderr.splitlines()[-1].split()
     assert [m for m in loaded if m.startswith("thsynergy")] == ["thsynergy", *(f"thsynergy.{m}" for m in modules)]
     assert [m for m in WATCHED if m in loaded] == list(stdlib)
+
+
+@pytest.mark.parametrize("argv, stdlib", [
+    (["--version"], []),
+    (["validate", str(DEMO_CSV)], []),
+    (["compute", str(DEMO_CSV), "--output", "report.json"], ["json"]),
+], ids=["version", "validate", "compute"])
+def test_console_script_probes_the_built_in_hashes_for_sweep_alone(tmp_path, argv, stdlib):
+    # the other commands never load hashlib, so entry() imports none of its fallbacks for them
+    code = ("import atexit, sys\n"
+            "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+            "from thsynergy.cli import entry\nentry()\n")
+    loaded = run_python(tmp_path, code, *argv).stderr.splitlines()[-1].split()
+    assert [m for m in WATCHED if m in loaded] == stdlib
+    assert [m for m in ("_md5", "_sha1", "_blake2", "_sha3") if m in loaded] == []
 
 
 # --- sweep ------------------------------------------------------------------
