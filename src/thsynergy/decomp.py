@@ -23,11 +23,11 @@ empirical counts only.
 Every entropy is the correctly rounded sum of its -p log p terms, so
 results are bit-for-bit reproducible whatever the order of the counts. The
 kernel counts the cells that hold each distinct count and takes one log per
-distinct count; each term, a float and so an integer over a power of two,
-is added once per cell holding it as an exact integer over the largest
-such power, and one int true division rounds that sum. Both that division
-and math.fsum round correctly, so the sum is the one fsum gives over one
-term per cell.
+distinct count and total, in a table that the entropies of a run against
+the same total share; each term, a float and so an integer multiple of
+2**-1074, is added once per cell holding it as an exact integer, and one
+int true division rounds that sum. Both that division and math.fsum round
+correctly, so the sum is the one fsum gives over one term per cell.
 
 Every marginal entropy of the full population splits exactly into three
 parts against the same denominator N:
@@ -238,22 +238,40 @@ class ZeroTotal(ValueError):
     """Entropy requested against a non-positive total."""
 
 
-def _plugin_entropy(counts: Iterable[int], total: int) -> float:
-    """The entropy kernel in bits over counts in any order; 0 * log 0 is taken as 0. The cells are
-    counted by count first, for _multiplicity_entropy. An int total past 2**53 is not exact as a
-    float, so there 1 and 1.0 can give different terms and each cell gets its own."""
-    return _multiplicity_entropy(Counter(counts).items() if total <= 2**53 else zip(counts, repeat(1)), total)
+_SCALE = 1 << 1074  # every float is an integer multiple of 1 / _SCALE
 
 
-def _multiplicity_entropy(multiplicities: Iterable[tuple[int, int]], total: int) -> float:
-    """The entropy in bits of (count, cells) pairs, cells being how many cells hold count. One log
-    per pair: its p log p term, n / d with d a power of two, is added cells times as an exact
-    integer over the largest d, and one int true division rounds the sum as math.fsum rounds the
-    same term once per cell."""
-    ratios = [(((p := c / total) * math.log2(p)).as_integer_ratio(), cells) for c, cells in multiplicities if c]
-    denominator = max((d for (_, d), _ in ratios), default=1)
+class _Terms(dict):
+    """Each count's p log2 p term against one total, p = count / total, as an integer multiple of
+    1 / _SCALE, taken once: the entropies of a run against the same total share one table. An int
+    total past 2**53 is not exact as a float, so there 1 and 1.0 can give different terms under one
+    key; such a table keeps no term, and each is taken where it is read."""
+
+    def __init__(self, total: int):
+        super().__init__()
+        self.total = total
+
+    def __missing__(self, count) -> int:
+        n, d = ((p := count / self.total) * math.log2(p)).as_integer_ratio()
+        term = n << (1075 - d.bit_length())  # n / d times _SCALE: d is a power of two, at most _SCALE
+        if self.total <= 2**53:
+            self[count] = term
+        return term
+
+
+def _plugin_entropy(counts: Iterable[int], table: _Terms) -> float:
+    """The entropy kernel in bits over counts in any order against table.total; 0 * log 0 is taken
+    as 0. The cells are counted by count first, for _multiplicity_entropy. Past a total of 2**53,
+    where 1 and 1.0 can give different terms, each cell gets its own."""
+    return _multiplicity_entropy(Counter(counts).items() if table.total <= 2**53 else zip(counts, repeat(1)), table)
+
+
+def _multiplicity_entropy(multiplicities: Iterable[tuple[int, int]], table: _Terms) -> float:
+    """The entropy in bits of (count, cells) pairs, cells being how many cells hold count, against
+    table.total. Each count's term is added cells times, as an exact integer, and one int true
+    division rounds the sum as math.fsum rounds the same term once per cell."""
     # 0.0 - keeps a one-cell population at 0.0 rather than -0.0
-    return 0.0 - sum(n * cells * (denominator // d) for (n, d), cells in ratios) / denominator
+    return 0.0 - sum(table[c] * cells for c, cells in multiplicities if c) / _SCALE
 
 
 def shannon_entropy(counts: Mapping, total: int) -> float:
@@ -268,7 +286,7 @@ def shannon_entropy(counts: Mapping, total: int) -> float:
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
     _check_counts((counts.values(),), total)
-    return _plugin_entropy(counts.values(), total)
+    return _plugin_entropy(counts.values(), _Terms(total))
 
 
 def _check_counts(groups: Iterable[Collection], total: float) -> None:
@@ -338,6 +356,12 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int) -> SplitEntro
     which keeps the additivity identity exact in floating point and is
     symmetric under swapping the two groups.
     """
+    return _split_entropy(domestic, foreign, _Terms(total))
+
+
+def _split_entropy(domestic: Mapping, foreign: Mapping, table: _Terms) -> SplitEntropyTerm:
+    """split_entropy against table.total, with the terms of a table the caller shares."""
+    total = table.total
     if total <= 0:
         raise ZeroTotal(f"total must be positive, got {total}")
     _check_counts((domestic.values(), foreign.values()), total)
@@ -345,7 +369,7 @@ def split_entropy(domestic: Mapping, foreign: Mapping, total: int) -> SplitEntro
     # foreign count, then the counts of cells only the foreign map holds
     combined = chain(map(add, domestic.values(), map(foreign.get, domestic, repeat(0))),
                      map(foreign.__getitem__, filterfalse(domestic.__contains__, foreign)))
-    return SplitEntropyTerm(*(_plugin_entropy(counts, total)
+    return SplitEntropyTerm(*(_plugin_entropy(counts, table)
                               for counts in (domestic.values(), foreign.values(), combined)))
 
 
@@ -393,10 +417,10 @@ def decompose(cube: ContingencyCube) -> SynergyDecomposition:
     """Split the cube's signed measure into ownership contributions; each of the seven
     marginals is drawn once, from its smallest parent (split_marginals), and scored
     against the cube's total."""
-    total = cube.total
+    table = _Terms(cube.total)  # the 21 entropies share one term per distinct count
     # map frees each marginal before drawing the next, where a comprehension's loop variable would
     # keep it: the G marginal would sit beside GT, the largest (0.09 MB on 18k cells)
-    terms = dict(map(lambda m: (m.dims, split_entropy(m.domestic, m.foreign, total)), split_marginals(cube)))
+    terms = dict(map(lambda m: (m.dims, _split_entropy(m.domestic, m.foreign, table)), split_marginals(cube)))
     return SynergyDecomposition(tuple(terms[dims] for dims in SUBSETS))
 
 

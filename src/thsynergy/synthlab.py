@@ -17,7 +17,7 @@ from typing import IO, NamedTuple, Sequence
 
 from . import _Validated
 from .decomp import (DIMS, SUBSETS, RegionReport, SplitEntropyTerm, SynergyDecomposition, _build_report, _exact_parts,
-                     _kept_digits, _multiplicity_entropy)
+                     _Terms, _kept_digits, _multiplicity_entropy)
 
 _INT64_MAX = 2**63 - 1
 
@@ -106,8 +106,12 @@ def _draw(params: SynthParams) -> tuple:
     np.copyto(t_idx, g_idx % params.n_tech_groups, where=coupled)
     del coupled
     _, n_o, n_t = params.cell_shape
-    g_idx = g_idx.astype(object) if params.n_municipalities * n_o * n_t > _INT64_MAX else g_idx  # Python ints
-    cells = (g_idx * n_o + o_idx) * n_t + t_idx
+    # coded in place, with no per-firm temporary; a copy of Python ints when the codes pass int64
+    cells = g_idx.astype(object) if params.n_municipalities * n_o * n_t > _INT64_MAX else g_idx
+    cells *= n_o
+    cells += o_idx
+    cells *= n_t
+    cells += t_idx
     del g_idx, o_idx, t_idx
     order = rng_label.permutation(n)
     return cells[order], turnover[order]
@@ -176,6 +180,7 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
     n = params.n_firms
     ks = [foreign_count(n, share) for share in shares]
     chunks = [_exact_parts(turnovers[a:b]) for a, b in zip([0, *ks], [*ks, n])]
+    del turnovers  # and with it the array it views, before np.unique sorts
     occupied, cell = np.unique(cells, return_inverse=True)  # each firm's index among the occupied cells
     del cells
     # each occupied cell's code in a smaller subset, as marginalize reads it, then its index among them
@@ -186,10 +191,11 @@ def sweep_foreign_share(params: SynthParams, shares: Sequence[float]) -> SweepCu
 
     def sums(cell_of, counts):  # a subset's cell counts from GOT cell counts, exact below 2**53
         return counts if cell_of is None else np.bincount(cell_of, weights=counts).astype(np.int64)
+    table = _Terms(n)  # every entropy of the sweep is scored against n, so they share one term per count
     def entropy(counts) -> float:  # from each count's multiplicity; the kernel skips the count 0
         multiplicities = np.bincount(counts)
         distinct = np.flatnonzero(multiplicities)
-        return _multiplicity_entropy(zip(distinct.tolist(), multiplicities[distinct].tolist()), n)
+        return _multiplicity_entropy(zip(distinct.tolist(), multiplicities[distinct].tolist()), table)
 
     cell_counts = np.bincount(cell)
     subsets = [(of, (counts := sums(of, cell_counts)), entropy(counts)) for of in cells_of]

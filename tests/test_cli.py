@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -13,10 +14,10 @@ import pytest
 import thsynergy.synthlab
 from thsynergy import DEFAULT_SIZE_BIN_EDGES
 from thsynergy.cli import _manifest, _sha256, config_digest, main
-from thsynergy.decomp import EntropyProfile
-from thsynergy.ingest import ClassificationConfig
+from thsynergy.decomp import EntropyProfile, Tally
+from thsynergy.ingest import _MEMO_LIMIT, ClassificationConfig, validate_firm_csv
 from thsynergy.stats import ChiSquareResult
-from thsynergy.synthlab import SynthParams
+from thsynergy.synthlab import SynthParams, sweep_foreign_share
 
 HEADER = "firm_id,municipality_code,nace2,employees,turnover_nok,foreign_share"
 
@@ -648,11 +649,12 @@ def test_only_sweep_and_generate_load_numpy(tmp_path, code):
 def test_entry_starts_sweep_with_one_blas_thread_unless_set(tmp_path):
     # numpy's OpenBLAS starts a worker pool when it loads; no command does linear algebra
     # entry() ends the process itself, so the child reads both from an atexit callback
-    code = ("import atexit, os\n"
+    code = ("import atexit, gc, os\n"
             "def report():\n"
             "    print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
             "    with open('/proc/self/status', encoding='utf-8') as fh:\n"
             "        print(*next(line.split() for line in fh if line.startswith('Threads:')))\n"
+            "    print(gc.isenabled())\n"
             "atexit.register(report)\n"
             "from thsynergy.cli import entry\nentry()\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -667,8 +669,8 @@ def test_entry_starts_sweep_with_one_blas_thread_unless_set(tmp_path):
         result = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=child_env,
                                 capture_output=True, encoding="utf-8")
         assert result.returncode == 0, result.stderr
-        runs[value] = result.stdout.splitlines()[-2:], out.read_bytes()  # after the sweep's own line
-    assert runs[None][0] == ["1", "Threads: 1"]
+        runs[value] = result.stdout.splitlines()[-3:], out.read_bytes()  # after the sweep's own line
+    assert runs[None][0] == ["1", "Threads: 1", "False"]  # and the cyclic collector is off
     assert runs["2"][0][0] == "2"  # the user's value is kept
     assert runs[None][1] == runs["2"][1]  # and the curve does not depend on it
 
@@ -705,6 +707,44 @@ def test_main_leaves_the_environment_as_it_found_it(tmp_path, monkeypatch):
     assert main(["sweep", "--firms", "200", "--shares", "0,1", "--output", str(tmp_path / "c.csv")]) == 0
     assert "OPENBLAS_NUM_THREADS" not in os.environ
     assert sys.modules.get("_hashlib", "absent") is not None  # only entry() blocks it
+    assert gc.isenabled()  # only entry() turns the collector off
+
+
+def _dirty_register(rows: int) -> bytes:
+    """A firm CSV of rows rows: in every 40, one row of each defect kind, the rest valid with a
+    municipality and an employees text of their own; then a byte that is not UTF-8."""
+    defects = ["", "F,0301,30,5", "F,0301,30,x,1000,0.1", "F,0301,30,5,x,0.1", "F,0301,30,5,1000,1.5",
+               "F,0301,44,5,1000,0.1", "F,0301,100,5,1000,0.1", "F,,30,5,1000,0.1", "F,0301,30,-1,1000,0.1",
+               "F,0301,30,5,-1,0.1", "F,0301,30,5,inf,0.1"]
+    lines = [defects[i % 40] if i % 40 < len(defects) else f"F{i},{i:05d},{i % 90 + 1},{i},{i},0.{i % 10}"
+             for i in range(rows)]
+    return "\n".join([HEADER, *lines, "F,0301,30,5,1000,0."]).encode("utf-8") + b"\xff\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_cyclic_garbage_does_not_grow_with_the_input(command):
+    # entry() turns the cyclic collector off, which holds memory flat only while a run frees what it
+    # makes by reference count: what gc.collect() finds after a run must not grow with the input
+    def run(size):
+        if command == "validate":  # 4,350 labels at 6,000 rows, past the memos' limit
+            data = _dirty_register(size)
+            return lambda: validate_firm_csv(data, add=Tally(ClassificationConfig().cell_shape).add)
+        return lambda: sweep_foreign_share(SynthParams(n_firms=size, n_municipalities=356), [0.0, 0.3, 1.0])
+
+    def garbage(work) -> int:
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            work()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    assert 6000 * 29 // 40 > _MEMO_LIMIT
+    garbage(run(6000))  # a first sweep imports numpy, whose import leaves cyclic garbage
+    assert garbage(run(6000)) == garbage(run(12000))
 
 
 # the serializers, OpenSSL's hashlib, and dataclasses with the inspect it loads; compute hashes its

@@ -10,6 +10,7 @@ from conftest import cube_from_tensors
 from thsynergy.decomp import (
     EntropyProfile,
     ZeroTotal,
+    _Terms,
     _multiplicity_entropy,
     _plugin_entropy,
     decompose,
@@ -102,17 +103,18 @@ def count_lists(draw):
 @example(([5.0, 5], 2**53 + 1))
 def test_plugin_entropy_equals_per_cell_fsum_exactly(case):
     counts, total = case
-    assert _plugin_entropy(counts, total) == _per_cell_entropy(counts, total)
-    assert _plugin_entropy(iter(counts), total) == _per_cell_entropy(counts, total)
+    assert _plugin_entropy(counts, _Terms(total)) == _per_cell_entropy(counts, total)
+    assert _plugin_entropy(iter(counts), _Terms(total)) == _per_cell_entropy(counts, total)
 
 
 @st.composite
 def multiplicity_lists(draw):
     """(count, cells) pairs: zeros, small ints, ints past 2**53, integral and non-integral floats,
-    a count listed more than once, the first held by up to 10**6 cells (the others by up to 1000,
-    so the expanded list stays small); and a total at least their sum."""
+    floats whose term is subnormal or nearly so, a count listed more than once, the first held by
+    up to 10**6 cells (the others by up to 1000, so the expanded list stays small); and a total at
+    least their sum."""
     count = st.one_of(st.just(0), st.integers(1, 40), st.integers(2**53 - 4, 2**60),
-                      st.integers(1, 40).map(float), st.floats(0.5, 2.0**60))
+                      st.integers(1, 40).map(float), st.floats(0.5, 2.0**60), st.floats(2.0**-990, 2.0**-900))
     pairs = [draw(st.tuples(count, st.integers(1, 10**6))),
              *draw(st.lists(st.tuples(count, st.integers(1, 1000)), max_size=4))]
     return pairs, max(1, math.ceil(sum(c * m for c, m in pairs))) + draw(st.sampled_from([0, 1, 2**53, 2**61 + 1]))
@@ -124,10 +126,17 @@ def multiplicity_lists(draw):
 @example(([(1, 10**6)], 10**6))  # a uniform population of 10**6 cells
 @example(([(1, 1), (1.0, 1)], 2**53 + 1))  # 1 / total and 1.0 / total differ here
 @example(([(3, 10**6), (2**53 + 1, 2), (0.75, 999)], 2**62))
+@example(([(2.0**-1040, 7), (2.0**-1060, 1), (3 * 2.0**-1050, 2), (1, 3)], 4))  # subnormal terms
 def test_multiplicity_entropy_equals_per_cell_fsum_exactly(case):
+    # one table serves several calls against its total, the later ones reading terms the earlier
+    # took, and a second total gets a table of its own; past 2**53 a table keeps no term
     pairs, total = case
-    assert _multiplicity_entropy(pairs, total) == _per_cell_entropy(
-        chain.from_iterable(repeat(c, cells) for c, cells in pairs), total)
+    tables = {total: _Terms(total), 2 * total: _Terms(2 * total)}
+    for t, calls in ((total, [pairs, pairs[1:]]), (2 * total, [pairs])):
+        for call in calls:
+            assert _multiplicity_entropy(call, tables[t]) == _per_cell_entropy(
+                chain.from_iterable(repeat(c, cells) for c, cells in call), t)
+        assert tables[t].keys() == ({c for c, _ in pairs if c} if t <= 2**53 else set())
 
 
 # --- profile and ternary measure --------------------------------------------
